@@ -92,14 +92,29 @@ def _future_block(arr: np.ndarray, H: int, width: int, name: str) -> np.ndarray:
 def _ar_recursion(
     alpha: np.ndarray, history: np.ndarray, driver: np.ndarray
 ) -> np.ndarray:
-    """Roll y_{T+h} = sum_l alpha_l y_{T+h-l} + driver_h forward H steps."""
-    q1 = len(alpha)
-    H = len(driver)
-    buf = np.concatenate([history[-q1:], np.zeros(H)]) if q1 else np.zeros(H)
-    for h in range(H):
+    """Roll y_{T+h} = sum_l alpha_l y_{T+h-l} + driver_h forward H steps.
+
+    The last axis of each argument runs over lags, history months and steps.
+    A leading axis of driver is a batch axis: one call then rolls a batch of
+    series forward together, with alpha and history of shape (q1,) shared by
+    all of them or (batch, .) per series. The lag sum accumulates left to
+    right from l = 1 before the driver is added, the order of a sequential
+    dot product, so a 1-D call returns what the scalar loop would.
+    """
+    alpha, history, driver = (np.asarray(a, dtype=float)
+                              for a in (alpha, history, driver))
+    q1, H = alpha.shape[-1], driver.shape[-1]
+    # Time runs along axis 0 so that buf[t] is one month of every series.
+    lag_coef = alpha.T
+    buf = np.zeros((q1 + H,) + driver.shape[:-1])
+    buf[:q1] = history[..., history.shape[-1] - q1:].T
+    for h, step in enumerate(driver.T):
         t = q1 + h
-        buf[t] = alpha @ buf[t - q1:t][::-1] + driver[h]
-    return buf[q1:]
+        acc = 0.0
+        for l in range(q1):
+            acc = acc + lag_coef[l] * buf[t - 1 - l]
+        buf[t] = acc + step
+    return buf[q1:].T
 
 
 def _joint_future_rows(

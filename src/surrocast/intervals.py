@@ -11,6 +11,7 @@ normal-quantile interval comes in two forms: the asymptotic plug-in form
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ from .estimation import (
 from .forecasting import (
     ForecastResult,
     FutureExogenous,
+    _ar_recursion,
     _joint_future_rows,
     forecast_joint,
 )
@@ -49,6 +51,8 @@ __all__ = [
     "boot_interval",
     "efficiency_gain",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -249,6 +253,60 @@ def _empirical_quantile(sorted_vals: np.ndarray, q: float, rule: str) -> float:
     return float(np.quantile(sorted_vals, q))
 
 
+def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve R x = rhs for a batch of upper-triangular (B, m, m) R."""
+    m = R.shape[-1]
+    x = np.empty_like(rhs)
+    for i in range(m - 1, -1, -1):
+        tail = np.einsum("bj,bj->b", R[:, i, i + 1:], x[:, i + 1:])
+        x[:, i] = (rhs[:, i] - tail) / R[:, i, i]
+    return x
+
+
+def _batched_refit(
+    fixed: np.ndarray, lags: np.ndarray, response: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares refits of response[b] on [lag columns of b, fixed].
+
+    fixed is the (n, k) block shared by every replicate; lags is (B, q1, n),
+    lags[b, l] being the lag-(l+1) column of replicate b; response is (B, n).
+    Frisch-Waugh-Lovell partialling: one QR F = Q_F R_F of the fixed block;
+    Q_F is projected out of every lag column and response, and one batched
+    QR of the partialled [L_b, r_b] gives R_L and Q_L' r. The assembled
+
+        R = [[R_F, Q_F' L], [0, R_L]]
+
+    is the R factor of [F, L] = [Q_F, Q_L] R, so its singular values are the
+    full design's. A replicate is kept under the rule ols_solve applies to
+    one design, s_max > 0 and s_min > RANK_TOL * s_max, and back-substitution
+    on R gives its lag coefficients first, then the fixed ones.
+
+    Returns (coef, kept): coef is (B, q1 + k) in [lags, fixed] column
+    order, NaN on the rows of dropped replicates; kept is a (B,) bool mask.
+    """
+    B, q1, n = lags.shape
+    k = fixed.shape[1]
+    Q_F, R_F = np.linalg.qr(fixed)
+    cols = np.concatenate([lags, response[:, None, :]], axis=1).reshape(-1, n)
+    proj = cols @ Q_F                                   # Q_F' of every column
+    partialled = (cols - proj @ Q_F.T).reshape(B, q1 + 1, n)
+    R_aug = np.linalg.qr(partialled.transpose(0, 2, 1), mode="r")
+    proj = proj.reshape(B, q1 + 1, k)
+
+    R = np.zeros((B, k + q1, k + q1))
+    R[:, :k, :k] = R_F
+    R[:, :k, k:] = proj[:, :q1].transpose(0, 2, 1)
+    R[:, k:, k:] = R_aug[:, :q1, :q1]
+    rhs = np.concatenate([proj[:, q1], R_aug[:, :q1, q1]], axis=1)
+
+    sv = np.linalg.svd(R, compute_uv=False)
+    kept = (sv[:, 0] > 0.0) & (sv[:, -1] > RANK_TOL * sv[:, 0])
+    solution = _back_substitute(R[kept], rhs[kept])     # [fixed, lags] order
+    coef = np.full((B, q1 + k), np.nan)
+    coef[kept] = np.concatenate([solution[:, k:], solution[:, :k]], axis=1)
+    return coef, kept
+
+
 def boot_interval(
     jf: JointFit,
     sf: SurrogateFit,
@@ -266,17 +324,39 @@ def boot_interval(
     frozen at their original-fit values), refits the joint regression on the
     rebuilt sample, forecasts H steps, and records the bootstrap forecast
     error at each horizon. Interval endpoints add the empirical alpha/2 and
-    1-alpha/2 error quantiles to the original point forecast. Replicates
-    whose refit is rank deficient are dropped; more than 5% of them failing
-    raises BootstrapUnstable.
+    1-alpha/2 error quantiles to the original point forecast.
+
+    All B refits are done together. Only the q1 lag columns change from one
+    replicate to the next; the (z, x, d_hat) block is the same in all of
+    them, so it is factored once and partialled out (Frisch-Waugh-Lovell),
+    and one batched QR of the partialled lag block finishes every refit
+    (_batched_refit). The H-step forecasts of all replicates are then rolled
+    forward together by the batched AR recursion.
+
+    Drop rule: a replicate whose refit design has s_min <= RANK_TOL * s_max
+    (or s_max = 0) is dropped, the rule ols_solve applies to one design. The
+    singular values come from the assembled R factor of the partialled
+    refit, which has those of the full design. The number dropped is logged
+    at DEBUG on the surrocast.intervals logger; more than 5% of them
+    dropped raises BootstrapUnstable, and so does a rank-deficient
+    covariate block, which drops every replicate.
+
+    mp and sp must be the fitted sample: PanelMismatch is raised when
+    mp.T - q1 differs from the number of fit residuals or the covariate
+    widths differ from the fit's.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidData("alpha must lie in (0, 1)")
     point = forecast_joint(jf, sf, mp, sp, fut, H).point  # validates fut
     q1, q2 = jf.q1, jf.q2
     T = mp.T
-    d, p, K = len(jf.theta_hat), len(jf.delta_hat), sf.K
     n_resid = T - q1
+    if (n_resid != jf.residuals.shape[0] or mp.d != len(jf.theta_hat)
+            or mp.p != len(jf.delta_hat)):
+        raise PanelMismatch(
+            f"history of {T} months does not match the fitted sample "
+            f"({jf.residuals.shape[0]} residuals after q1={q1} lags)"
+        )
 
     resid = jf.residuals
     centered = resid - resid.mean()
@@ -298,51 +378,35 @@ def boot_interval(
     rng = np.random.default_rng(cfg.seed)
     e_star = centered[rng.integers(0, n_resid, size=(B, n_total))]
 
-    ystar = np.empty((B, n_total))
-    ystar[:, :q1] = e_star[:, :q1]
-    alpha_hat = jf.alpha_hat
-    for t in range(q1, n_total):
-        acc = driver[t] + e_star[:, t]
-        for l in range(1, q1 + 1):
-            acc = acc + alpha_hat[l - 1] * ystar[:, t - l]
-        ystar[:, t] = acc
-    Y = ystar[:, burn:]  # months 1..T+H
+    # Rebuilt months 1..T+H of every replicate, burn-in dropped.
+    rebuilt = _ar_recursion(jf.alpha_hat, e_star[:, :q1],
+                            driver[q1:] + e_star[:, q1:])
+    Y = np.concatenate([e_star[:, :q1], rebuilt], axis=1)[:, burn:]
 
-    # Refit design: lag block varies per replicate, covariate block is fixed.
     fixed = np.hstack([mp.z[q1:], mp.x[q1:], d_used])
-    lag_cols = np.stack([Y[:, q1 - l: T - l] for l in range(1, q1 + 1)], axis=2)
-    response = Y[:, q1:T]
-
-    m = q1 + d + p + K
-    errors = np.empty((B, H))
-    kept = np.zeros(B, dtype=bool)
-    fut_cov = np.hstack([z_fut, x_fut, d_fut])
-    for b in range(B):
-        design = np.hstack([lag_cols[b], fixed])
-        coef, _, rank, sv = np.linalg.lstsq(design, response[b], rcond=RANK_TOL)
-        if rank < m or sv[0] <= 0.0 or sv[-1] < RANK_TOL * sv[0]:
-            continue
-        a_star = coef[:q1]
-        drv = fut_cov @ coef[q1:]
-        buf = np.concatenate([Y[b, T - q1:T], np.zeros(H)])
-        for h in range(H):
-            buf[q1 + h] = a_star @ buf[h:q1 + h][::-1] + drv[h]
-        errors[b] = Y[b, T:] - buf[q1:]
-        kept[b] = True
+    lags = np.stack([Y[:, q1 - l: T - l] for l in range(1, q1 + 1)], axis=1)
+    coef, kept = _batched_refit(fixed, lags, Y[:, q1:T])
 
     n_failed = B - int(kept.sum())
+    logger.debug("boot_interval: %d of %d bootstrap replicates dropped",
+                 n_failed, B)
     if n_failed > 0.05 * B:
         raise BootstrapUnstable(
             f"{n_failed} of {B} bootstrap replicates failed to refit"
         )
 
+    coef = coef[kept]
+    fut_cov = np.hstack([z_fut, x_fut, d_fut])
+    paths = _ar_recursion(coef[:, :q1], Y[kept, T - q1:T],
+                          coef[:, q1:] @ fut_cov.T)
+    errors = np.sort(Y[kept, T:] - paths, axis=0)
+
     lower = np.empty(H)
     upper = np.empty(H)
-    surviving = errors[kept]
     for h in range(H):
-        vals = np.sort(surviving[:, h])
-        lower[h] = point[h] + _empirical_quantile(vals, alpha / 2.0, cfg.quantile_rule)
-        upper[h] = point[h] + _empirical_quantile(vals, 1.0 - alpha / 2.0,
+        lower[h] = point[h] + _empirical_quantile(errors[:, h], alpha / 2.0,
+                                                  cfg.quantile_rule)
+        upper[h] = point[h] + _empirical_quantile(errors[:, h], 1.0 - alpha / 2.0,
                                                   cfg.quantile_rule)
     return IntervalResult(lower=lower, upper=upper, alpha=alpha, kind="boot")
 

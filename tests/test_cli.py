@@ -195,6 +195,27 @@ def test_interval_boot_seeded_rerun_identical(workspace):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_interval_boot_history_longer_than_fit(workspace, capsys):
+    # fit on the first 30 months, then pass all 34 as the history
+    short = {}
+    for name in ("monthly", "surrogate"):
+        rows = _read_rows(workspace[name])[:31]
+        short[name] = workspace["dir"] / f"short_{name}.csv"
+        with open(short[name], "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    fit = workspace["dir"] / "short_fit.json"
+    assert main(["fit", "--monthly", str(short["monthly"]), "--surrogate",
+                 str(short["surrogate"]), "--q1", "2", "--q2", "1",
+                 "--out", str(fit)]) == 0
+    capsys.readouterr()
+    rc = _interval(workspace, str(fit), workspace["dir"] / "bt.csv",
+                   "--method", "boot", "--B", "120")
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["code"] == "PanelMismatch"
+
+
 # ---------------------------------------------------------------------------
 # select
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from surrocast import (
     generate,
 )
 
+from surrocast.forecasting import _ar_recursion
+
 from conftest import build_panels
 
 
@@ -162,6 +164,41 @@ def test_rolling_consistency_arx():
         stepwise.append(nxt)
         hist = np.append(hist, nxt)
     np.testing.assert_allclose(full, stepwise, atol=1e-12)
+
+
+def _dot_loop_recursion(alpha, history, driver):
+    """One series rolled forward with a dot product per step."""
+    q1, H = len(alpha), len(driver)
+    buf = np.concatenate([history[-q1:], np.zeros(H)]) if q1 else np.zeros(H)
+    for h in range(H):
+        buf[q1 + h] = alpha @ buf[h:q1 + h][::-1] + driver[h]
+    return buf[q1:]
+
+
+def test_ar_recursion_one_series_byte_identical_to_dot_loop(rng):
+    for _ in range(500):
+        q1, H = int(rng.integers(0, 6)), int(rng.integers(1, 16))
+        alpha = rng.uniform(-0.6, 0.6, size=q1)
+        history = rng.normal(size=q1 + int(rng.integers(0, 5))) * 10.0
+        driver = rng.normal(size=H) * 10.0 ** rng.uniform(-3, 3)
+        got = _ar_recursion(alpha, history, driver)
+        assert got.tobytes() == _dot_loop_recursion(alpha, history,
+                                                    driver).tobytes()
+
+
+def test_ar_recursion_batch_rows_equal_single_series(rng):
+    B, q1, H = 30, 3, 9
+    alpha = rng.uniform(-0.4, 0.4, size=(B, q1))
+    history = rng.normal(size=(B, 7))
+    driver = rng.normal(size=(B, H))
+    batch = _ar_recursion(alpha, history, driver)
+    shared = _ar_recursion(alpha[0], history, driver)
+    assert batch.shape == shared.shape == (B, H)
+    for b in range(B):
+        one = _ar_recursion(alpha[b], history[b], driver[b])
+        assert batch[b].tobytes() == one.tobytes()
+        assert shared[b].tobytes() == _ar_recursion(alpha[0], history[b],
+                                                    driver[b]).tobytes()
 
 
 def test_rolling_consistency_joint():

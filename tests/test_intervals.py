@@ -1,14 +1,17 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 
 from surrocast import (
     BootstrapConfig,
+    BootstrapUnstable,
     FutureExogenous,
     InsufficientSample,
     InvalidCovariance,
     InvalidData,
+    MonthlyPanel,
     PanelMismatch,
     benchmark_dgp,
     bj_interval,
@@ -23,7 +26,13 @@ from surrocast import (
     forecast_joint,
     generate,
 )
-from surrocast.intervals import _joint_forecast_gradient
+from surrocast.estimation import RANK_TOL
+from surrocast.forecasting import _joint_future_rows
+from surrocast.intervals import (
+    _batched_refit,
+    _empirical_quantile,
+    _joint_forecast_gradient,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +167,154 @@ def test_boot_burn_in_mode_runs():
     cfg = BootstrapConfig(B=120, seed=3, burn_in=50)
     iv = boot_interval(jf, sf, mp, sp, fut, 3, cfg, 0.05)
     assert np.all(iv.length > 0)
+
+
+def _lstsq_keeps(design, response):
+    """ols_solve's rank rule on one design; the coefficients when it keeps."""
+    coef, _, rank, sv = np.linalg.lstsq(design, response, rcond=RANK_TOL)
+    if rank < design.shape[1] or sv[0] <= 0.0 or sv[-1] < RANK_TOL * sv[0]:
+        return None
+    return coef
+
+
+def _reference_boot(jf, sf, mp, sp, fut, H, cfg, alpha):
+    """boot_interval as one lstsq refit and one forecast loop per replicate.
+
+    Returns (point, lower, upper, number of replicates dropped).
+    """
+    point = forecast_joint(jf, sf, mp, sp, fut, H).point
+    q1, q2, T = jf.q1, jf.q2, mp.T
+    centered = jf.residuals - jf.residuals.mean()
+    d_used = jf.d_hat[q1 - q2:]
+    z_fut, x_fut, d_fut = _joint_future_rows(jf, sf, sp, fut, H)
+    burn = cfg.burn_in
+    n_total = burn + T + H
+    driver = np.zeros(n_total)
+    driver[burn + q1: burn + T] = (mp.z[q1:] @ jf.theta_hat
+                                   + mp.x[q1:] @ jf.delta_hat
+                                   + d_used @ jf.gamma_hat)
+    driver[burn + T:] = (z_fut @ jf.theta_hat + x_fut @ jf.delta_hat
+                         + d_fut @ jf.gamma_hat)
+    rng = np.random.default_rng(cfg.seed)
+    e_star = centered[rng.integers(0, T - q1, size=(cfg.B, n_total))]
+    ystar = np.empty((cfg.B, n_total))
+    ystar[:, :q1] = e_star[:, :q1]
+    for t in range(q1, n_total):
+        acc = driver[t] + e_star[:, t]
+        for l in range(1, q1 + 1):
+            acc = acc + jf.alpha_hat[l - 1] * ystar[:, t - l]
+        ystar[:, t] = acc
+    Y = ystar[:, burn:]
+
+    fixed = np.hstack([mp.z[q1:], mp.x[q1:], d_used])
+    fut_cov = np.hstack([z_fut, x_fut, d_fut])
+    errors = []
+    for b in range(cfg.B):
+        lags = np.column_stack([Y[b, q1 - l: T - l] for l in range(1, q1 + 1)])
+        coef = _lstsq_keeps(np.hstack([lags, fixed]), Y[b, q1:T])
+        if coef is None:
+            continue
+        drv = fut_cov @ coef[q1:]
+        buf = np.concatenate([Y[b, T - q1:T], np.zeros(H)])
+        for h in range(H):
+            buf[q1 + h] = coef[:q1] @ buf[h:q1 + h][::-1] + drv[h]
+        errors.append(Y[b, T:] - buf[q1:])
+    errors = np.sort(np.array(errors), axis=0)
+    rule = cfg.quantile_rule
+    lower = point + [_empirical_quantile(errors[:, h], alpha / 2.0, rule)
+                     for h in range(H)]
+    upper = point + [_empirical_quantile(errors[:, h], 1.0 - alpha / 2.0, rule)
+                     for h in range(H)]
+    return point, lower, upper, cfg.B - errors.shape[0]
+
+
+@pytest.mark.parametrize("q1", [1, 2, 4])
+@pytest.mark.parametrize("burn_in", [0, 50])
+@pytest.mark.parametrize("rule", ["ceil", "linear"])
+@pytest.mark.parametrize("H", [1, 8])
+def test_boot_matches_per_replicate_lstsq(q1, burn_in, rule, H):
+    # the batched refit sums in another order than lstsq's SVD; the
+    # endpoints may move by rounding only
+    for seed in range(5):
+        mp, sp, _ = generate(benchmark_dgp(0.3, T=60, seed=(17, seed)))
+        T = 52
+        mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
+        jf, sf = fit_joint(mp_tr, sp_tr, q1, 1)
+        fut = FutureExogenous(mp.z[T:], mp.x[T:], sp.ys[T:])
+        cfg = BootstrapConfig(B=500, seed=seed, quantile_rule=rule,
+                              burn_in=burn_in)
+        iv = boot_interval(jf, sf, mp_tr, sp_tr, fut, H, cfg, 0.05)
+        point, lower, upper, _ = _reference_boot(jf, sf, mp_tr, sp_tr, fut, H,
+                                                 cfg, 0.05)
+        bound = 1e-12 * (1.0 + np.abs(point))
+        assert np.all(np.abs(iv.lower - lower) <= bound)
+        assert np.all(np.abs(iv.upper - upper) <= bound)
+
+
+def test_batched_refit_rank_rule_matches_lstsq(rng):
+    B, q1, n, k = 40, 2, 50, 5
+    fixed = rng.normal(size=(n, k))
+    lags = rng.normal(size=(B, q1, n))
+    response = rng.normal(size=(B, n))
+    lags[3, 1] = fixed[:, 2]                         # an exact copy
+    lags[17, 0] = -2.0 * fixed[:, 4]                 # a scaled copy
+    lags[29, 1] = fixed[:, 0] + 1e-11 * rng.normal(size=n)  # under 1e-10
+    lags[33, 0] = fixed[:, 1] + 1e-7 * rng.normal(size=n)   # kept
+    lags[35, 0] = 0.0                                # s_min = 0
+    coef, kept = _batched_refit(fixed, lags, response)
+    for b in range(B):
+        ref = _lstsq_keeps(np.hstack([lags[b].T, fixed]), response[b])
+        assert kept[b] == (ref is not None), b
+        if ref is None:
+            assert np.all(np.isnan(coef[b]))
+        elif b != 33:  # 33 is kept with a condition number near 1e8
+            np.testing.assert_allclose(coef[b], ref, rtol=1e-10, atol=1e-12)
+    assert np.flatnonzero(~kept).tolist() == [3, 17, 29, 35]
+
+
+def _sparse_residual_fit():
+    """A fit whose replicates can be rank deficient.
+
+    The covariate coefficients are zero and only three residuals are
+    nonzero (1, 1, -2), so a replicate that draws none of them before the
+    forecast origin rebuilds lag columns that are all zero.
+    """
+    jf, sf, mp, sp, fut, _ = _fitted_setup()
+    resid = np.zeros_like(jf.residuals)
+    resid[:3] = [1.0, 1.0, -2.0]
+    jf = dataclasses.replace(
+        jf, residuals=resid, theta_hat=np.zeros_like(jf.theta_hat),
+        delta_hat=np.zeros_like(jf.delta_hat),
+        gamma_hat=np.zeros_like(jf.gamma_hat))
+    return jf, sf, mp, sp, fut
+
+
+# seed 7 drops exactly 5% of 500 replicates, seed 8 drops 5.6%
+@pytest.mark.parametrize("seed, dropped", [(7, 25), (8, 28)])
+def test_boot_drop_threshold(seed, dropped, caplog):
+    jf, sf, mp, sp, fut = _sparse_residual_fit()
+    cfg = BootstrapConfig(B=500, seed=seed)
+    _, lower, upper, ref_dropped = _reference_boot(jf, sf, mp, sp, fut, 4,
+                                                   cfg, 0.05)
+    assert ref_dropped == dropped
+    with caplog.at_level(logging.DEBUG, logger="surrocast.intervals"):
+        if dropped <= 25:
+            iv = boot_interval(jf, sf, mp, sp, fut, 4, cfg, 0.05)
+            np.testing.assert_allclose(iv.lower, lower, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(iv.upper, upper, rtol=0.0, atol=1e-12)
+        else:
+            with pytest.raises(BootstrapUnstable, match=f"{dropped} of 500"):
+                boot_interval(jf, sf, mp, sp, fut, 4, cfg, 0.05)
+    assert f"{dropped} of 500 bootstrap replicates dropped" in caplog.text
+
+
+def test_boot_duplicated_covariate_unstable():
+    jf, sf, mp, sp, fut, _ = _fitted_setup()
+    x = mp.x.copy()
+    x[:, 1] = x[:, 0]
+    dup = MonthlyPanel(times=mp.times, y=mp.y, z=mp.z, x=x)
+    with pytest.raises(BootstrapUnstable):
+        boot_interval(jf, sf, dup, sp, fut, 4, BootstrapConfig(B=120), 0.05)
 
 
 # ---------------------------------------------------------------------------

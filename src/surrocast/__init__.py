@@ -42,7 +42,6 @@ from .estimation import (
     JointFit,
     SurrogateFit,
     companion_matrix,
-    d_residual,
     d_residual_matrix,
     fit_arx,
     fit_joint,

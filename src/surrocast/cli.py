@@ -3,7 +3,8 @@
 Every subcommand is a pure function of its inputs, flags, and seed: reruns
 produce byte-identical outputs. Failures print one machine-readable JSON line
 on stderr (fields ``code`` and ``detail``) and exit with status 3 for data
-errors or 4 for numerical errors; argparse reports usage errors with 2.
+and file errors or 4 for numerical errors; argparse reports usage errors
+with 2. A file error's code is the name of its OSError subclass.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 import numpy as np
 
 from .errors import (
-    DataError,
     InvalidData,
     MissingExogenous,
     NumericalError,
@@ -132,16 +132,14 @@ def _load_fit_and_history(args):
 def _cmd_forecast(args) -> int:
     jf, sf, mp, sp, fut = _load_fit_and_history(args)
     H = args.horizon
-    rows = []
-    fc = forecast_joint(jf, sf, mp, sp, fut, H)
-    rows += [[Method.JOINT.value, h + 1, float(v)] for h, v in enumerate(fc.point)]
-    ar = fit_arx(mp.y, jf.q1)
-    fc_ar = forecast_arx(ar, mp.y, None, H, method=Method.AR)
-    rows += [[Method.AR.value, h + 1, float(v)] for h, v in enumerate(fc_ar.point)]
-    fc_rw = forecast_rw(mp.y, H)
-    rows += [[Method.RW.value, h + 1, float(v)] for h, v in enumerate(fc_rw.point)]
-    fc_ave = forecast_ave(mp.y, H)
-    rows += [[Method.AVE.value, h + 1, float(v)] for h, v in enumerate(fc_ave.point)]
+    forecasts = (
+        forecast_joint(jf, sf, mp, sp, fut, H),
+        forecast_arx(fit_arx(mp.y, jf.q1), mp.y, None, H, method=Method.AR),
+        forecast_rw(mp.y, H),
+        forecast_ave(mp.y, H),
+    )
+    rows = [[fc.method.value, h + 1, float(v)]
+            for fc in forecasts for h, v in enumerate(fc.point)]
     _write_csv(args.out, ["method", "h", "point"], rows)
     print(f"wrote {len(rows)} forecast rows -> {args.out}")
     return 0
@@ -376,15 +374,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as err:
-        print(json.dumps({"code": err.code, "detail": str(err)}), file=sys.stderr)
-        return 3
-    except NumericalError as err:
-        print(json.dumps({"code": err.code, "detail": str(err)}), file=sys.stderr)
-        return 4
-    except SurrocastError as err:  # future subclasses outside the two families
-        print(json.dumps({"code": err.code, "detail": str(err)}), file=sys.stderr)
-        return 3
+    except (SurrocastError, OSError) as err:
+        code = err.code if isinstance(err, SurrocastError) else type(err).__name__
+        print(json.dumps({"code": code, "detail": str(err)}), file=sys.stderr)
+        return 4 if isinstance(err, NumericalError) else 3
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ __all__ = [
     "JointFit",
     "ArxFit",
     "fit_surrogate",
-    "d_residual",
     "d_residual_matrix",
     "fit_joint",
     "fit_joint_step2",
@@ -111,7 +110,6 @@ class JointFit:
     """Estimated joint model: target lags, covariates, surrogate innovations.
 
     sigma_e_hat is the residual standard deviation with denominator T - q1;
-    companion is the q1 x q1 matrix whose powers weight multi-step errors;
     d_hat holds the surrogate innovation regressor for t = q2+1..T (only the
     last T - q1 rows enter the fit).
     """
@@ -122,7 +120,6 @@ class JointFit:
     gamma_hat: np.ndarray
     sigma_e_hat: float
     residuals: np.ndarray
-    companion: np.ndarray
     d_hat: np.ndarray
     q1: int
     q2: int
@@ -137,7 +134,6 @@ class ArxFit:
     beta_hat: np.ndarray
     sigma_e_hat: float
     residuals: np.ndarray
-    companion: np.ndarray
     q1: int
 
 
@@ -184,18 +180,6 @@ def d_residual_matrix(ys: np.ndarray, A_hat: np.ndarray, q2: int) -> np.ndarray:
     return out
 
 
-def d_residual(sp: SurrogatePanel, fit: SurrogateFit, t: int) -> np.ndarray:
-    """Innovation vector for 1-based month index t (requires t > q2)."""
-    if t <= fit.q2:
-        raise IndexError(f"t={t} has no {fit.q2} preceding surrogate lags")
-    if t > sp.T:
-        raise IndexError(f"t={t} beyond panel length {sp.T}")
-    value = sp.ys[t - 1].copy()
-    for l in range(1, fit.q2 + 1):
-        value -= fit.A_hat[l - 1] @ sp.ys[t - 1 - l]
-    return value
-
-
 def _joint_design(
     y: np.ndarray, z: np.ndarray, x: np.ndarray, d_rows: np.ndarray, q1: int
 ) -> np.ndarray:
@@ -228,15 +212,13 @@ def fit_joint_step2(
     coef = ols_solve(design, response)
     residuals = response - design @ coef
     sigma_e = float(np.sqrt(np.sum(residuals**2) / (T - q1)))
-    alpha = coef[:q1]
     return JointFit(
-        alpha_hat=alpha,
+        alpha_hat=coef[:q1],
         theta_hat=coef[q1:q1 + d],
         delta_hat=coef[q1 + d:q1 + d + p],
         gamma_hat=coef[q1 + d + p:],
         sigma_e_hat=sigma_e,
         residuals=residuals,
-        companion=companion_matrix(alpha),
         d_hat=d_hat,
         q1=q1,
         q2=q2,
@@ -275,14 +257,12 @@ def fit_arx(
     coef = ols_solve(design, response)
     residuals = response - design @ coef
     sigma_e = float(np.sqrt(np.sum(residuals**2) / (T - q1)))
-    alpha = coef[:q1]
     return ArxFit(
-        alpha_hat=alpha,
+        alpha_hat=coef[:q1],
         theta_hat=coef[q1:q1 + d],
         beta_hat=coef[q1 + d:],
         sigma_e_hat=sigma_e,
         residuals=residuals,
-        companion=companion_matrix(alpha),
         q1=q1,
     )
 
@@ -336,15 +316,13 @@ def joint_fit_from_dict(doc: dict) -> tuple[JointFit, SurrogateFit]:
     schema = doc.get("schema")
     if schema != FIT_SCHEMA:
         raise InvalidData(f"unsupported fit document schema {schema!r}")
-    alpha = np.array(doc["alpha_hat"], dtype=float)
     jf = JointFit(
-        alpha_hat=alpha,
+        alpha_hat=np.array(doc["alpha_hat"], dtype=float),
         theta_hat=np.array(doc["theta_hat"], dtype=float),
         delta_hat=np.array(doc["delta_hat"], dtype=float),
         gamma_hat=np.array(doc["gamma_hat"], dtype=float),
         sigma_e_hat=float(doc["sigma_e_hat"]),
         residuals=np.array(doc["residuals"], dtype=float),
-        companion=companion_matrix(alpha),
         d_hat=np.array(doc["d_hat"], dtype=float),
         q1=int(doc["q1"]),
         q2=int(doc["q2"]),

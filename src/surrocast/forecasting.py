@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InsufficientSample, InvalidData, MissingExogenous
 from .estimation import ArxFit, JointFit, SurrogateFit, d_residual_matrix
-from .panels import MonthlyPanel, SurrogatePanel
+from .panels import MonthlyPanel, SurrogatePanel, check_aligned
 
 __all__ = [
     "Method",
@@ -31,7 +31,6 @@ class Method(str, enum.Enum):
     JOINT = "JOINT"          # surrogate-augmented ARX
     AR = "AR"                # pure autoregression
     ARX = "ARX"              # autoregression with macro covariates
-    TEXT_ARX = "TEXT_ARX"    # autoregression with embedding covariates
     RW = "RW"                # random walk (last observation)
     AVE = "AVE"              # historical average of the last h observations
 
@@ -107,7 +106,8 @@ def _ar_recursion(
     # Time runs along axis 0 so that buf[t] is one month of every series.
     lag_coef = alpha.T
     buf = np.zeros((q1 + H,) + driver.shape[:-1])
-    buf[:q1] = history[..., history.shape[-1] - q1:].T
+    tail = history[..., history.shape[-1] - q1:]
+    buf[:q1] = np.broadcast_to(tail, driver.shape[:-1] + (q1,)).T
     for h, step in enumerate(driver.T):
         t = q1 + h
         acc = 0.0
@@ -150,10 +150,12 @@ def forecast_joint(
 
     Future surrogate observations are reduced to innovations with the lag
     coefficients estimated on history; lags straddling the forecast origin
-    are taken from the observed surrogate panel.
+    are taken from the observed surrogate panel. PanelMismatch is raised
+    when mp and sp do not cover the same months.
     """
     if H < 1:
         raise InvalidData("H must be >= 1")
+    check_aligned(mp, sp)
     z_fut, x_fut, d_fut = _joint_future_rows(jf, sf, sp, fut, H)
     driver = z_fut @ jf.theta_hat + x_fut @ jf.delta_hat + d_fut @ jf.gamma_hat
     point = _ar_recursion(jf.alpha_hat, mp.y, driver)

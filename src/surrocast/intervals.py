@@ -30,7 +30,7 @@ from .estimation import (
     SurrogateFit,
     RANK_TOL,
     _joint_design,
-    companion_matrix,
+    _lag_block,
     d_residual_matrix,
 )
 from .forecasting import (
@@ -107,18 +107,27 @@ class BootstrapConfig:
             raise InvalidData("burn_in must be >= 0")
 
 
+def _psi_weights(alpha_hat: np.ndarray, H: int) -> np.ndarray:
+    """sqrt(psi_0^2 + ... + psi_{h-1}^2) for h = 1..H.
+
+    psi_r, the (1,1) entry of the r-th companion power, is the impulse
+    response of the AR recursion: one roll from a zero history with a unit
+    driver at the first step (Lutkepohl 2005, sec. 2.2).
+    """
+    alpha_hat = np.atleast_1d(np.asarray(alpha_hat, dtype=float))
+    impulse = np.zeros(H)
+    impulse[:1] = 1.0
+    psi = _ar_recursion(alpha_hat, np.zeros(alpha_hat.shape[0]), impulse)
+    # float_power squares with C pow, as a float64 scalar's ** does; the
+    # square that psi**2 takes rounds differently about once in 1000 values
+    return np.sqrt(np.cumsum(np.float_power(psi, 2)))
+
+
 def companion_weight(alpha_hat: np.ndarray, h: int) -> float:
     """sqrt of the summed squared (1,1) entries of companion powers 0..h-1."""
     if h < 1:
         raise InvalidData("h must be >= 1")
-    A = companion_matrix(alpha_hat)
-    row = np.zeros(A.shape[0])
-    row[0] = 1.0  # first row of A^0
-    total = 0.0
-    for _ in range(h):
-        total += row[0] ** 2
-        row = row @ A
-    return math.sqrt(total)
+    return float(_psi_weights(alpha_hat, h)[-1])
 
 
 def bj_interval(forecast: ForecastResult, fit, alpha: float) -> IntervalResult:
@@ -137,15 +146,42 @@ def bj_interval(forecast: ForecastResult, fit, alpha: float) -> IntervalResult:
     if not 0.0 < alpha < 1.0:
         raise InvalidData("alpha must lie in (0, 1)")
     z = abs(float(norm.ppf(alpha / 2.0)))
-    weights = np.array([companion_weight(fit.alpha_hat, h)
-                        for h in range(1, forecast.horizon + 1)])
-    half = z * weights * fit.sigma_e_hat
+    half = z * _psi_weights(fit.alpha_hat, forecast.horizon) * fit.sigma_e_hat
     return IntervalResult(
         lower=forecast.point - half,
         upper=forecast.point + half,
         alpha=alpha,
         kind="bj",
     )
+
+
+def _fitted_design(
+    jf: JointFit, sf: SurrogateFit, mp: MonthlyPanel, sp: SurrogatePanel
+) -> np.ndarray:
+    """Step-two design X of the fitted sample, rebuilt from the panels.
+
+    Raises PanelMismatch unless mp and sp are the panels the fit was
+    estimated on: they must cover the same months, give T - q1 rows and the
+    fit's covariate widths, and y[q1:] - X beta_hat must reproduce the fit
+    residuals.
+    """
+    check_aligned(mp, sp)
+    q1 = jf.q1
+    if (mp.T - q1 != jf.residuals.shape[0] or mp.d != len(jf.theta_hat)
+            or mp.p != len(jf.delta_hat)):
+        raise PanelMismatch(
+            f"history of {mp.T} months does not match the fitted sample "
+            f"({jf.residuals.shape[0]} residuals after q1={q1} lags)"
+        )
+    d_rows = d_residual_matrix(sp.ys, sf.A_hat, sf.q2)[q1 - sf.q2:]
+    X = _joint_design(mp.y, mp.z, mp.x, d_rows, q1)
+    coef = np.concatenate([jf.alpha_hat, jf.theta_hat, jf.delta_hat,
+                           jf.gamma_hat])
+    resid = mp.y[q1:] - X @ coef
+    scale = 1.0 + float(np.max(np.abs(mp.y)))
+    if not np.allclose(resid, jf.residuals, rtol=0.0, atol=1e-8 * scale):
+        raise PanelMismatch("panels do not reproduce the fit residuals")
+    return X
 
 
 def _joint_forecast_gradient(
@@ -158,21 +194,18 @@ def _joint_forecast_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint point forecasts and their (H, m) gradient in the coefficients.
 
-    Row h-1 is d yhat_{T+h} / d(alpha, theta, delta, gamma), built by the AR
-    recursion g_h = r_h + sum_l alpha_l g_{h-l}; r_h is the design row of
-    month T+h: forecast lags (observed ones at or before T) in the alpha
-    columns and the future (z, x, d_hat) row in the others.
+    Row h-1 is d yhat_{T+h} / d(alpha, theta, delta, gamma). It follows the
+    AR recursion g_h = sum_l alpha_l g_{h-l} + r_h from g = 0 before T+1,
+    rolled for all m columns at once; r_h is the design row of month T+h:
+    forecast lags (observed ones at or before T) in the alpha columns and
+    the future (z, x, d_hat) row in the others.
     """
     q1 = jf.q1
     point = forecast_joint(jf, sf, mp, sp, fut, H).point
-    cov_rows = np.hstack(_joint_future_rows(jf, sf, sp, fut, H))
     path = np.concatenate([mp.y[-q1:], point])  # y_{T-q1+1..T}, then forecasts
-    grad = np.empty((H, q1 + cov_rows.shape[1]))
-    for h in range(H):
-        grad[h, :q1] = path[h:q1 + h][::-1]
-        grad[h, q1:] = cov_rows[h]
-        for l in range(1, min(q1, h) + 1):
-            grad[h] += jf.alpha_hat[l - 1] * grad[h - l]
+    rows = np.hstack([_lag_block(path, q1, q1),
+                      *_joint_future_rows(jf, sf, sp, fut, H)])
+    grad = _ar_recursion(jf.alpha_hat, np.zeros(q1), rows.T).T
     return point, grad
 
 
@@ -205,37 +238,23 @@ def bj_interval_estimated(
     innovations d_hat is left out; it is second order, and the interval
     reaches its nominal coverage without it.
 
-    mp and sp must be the panels the fit was estimated on: PanelMismatch is
-    raised when y[q1:] - X beta_hat does not reproduce the fit residuals.
+    mp and sp must be the panels the fit was estimated on; _fitted_design
+    raises PanelMismatch otherwise.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidData("alpha must lie in (0, 1)")
-    check_aligned(mp, sp)
-    q1 = jf.q1
-    coef = np.concatenate([jf.alpha_hat, jf.theta_hat, jf.delta_hat,
-                           jf.gamma_hat])
-    n, m = mp.T - q1, coef.shape[0]
-    if (n != jf.residuals.shape[0] or mp.d != len(jf.theta_hat)
-            or mp.p != len(jf.delta_hat)):
-        raise PanelMismatch("panels do not match the fitted sample's shape")
+    X = _fitted_design(jf, sf, mp, sp)
+    n, m = X.shape
     if n <= m:
         raise InsufficientSample(
             f"{n} rows leave no residual degrees of freedom for {m} coefficients"
         )
-    d_rows = d_residual_matrix(sp.ys, sf.A_hat, sf.q2)[q1 - sf.q2:]
-    X = _joint_design(mp.y, mp.z, mp.x, d_rows, q1)
-    resid = mp.y[q1:] - X @ coef
-    scale = 1.0 + float(np.max(np.abs(mp.y)))
-    if not np.allclose(resid, jf.residuals, rtol=0.0, atol=1e-8 * scale):
-        raise PanelMismatch("panels do not reproduce the fit residuals")
-    s2 = float(resid @ resid) / (n - m)
+    s2 = float(jf.residuals @ jf.residuals) / (n - m)
 
     point, grad = _joint_forecast_gradient(jf, sf, mp, sp, fut, H)
     R = np.linalg.qr(X, mode="r")
     u = np.linalg.solve(R.T, grad.T)  # R'u = g, so u'u = g'(X'X)^{-1}g
-    weights = np.array([companion_weight(jf.alpha_hat, h)
-                        for h in range(1, H + 1)])
-    var = s2 * (weights**2 + np.sum(u**2, axis=0))
+    var = s2 * (_psi_weights(jf.alpha_hat, H)**2 + np.sum(u**2, axis=0))
     half = abs(float(norm.ppf(alpha / 2.0))) * np.sqrt(var)
     return IntervalResult(
         lower=point - half,
@@ -341,30 +360,23 @@ def boot_interval(
     dropped raises BootstrapUnstable, and so does a rank-deficient
     covariate block, which drops every replicate.
 
-    mp and sp must be the fitted sample: PanelMismatch is raised when
-    mp.T - q1 differs from the number of fit residuals or the covariate
-    widths differ from the fit's.
+    mp and sp must be the panels the fit was estimated on; _fitted_design
+    raises PanelMismatch otherwise.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidData("alpha must lie in (0, 1)")
+    q1, d, p = jf.q1, mp.d, mp.p
+    fixed = _fitted_design(jf, sf, mp, sp)[:, q1:]  # the (z, x, d_hat) block
     point = forecast_joint(jf, sf, mp, sp, fut, H).point  # validates fut
-    q1, q2 = jf.q1, jf.q2
     T = mp.T
     n_resid = T - q1
-    if (n_resid != jf.residuals.shape[0] or mp.d != len(jf.theta_hat)
-            or mp.p != len(jf.delta_hat)):
-        raise PanelMismatch(
-            f"history of {T} months does not match the fitted sample "
-            f"({jf.residuals.shape[0]} residuals after q1={q1} lags)"
-        )
 
     resid = jf.residuals
     centered = resid - resid.mean()
 
     # Covariate contribution per month (zero until the first fitted month).
-    d_used = jf.d_hat[q1 - q2:]
-    hist_driver = mp.z[q1:] @ jf.theta_hat + mp.x[q1:] @ jf.delta_hat \
-        + d_used @ jf.gamma_hat
+    hist_driver = (fixed[:, :d] @ jf.theta_hat + fixed[:, d:d + p] @ jf.delta_hat
+                   + fixed[:, d + p:] @ jf.gamma_hat)
     z_fut, x_fut, d_fut = _joint_future_rows(jf, sf, sp, fut, H)
     fut_driver = z_fut @ jf.theta_hat + x_fut @ jf.delta_hat + d_fut @ jf.gamma_hat
 
@@ -383,7 +395,6 @@ def boot_interval(
                             driver[q1:] + e_star[:, q1:])
     Y = np.concatenate([e_star[:, :q1], rebuilt], axis=1)[:, burn:]
 
-    fixed = np.hstack([mp.z[q1:], mp.x[q1:], d_used])
     lags = np.stack([Y[:, q1 - l: T - l] for l in range(1, q1 + 1)], axis=1)
     coef, kept = _batched_refit(fixed, lags, Y[:, q1:T])
 

@@ -403,27 +403,17 @@ def _rep_seeds(seed: int, variant: str, rho: float, H: int, rep: int):
     return np.random.SeedSequence(entropy).spawn(3)
 
 
-def _fit_stage(grid: ExperimentGrid, mp: MonthlyPanel, sp: SurrogatePanel,
-               H: int, noise_ss) -> tuple[JointFit, SurrogateFit, ArxFit, int]:
-    """Fit the joint model (per variant) and the AR benchmark on the train
-    window; consumes only the first total-H months of the panels."""
-    T_train = grid.total_months - H
-    mp_tr = mp.slice(0, T_train)
-    sp_tr = sp.slice(0, T_train)
-    x_est = mp_tr.x
-    if grid.variant == "omitted":
-        x_est = x_est[:, :-1]  # second predictor withheld from estimation
-        mp_tr = MonthlyPanel(mp_tr.times, mp_tr.y, mp_tr.z, x_est)
-        sf = fit_surrogate(sp_tr, x_est, grid.q2)
-    elif grid.variant == "overfit":
-        noise = np.random.default_rng(noise_ss).standard_normal((T_train, 2))
-        sf = fit_surrogate(sp_tr, np.hstack([x_est, noise]), grid.q2)
-    else:
-        sf = fit_surrogate(sp_tr, x_est, grid.q2)
+def _fit_stage(grid: ExperimentGrid, mp_tr: MonthlyPanel, sp_tr: SurrogatePanel,
+               noise_ss) -> tuple[JointFit, SurrogateFit, ArxFit]:
+    """Fit the joint model and the AR benchmark on the training panels."""
+    x_sur = mp_tr.x
+    if grid.variant == "overfit":  # two pure-noise columns in the surrogate fit
+        noise = np.random.default_rng(noise_ss).standard_normal((mp_tr.T, 2))
+        x_sur = np.hstack([x_sur, noise])
+    sf = fit_surrogate(sp_tr, x_sur, grid.q2)
     jf = fit_joint_step2(mp_tr, sp_tr, sf, grid.q1)
-    q_ar = select_ar_order(mp_tr.y, grid.ar_q_max)
-    ar = fit_arx(mp_tr.y, q_ar)
-    return jf, sf, ar, q_ar
+    ar = fit_arx(mp_tr.y, select_ar_order(mp_tr.y, grid.ar_q_max))
+    return jf, sf, ar
 
 
 def _run_rep(grid: ExperimentGrid, seed: int, rho: float, H: int, rep: int) -> dict:
@@ -435,16 +425,22 @@ def _run_rep(grid: ExperimentGrid, seed: int, rho: float, H: int, rep: int) -> d
     )
     mp, sp, _ = generate(spec)
     T_train = grid.total_months - H
+    y = mp.y
     if grid.standardize:
-        std = standardize_cpi(mp.y, base=0.0, train_size=T_train)
-        mp = MonthlyPanel(mp.times, std.values, mp.z, mp.x)
+        y = standardize_cpi(y, base=0.0, train_size=T_train).values
+    x = mp.x
+    if grid.variant == "omitted":
+        x = x[:, :-1]  # second predictor withheld from estimation and forecasts
+    mp = MonthlyPanel(mp.times, y, mp.z, x)
+    mp_tr, sp_tr = mp.slice(0, T_train), sp.slice(0, T_train)
 
-    jf, sf, ar, _ = _fit_stage(grid, mp, sp, H, noise_ss)
+    jf, sf, ar = _fit_stage(grid, mp_tr, sp_tr, noise_ss)
     if grid.check_holdout:
         y_poisoned = mp.y.copy()
         y_poisoned[T_train:] = 1e300
         mp_poisoned = MonthlyPanel(mp.times, y_poisoned, mp.z, mp.x)
-        jf2, _, ar2, _ = _fit_stage(grid, mp_poisoned, sp, H, noise_ss)
+        jf2, _, ar2 = _fit_stage(grid, mp_poisoned.slice(0, T_train), sp_tr,
+                                 noise_ss)
         same = (
             np.array_equal(jf.alpha_hat, jf2.alpha_hat)
             and np.array_equal(jf.gamma_hat, jf2.gamma_hat)
@@ -453,16 +449,9 @@ def _run_rep(grid: ExperimentGrid, seed: int, rho: float, H: int, rep: int) -> d
         if not same:
             raise AssertionError("holdout rows leaked into a fit")
 
-    x_fut = mp.x[T_train:]
-    if grid.variant == "omitted":
-        x_fut = x_fut[:, :-1]
-    fut = FutureExogenous(mp.z[T_train:], x_fut, sp.ys[T_train:])
-    y_train = mp.y[:T_train]
+    fut = FutureExogenous(mp.z[T_train:], mp.x[T_train:], sp.ys[T_train:])
+    y_train = mp_tr.y
     y_test = mp.y[T_train:]
-    mp_tr = mp.slice(0, T_train)
-    if grid.variant == "omitted":
-        mp_tr = MonthlyPanel(mp_tr.times, mp_tr.y, mp_tr.z, mp_tr.x[:, :-1])
-    sp_tr = sp.slice(0, T_train)
 
     fc_joint = forecast_joint(jf, sf, mp_tr, sp_tr, fut, H)
     fc_ar = forecast_arx(ar, y_train, None, H, method=Method.AR)
@@ -511,8 +500,10 @@ def run_experiment(grid: ExperimentGrid, Q: int, seed: int) -> SimulationReport:
     ]
     results: dict[tuple, dict] = {}
     if grid.workers > 1:
+        # about four chunks per worker, so that a small run is shared too
+        chunksize = -(-len(tasks) // (4 * grid.workers))
         with concurrent.futures.ProcessPoolExecutor(grid.workers) as pool:
-            for key, res in pool.map(_worker, tasks, chunksize=16):
+            for key, res in pool.map(_worker, tasks, chunksize=chunksize):
                 results[key] = res
     else:
         for task in tasks:

@@ -95,6 +95,15 @@ def test_fit_mismatched_panels_error(workspace, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["code"] == "PanelMismatch"
 
 
+def test_fit_missing_input_file(workspace, tmp_path, capsys):
+    rc = main(["fit", "--monthly", str(tmp_path / "missing.csv"), "--surrogate",
+               workspace["surrogate"], "--out", str(tmp_path / "f.json")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert json.loads(err[0])["code"] == "FileNotFoundError"
+
+
 def test_fit_rejects_nan_field(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     rows = _read_rows(workspace["monthly"])
@@ -151,6 +160,21 @@ def test_forecast_missing_future_rows(workspace, capsys):
                "--out", str(workspace["dir"] / "fc.csv")])
     assert rc == 3
     assert json.loads(capsys.readouterr().err.strip())["code"] == "MissingExogenous"
+
+
+def test_forecast_surrogate_shorter_than_history(workspace, capsys):
+    fit = _fitted(workspace)
+    short = workspace["dir"] / "short_surrogate.csv"
+    with open(short, "w", newline="") as fh:
+        csv.writer(fh).writerows(_read_rows(workspace["surrogate"])[:-8])
+    capsys.readouterr()
+    rc = main(["forecast", "--fit", fit, "--monthly", workspace["monthly"],
+               "--surrogate", str(short), "--future", workspace["future"],
+               "--horizon", "3", "--out", str(workspace["dir"] / "fc.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert json.loads(err[0])["code"] == "PanelMismatch"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from surrocast import (
     InsufficientSample,
     RankDeficient,
     benchmark_dgp,
-    d_residual,
+    d_residual_matrix,
     fit_arx,
     fit_joint,
     fit_surrogate,
@@ -84,36 +84,20 @@ def test_surrogate_insufficient_sample():
 
 
 # ---------------------------------------------------------------------------
-# d_residual
+# d_residual_matrix
 # ---------------------------------------------------------------------------
-
-def _toy_surrogate_fit(a, K=1):
-    from surrocast import SurrogateFit
-
-    return SurrogateFit(A_hat=np.full((1, K, K), a), B_hat=np.zeros((K, 0)),
-                        residuals=np.zeros((1, K)), q2=1)
-
 
 def test_d_residual_zero_lag_coefficients(rng):
     ys = rng.standard_normal((10, 2))
-    _, sp = build_panels(np.zeros(10), ys)
-    sf = _toy_surrogate_fit(0.0, K=2)
-    np.testing.assert_allclose(d_residual(sp, sf, 5), ys[4])
+    np.testing.assert_array_equal(
+        d_residual_matrix(ys, np.zeros((1, 2, 2)), 1), ys[1:])
 
 
 def test_d_residual_hand_value():
     ys = np.array([[2.0], [3.0]])
-    _, sp = build_panels(np.zeros(2), ys)
-    sf = _toy_surrogate_fit(0.5)
-    assert d_residual(sp, sf, 2)[0] == pytest.approx(2.0)  # 3 - 0.5*2
-
-
-def test_d_residual_needs_lags():
-    ys = np.array([[2.0], [3.0]])
-    _, sp = build_panels(np.zeros(2), ys)
-    sf = _toy_surrogate_fit(0.5)
-    with pytest.raises(IndexError):
-        d_residual(sp, sf, 1)
+    d = d_residual_matrix(ys, np.full((1, 1, 1), 0.5), 1)
+    assert d.shape == (1, 1)
+    assert d[0, 0] == pytest.approx(2.0)  # 3 - 0.5*2
 
 
 # ---------------------------------------------------------------------------

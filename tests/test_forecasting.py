@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from surrocast import (
     ArxFit,
@@ -10,7 +12,6 @@ from surrocast import (
     MissingExogenous,
     SurrogateFit,
     benchmark_dgp,
-    companion_matrix,
     fit_joint,
     forecast_arx,
     forecast_ave,
@@ -35,7 +36,6 @@ def _manual_joint(alpha, gamma, d_hat_rows=1, q2=1):
         gamma_hat=gamma,
         sigma_e_hat=0.0,
         residuals=np.zeros(3),
-        companion=companion_matrix(alpha),
         d_hat=np.zeros((d_hat_rows, K)),
         q1=alpha.shape[0],
         q2=q2,
@@ -88,7 +88,7 @@ def test_joint_missing_future_surrogate():
 def test_arx_zero_coefficients():
     fit = ArxFit(alpha_hat=np.zeros(2), theta_hat=np.zeros(0),
                  beta_hat=np.zeros(0), sigma_e_hat=1.0, residuals=np.zeros(3),
-                 companion=companion_matrix(np.zeros(2)), q1=2)
+                 q1=2)
     fc = forecast_arx(fit, np.array([5.0, 6.0, 7.0]), None, 3)
     np.testing.assert_array_equal(fc.point, np.zeros(3))
 
@@ -96,7 +96,7 @@ def test_arx_zero_coefficients():
 def test_arx_geometric_recursion():
     fit = ArxFit(alpha_hat=np.array([0.5]), theta_hat=np.zeros(0),
                  beta_hat=np.zeros(0), sigma_e_hat=1.0, residuals=np.zeros(3),
-                 companion=companion_matrix([0.5]), q1=1)
+                 q1=1)
     fc = forecast_arx(fit, np.array([1.0, 4.0]), None, 3)
     np.testing.assert_allclose(fc.point, [2.0, 1.0, 0.5])
 
@@ -108,7 +108,7 @@ def test_arx_equals_joint_when_gamma_zero():
     object.__setattr__(jf_zero, "delta_hat", jf.delta_hat)
     arx = ArxFit(alpha_hat=jf.alpha_hat, theta_hat=np.zeros(0),
                  beta_hat=jf.delta_hat, sigma_e_hat=1.0, residuals=np.zeros(3),
-                 companion=jf.companion, q1=2)
+                 q1=2)
     H = 4
     fut = FutureExogenous(np.zeros((H, 0)), np.tile(mp.x[-1], (H, 1)),
                           np.tile(sp.ys[-1], (H, 1)))
@@ -150,7 +150,7 @@ def test_rolling_consistency_arx():
     # H-step recursion equals repeated 1-step with forecasts appended
     fit = ArxFit(alpha_hat=np.array([0.6, -0.25]), theta_hat=np.zeros(0),
                  beta_hat=np.array([0.4]), sigma_e_hat=1.0, residuals=np.zeros(3),
-                 companion=companion_matrix([0.6, -0.25]), q1=2)
+                 q1=2)
     rng = np.random.default_rng(3)
     y = rng.standard_normal(12)
     x_fut = rng.standard_normal((6, 1))
@@ -199,6 +199,34 @@ def test_ar_recursion_batch_rows_equal_single_series(rng):
         assert batch[b].tobytes() == one.tobytes()
         assert shared[b].tobytes() == _ar_recursion(alpha[0], history[b],
                                                     driver[b]).tobytes()
+
+
+def _floats(draw, shape, bound):
+    return draw(hnp.arrays(np.float64, shape, elements=st.floats(
+        -bound, bound, allow_nan=False, allow_infinity=False)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), q1=st.integers(0, 5), H=st.integers(1, 20),
+       B=st.integers(1, 6), extra=st.integers(0, 4),
+       shared_alpha=st.booleans(), shared_history=st.booleans())
+def test_ar_recursion_batch_property(data, q1, H, B, extra, shared_alpha,
+                                     shared_history):
+    # every batch row is the 1-D call on that row, and the 1-D call is the
+    # dot-product loop, byte for byte; a (q1,) alpha or history is shared
+    alpha = _floats(data.draw, (q1,) if shared_alpha else (B, q1), 0.9)
+    n_hist = q1 + extra
+    history = _floats(data.draw, (n_hist,) if shared_history else (B, n_hist),
+                      1e3)
+    driver = _floats(data.draw, (B, H), 1e3)
+    batch = _ar_recursion(alpha, history, driver)
+    assert batch.shape == (B, H)
+    for b in range(B):
+        a = alpha if shared_alpha else alpha[b]
+        hist = history if shared_history else history[b]
+        one = _ar_recursion(a, hist, driver[b])
+        assert batch[b].tobytes() == one.tobytes()
+        assert one.tobytes() == _dot_loop_recursion(a, hist, driver[b]).tobytes()
 
 
 def test_rolling_consistency_joint():

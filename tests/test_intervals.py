@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from surrocast import (
     forecast_joint,
     generate,
 )
-from surrocast.estimation import RANK_TOL
-from surrocast.forecasting import _joint_future_rows
+from surrocast.estimation import RANK_TOL, _joint_design, d_residual_matrix
+from surrocast.forecasting import _ar_recursion, _joint_future_rows
 from surrocast.intervals import (
     _batched_refit,
     _empirical_quantile,
     _joint_forecast_gradient,
+    _psi_weights,
 )
 
 
@@ -74,6 +76,36 @@ def test_weight_matches_dense_matrix_power_oracle(rng):
             np.linalg.matrix_power(A, r)[0, 0] ** 2 for r in range(h)
         ))
         assert companion_weight(alpha, h) == pytest.approx(oracle, abs=1e-10)
+
+
+def _power_loop_weights(alpha, H):
+    """The former companion_weight: one row-vector product per power."""
+    A = companion_matrix(alpha)
+    row = np.zeros(A.shape[0])
+    row[0] = 1.0  # first row of A^0
+    total, out = 0.0, []
+    for _ in range(H):
+        total += row[0] ** 2
+        out.append(math.sqrt(total))
+        row = row @ A
+    return np.array(out)
+
+
+def test_psi_weights_match_power_loop(rng):
+    # The power loop sums psi_k = sum_l alpha_l psi_{k-l} from the highest
+    # lag down, the AR recursion from lag 1 up. With q <= 2 both are one
+    # rounded sum of two rounded products, so the weights are equal bit for
+    # bit; from q = 3 on the rounding order differs (at most 8 ulp seen).
+    for _ in range(1200):
+        q = int(rng.integers(1, 6))
+        alpha = _random_stationary_alpha(rng, q)
+        H = int(rng.integers(1, 21))
+        got, ref = _psi_weights(alpha, H), _power_loop_weights(alpha, H)
+        if q <= 2:
+            assert got.tobytes() == ref.tobytes()
+        else:
+            np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0.0)
+        assert companion_weight(alpha, H) == got[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +172,25 @@ def test_boot_deterministic_given_seed():
     np.testing.assert_array_equal(a.upper, b.upper)
 
 
+def _reproducing_panel(jf, sf, mp, sp):
+    """mp with y[q1:] rolled forward from jf's coefficients and residuals.
+
+    A fit whose coefficients or residuals were edited is then the fit of
+    the returned panel and sp, as boot_interval requires.
+    """
+    q1 = jf.q1
+    d_rows = d_residual_matrix(sp.ys, sf.A_hat, sf.q2)[q1 - sf.q2:]
+    driver = (mp.z[q1:] @ jf.theta_hat + mp.x[q1:] @ jf.delta_hat
+              + d_rows @ jf.gamma_hat + jf.residuals)
+    y = np.concatenate([mp.y[:q1], _ar_recursion(jf.alpha_hat, mp.y[:q1],
+                                                 driver)])
+    return MonthlyPanel(times=mp.times, y=y, z=mp.z, x=mp.x)
+
+
 def test_boot_degenerate_residuals_zero_width():
     jf, sf, mp, sp, fut, _ = _fitted_setup()
     flat = dataclasses.replace(jf, residuals=np.full_like(jf.residuals, 0.37))
+    mp = _reproducing_panel(flat, sf, mp, sp)
     iv = boot_interval(flat, sf, mp, sp, fut, 3, BootstrapConfig(B=120, seed=1),
                        0.05)
     np.testing.assert_allclose(iv.length, 0.0, atol=1e-6)
@@ -286,7 +334,7 @@ def _sparse_residual_fit():
         jf, residuals=resid, theta_hat=np.zeros_like(jf.theta_hat),
         delta_hat=np.zeros_like(jf.delta_hat),
         gamma_hat=np.zeros_like(jf.gamma_hat))
-    return jf, sf, mp, sp, fut
+    return jf, sf, _reproducing_panel(jf, sf, mp, sp), sp, fut
 
 
 # seed 7 drops exactly 5% of 500 replicates, seed 8 drops 5.6%
@@ -313,8 +361,21 @@ def test_boot_duplicated_covariate_unstable():
     x = mp.x.copy()
     x[:, 1] = x[:, 0]
     dup = MonthlyPanel(times=mp.times, y=mp.y, z=mp.z, x=x)
+    # the residuals of jf's coefficients on the duplicated panel
+    q1 = jf.q1
+    X = _joint_design(dup.y, dup.z, dup.x, jf.d_hat[q1 - jf.q2:], q1)
+    jf = dataclasses.replace(jf, residuals=dup.y[q1:] - X @ _joint_coef(jf))
     with pytest.raises(BootstrapUnstable):
         boot_interval(jf, sf, dup, sp, fut, 4, BootstrapConfig(B=120), 0.05)
+
+
+def test_boot_rejects_panels_of_another_draw():
+    jf, sf, mp, sp, fut, _ = _fitted_setup()
+    # the fitted shape, but not the fitted sample
+    mp_o, sp_o, _ = generate(benchmark_dgp(0.3, T=60, seed=5))
+    with pytest.raises(PanelMismatch, match="reproduce the fit residuals"):
+        boot_interval(jf, sf, mp_o.slice(0, mp.T), sp_o.slice(0, sp.T), fut,
+                      4, BootstrapConfig(B=120), 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +409,37 @@ def test_estimated_gradient_matches_finite_difference():
     np.testing.assert_array_equal(
         point, forecast_joint(jf, sf, mp, sp, fut, H).point)
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7)
+
+
+def _loop_gradient(jf, sf, mp, sp, fut, H):
+    """The former gradient loop: g_h = r_h + sum_l alpha_l g_{h-l}, by row."""
+    q1 = jf.q1
+    point = forecast_joint(jf, sf, mp, sp, fut, H).point
+    cov_rows = np.hstack(_joint_future_rows(jf, sf, sp, fut, H))
+    path = np.concatenate([mp.y[-q1:], point])
+    grad = np.empty((H, q1 + cov_rows.shape[1]))
+    for h in range(H):
+        grad[h, :q1] = path[h:q1 + h][::-1]
+        grad[h, q1:] = cov_rows[h]
+        for l in range(1, min(q1, h) + 1):
+            grad[h] += jf.alpha_hat[l - 1] * grad[h - l]
+    return grad
+
+
+@pytest.mark.parametrize("q1", [1, 2, 4])
+def test_estimated_gradient_matches_loop_oracle(q1):
+    # the batched recursion adds r_h after the lag sum, the loop before it;
+    # the bound is relative to each column's largest entry, because an entry
+    # that cancels to 1e-4 of it keeps only the column's absolute rounding
+    for seed in range(3):
+        mp, sp, _ = generate(benchmark_dgp(0.3, T=60, seed=(23, seed)))
+        mp_tr, sp_tr = mp.slice(0, 48), sp.slice(0, 48)
+        jf, sf = fit_joint(mp_tr, sp_tr, q1, 1)
+        fut = FutureExogenous(mp.z[48:], mp.x[48:], sp.ys[48:])
+        _, grad = _joint_forecast_gradient(jf, sf, mp_tr, sp_tr, fut, 12)
+        ref = _loop_gradient(jf, sf, mp_tr, sp_tr, fut, 12)
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(grad - ref) <= 1e-13 * scale)
 
 
 def test_estimated_one_step_is_ols_prediction_interval():

@@ -16,6 +16,7 @@ from surrocast import (
     rsign,
     run_experiment,
 )
+from surrocast import simulation
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +170,48 @@ def test_experiment_deterministic():
 
 
 def test_experiment_worker_count_invariant(tmp_path):
-    grid1 = _small_grid(rhos=(0.1, 0.3), workers=1)
-    grid2 = _small_grid(rhos=(0.1, 0.3), workers=3)
-    a = run_experiment(grid1, Q=4, seed=9)
-    b = run_experiment(grid2, Q=4, seed=9)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    a.to_csv(p1)
-    b.to_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    # 2 cells x 4 reps = 8 tasks; then one cell of 10 bootstrap reps, the
+    # shape of a small Monte Carlo call, which two workers share
+    for kw, workers, Q in (({"rhos": (0.1, 0.3)}, 3, 4),
+                           ({"include_boot": True}, 2, 10)):
+        a = run_experiment(_small_grid(workers=1, **kw), Q=Q, seed=9)
+        b = run_experiment(_small_grid(workers=workers, **kw), Q=Q, seed=9)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.to_csv(p1)
+        b.to_csv(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_experiment_spreads_small_runs_over_workers(monkeypatch):
+    # every worker must get at least one chunk of a 10-task run
+    chunks = []
+
+    class Pool:
+        def __init__(self, workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            chunks.append(-(-len(tasks) // chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulation.concurrent.futures, "ProcessPoolExecutor",
+                        Pool)
+    for workers in (2, 3):
+        run_experiment(_small_grid(workers=workers), Q=10, seed=0)
+        assert chunks[-1] >= workers
 
 
 def test_experiment_holdout_hygiene_mode():
-    report = run_experiment(_small_grid(check_holdout=True), Q=2, seed=1)
-    assert len(report.rows) > 0
+    for variant in ("base", "omitted", "overfit", "student-t"):
+        grid = _small_grid(check_holdout=True, variant=variant)
+        report = run_experiment(grid, Q=2, seed=1)
+        assert len(report.rows) > 0
 
 
 def test_experiment_variants_run():

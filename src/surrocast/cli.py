@@ -10,7 +10,6 @@ with 2. A file error's code is the name of its OSError subclass.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from .errors import (
     InvalidData,
-    MissingExogenous,
     NumericalError,
+    PanelMismatch,
     SurrocastError,
 )
 from .estimation import (
@@ -37,7 +36,8 @@ from .forecasting import (
     forecast_joint,
     forecast_rw,
 )
-from .intervals import BootstrapConfig, bj_interval, boot_interval, efficiency_gain
+from .intervals import (BootstrapConfig, _fitted_design, bj_interval, boot_interval,
+                        efficiency_gain)
 from .panels import (
     aggregate_daily,
     read_daily_csv,
@@ -46,48 +46,16 @@ from .panels import (
     standardize_cpi,
     standardize_z,
     write_surrogate_csv,
-    _numbered_columns,
     _parse_float,
+    _parse_month,
     _read_rows,
+    _read_table,
+    _write_csv,
 )
 from .selection import correlation_pursuit
 from .simulation import ExperimentGrid, run_experiment
 
 __all__ = ["main"]
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, float) else v for v in row]
-            )
-
-
-def _read_future_csv(path: str) -> FutureExogenous:
-    """Future covariate rows: ``month[,z_1..][,x_1..][,ys_1..]``."""
-    header, rows = _read_rows(path)
-    if header[:1] != ["month"]:
-        raise InvalidData(f"{path}: header must start with 'month'")
-    z_cols = _numbered_columns(header, "z_")
-    x_cols = _numbered_columns(header, "x_")
-    ys_cols = _numbered_columns(header, "ys_")
-    H = len(rows)
-    if H == 0:
-        raise MissingExogenous(f"{path}: no future rows")
-
-    def block(cols: list[int]) -> np.ndarray:
-        out = np.empty((H, len(cols)))
-        for i, row in enumerate(rows):
-            if len(row) != len(header):
-                raise InvalidData(f"{path}:{i + 2}: expected {len(header)} fields")
-            for j, c in enumerate(cols):
-                out[i, j] = _parse_float(row[c], f"{path}:{i + 2} {header[c]}")
-        return out
-
-    return FutureExogenous(block(z_cols), block(x_cols), block(ys_cols))
 
 
 def _floats(text: str) -> list[float]:
@@ -111,22 +79,32 @@ def _cmd_fit(args) -> int:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
     if args.residual_pairs:
-        pairs = residual_pairs(jf, sf)
-        header = ["e"] + [f"eps_s_{k + 1}" for k in range(sf.K)]
-        _write_csv(args.residual_pairs, header,
-                   [[float(v) for v in row] for row in pairs])
+        _write_csv(args.residual_pairs, ["e"] + [f"eps_s_{k + 1}" for k in range(sf.K)],
+                   residual_pairs(jf, sf).tolist())
     print(f"fitted joint model (q1={args.q1}, q2={args.q2}) "
           f"on {mp.T} months -> {args.out}")
     return 0
 
 
 def _load_fit_and_history(args):
-    with open(args.fit) as fh:
-        jf, sf = joint_fit_from_dict(json.load(fh))
+    """The fit, the history it was estimated on, and the future rows
+    ``month[,z_*][,x_*][,ys_*]`` of the months that follow. A forecast that
+    needs more future rows than there are raises MissingExogenous."""
+    with open(args.fit, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidData(f"{args.fit}: not a JSON document ({exc})") from None
+    jf, sf = joint_fit_from_dict(doc)
     mp = read_monthly_csv(args.monthly)
     sp = read_surrogate_csv(args.surrogate)
-    fut = _read_future_csv(args.future)
-    return jf, sf, mp, sp, fut
+    _fitted_design(jf, sf, mp, sp)
+    months, (z, x, ys) = _read_table(args.future, ("month",), ("z_", "x_", "ys_"))
+    first = _parse_month(mp.times[-1]) + 1
+    if [_parse_month(m) for m in months] != list(range(first, first + len(months))):
+        raise PanelMismatch(f"{args.future}: months {months[0]}..{months[-1]} do not "
+                            f"run on consecutively from the history's {mp.times[-1]}")
+    return jf, sf, mp, sp, FutureExogenous(z, x, ys)
 
 
 def _cmd_forecast(args) -> int:
@@ -230,16 +208,16 @@ def _cmd_aggregate_daily(args) -> int:
 
 def _cmd_standardize(args) -> int:
     header, rows = _read_rows(args.input)
-    if len(header) != 2:
+    if len(header) != 2 or any(len(row) != 2 for row in rows):
         raise InvalidData(f"{args.input}: expected a two-column CSV (label,value)")
-    labels = [row[0] for row in rows]
     values = np.array([_parse_float(row[1], f"{args.input}:{i + 2}")
                        for i, row in enumerate(rows)])
     if args.mode == "cpi":
         std = standardize_cpi(values, base=args.base, train_size=args.train_size)
     else:
         std = standardize_z(values, train_size=args.train_size)
-    _write_csv(args.out, header, [[lab, float(v)] for lab, v in zip(labels, std.values)])
+    _write_csv(args.out, header,
+               [[row[0], v] for row, v in zip(rows, std.values.tolist())])
     print(json.dumps({"offset": std.offset, "scale": std.scale}, sort_keys=True))
     return 0
 

@@ -312,26 +312,42 @@ def joint_fit_to_dict(jf: JointFit, sf: SurrogateFit) -> dict:
     }
 
 
+# Numeric entries of a fit document and their number of dimensions.
+_FIT_NUMBERS = {"sigma_e_hat": 0, "alpha_hat": 1, "theta_hat": 1, "delta_hat": 1,
+                "gamma_hat": 1, "residuals": 1, "d_hat": 2, "A_hat": 3, "B_hat": 2,
+                "surrogate_residuals": 2}
+
+
 def joint_fit_from_dict(doc: dict) -> tuple[JointFit, SurrogateFit]:
-    schema = doc.get("schema")
+    """Inverse of joint_fit_to_dict.
+
+    Raises InvalidData unless every entry is present and finite, 1 <= q2 <=
+    q1, sigma_e_hat >= 0, and the shapes agree: q1 target lags, q2 lag
+    matrices K x K, K rows of B_hat, and d_hat and the surrogate residuals of
+    width K with len(residuals) + q1 == rows + q2 (both fits end at month T).
+    """
+    schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != FIT_SCHEMA:
         raise InvalidData(f"unsupported fit document schema {schema!r}")
-    jf = JointFit(
-        alpha_hat=np.array(doc["alpha_hat"], dtype=float),
-        theta_hat=np.array(doc["theta_hat"], dtype=float),
-        delta_hat=np.array(doc["delta_hat"], dtype=float),
-        gamma_hat=np.array(doc["gamma_hat"], dtype=float),
-        sigma_e_hat=float(doc["sigma_e_hat"]),
-        residuals=np.array(doc["residuals"], dtype=float),
-        d_hat=np.array(doc["d_hat"], dtype=float),
-        q1=int(doc["q1"]),
-        q2=int(doc["q2"]),
-    )
-    A_hat = np.array(doc["A_hat"], dtype=float)
-    sf = SurrogateFit(
-        A_hat=A_hat,
-        B_hat=np.array(doc["B_hat"], dtype=float),
-        residuals=np.array(doc["surrogate_residuals"], dtype=float),
-        q2=int(doc["q2"]),
-    )
+    try:
+        q1, q2 = doc["q1"], doc["q2"]
+        a = {key: np.array(doc[key], dtype=float) for key in _FIT_NUMBERS}
+    except KeyError as exc:
+        raise InvalidData(f"fit document lacks {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidData(f"fit document holds a non-numeric entry ({exc})") from None
+    K, n = a["gamma_hat"].size, a["residuals"].size
+    if not (type(q1) is type(q2) is int and 1 <= q2 <= q1
+            and all(a[key].ndim == ndim for key, ndim in _FIT_NUMBERS.items())
+            and all(np.all(np.isfinite(v)) for v in a.values())
+            and a["sigma_e_hat"] >= 0.0 and a["alpha_hat"].shape == (q1,)
+            and a["A_hat"].shape == (q2, K, K) and a["B_hat"].shape[0] == K
+            and a["d_hat"].shape == a["surrogate_residuals"].shape == (n + q1 - q2, K)):
+        raise InvalidData(f"malformed fit document: q1={q1!r}, q2={q2!r}, "
+                          + ", ".join(f"{key} {v.shape}" for key, v in a.items()))
+    jf = JointFit(sigma_e_hat=float(a["sigma_e_hat"]), q1=q1, q2=q2, **{
+        key: a[key] for key in ("alpha_hat", "theta_hat", "delta_hat",
+                                "gamma_hat", "residuals", "d_hat")})
+    sf = SurrogateFit(A_hat=a["A_hat"], B_hat=a["B_hat"],
+                      residuals=a["surrogate_residuals"], q2=q2)
     return jf, sf

@@ -98,11 +98,15 @@ def _ar_recursion(
     series forward together, with alpha and history of shape (q1,) shared by
     all of them or (batch, .) per series. The lag sum accumulates left to
     right from l = 1 before the driver is added, the order of a sequential
-    dot product, so a 1-D call returns what the scalar loop would.
+    dot product, so a 1-D call returns what the scalar loop would. A history
+    shorter than q1 raises InsufficientSample.
     """
     alpha, history, driver = (np.asarray(a, dtype=float)
                               for a in (alpha, history, driver))
     q1, H = alpha.shape[-1], driver.shape[-1]
+    if history.shape[-1] < q1:
+        raise InsufficientSample(
+            f"history of {history.shape[-1]} months is shorter than q1={q1}")
     # Time runs along axis 0 so that buf[t] is one month of every series.
     lag_coef = alpha.T
     buf = np.zeros((q1 + H,) + driver.shape[:-1])

@@ -162,16 +162,17 @@ def _fitted_design(
 
     Raises PanelMismatch unless mp and sp are the panels the fit was
     estimated on: they must cover the same months, give T - q1 rows and the
-    fit's covariate widths, and y[q1:] - X beta_hat must reproduce the fit
-    residuals.
+    fit's covariate and surrogate widths, and y[q1:] - X beta_hat must
+    reproduce the fit residuals.
     """
     check_aligned(mp, sp)
     q1 = jf.q1
     if (mp.T - q1 != jf.residuals.shape[0] or mp.d != len(jf.theta_hat)
-            or mp.p != len(jf.delta_hat)):
+            or mp.p != len(jf.delta_hat) or sp.K != sf.K):
         raise PanelMismatch(
-            f"history of {mp.T} months does not match the fitted sample "
-            f"({jf.residuals.shape[0]} residuals after q1={q1} lags)"
+            f"history of {mp.T} months (d={mp.d}, p={mp.p}, K={sp.K}) does not "
+            f"match the fitted sample ({jf.residuals.shape[0]} residuals after "
+            f"q1={q1} lags, d={len(jf.theta_hat)}, p={len(jf.delta_hat)}, K={sf.K})"
         )
     d_rows = d_residual_matrix(sp.ys, sf.A_hat, sf.q2)[q1 - sf.q2:]
     X = _joint_design(mp.y, mp.z, mp.x, d_rows, q1)

@@ -307,7 +307,8 @@ def aggregate_daily(idx: DailyIndex, K: int = 3) -> SurrogatePanel:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion. Numeric fields must be plain decimals; NaN/Inf are rejected.
+# CSV input and output. Every file goes through _read_rows and _write_csv.
+# Numeric fields must be plain decimals; NaN/Inf are rejected.
 # ---------------------------------------------------------------------------
 
 def _parse_float(text: str, where: str) -> float:
@@ -321,14 +322,15 @@ def _parse_float(text: str, where: str) -> float:
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidData(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
-    return [h.strip() for h in header], rows
+    """Stripped header and non-empty rows; InvalidData unless UTF-8 CSV text."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidData(f"{path}: unreadable CSV ({exc})") from None
+    if not rows:
+        raise InvalidData(f"{path}: empty file")
+    return [h.strip() for h in rows[0]], rows[1:]
 
 
 def _numbered_columns(header: list[str], prefix: str) -> list[int]:
@@ -340,67 +342,68 @@ def _numbered_columns(header: list[str], prefix: str) -> list[int]:
     return [i for _, i in cols]
 
 
+def _read_table(path: str, lead: tuple[str, ...], prefixes: tuple[str, ...] = ()
+                ) -> tuple[list[str], list[np.ndarray]]:
+    """Labels and float blocks of a CSV whose header starts with ``lead``.
+
+    ``lead[0]`` is the label column and each later name a block of width 1;
+    then one block ``prefix1..prefixN`` (N >= 0, anywhere after ``lead``) per
+    prefix. A table without prefixes has exactly the ``lead`` columns.
+    """
+    header, rows = _read_rows(path)
+    exact = not prefixes
+    if (header if exact else header[:len(lead)]) != list(lead):
+        raise InvalidData(f"{path}: header must {'be' if exact else 'start with'} "
+                          f"'{','.join(lead)}'")
+    groups = [[i] for i in range(1, len(lead))]
+    groups += [_numbered_columns(header, prefix) for prefix in prefixes]
+    cols = [c for group in groups for c in group]
+    labels, values = [], np.empty((len(rows), len(cols)))
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise InvalidData(f"{path}:{r + 2}: expected {len(header)} fields")
+        labels.append(row[0].strip())
+        for j, c in enumerate(cols):
+            values[r, j] = _parse_float(row[c], f"{path}:{r + 2} {header[c]}")
+    edges = np.cumsum([len(group) for group in groups])[:-1]
+    return labels, [block.copy() for block in np.split(values, edges, axis=1)]
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """One CSV writer for every output; floats are written with repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
 def read_monthly_csv(path: str) -> MonthlyPanel:
     """Read ``month,y,z_1..z_d,x_1..x_p`` (month as YYYY-MM)."""
-    header, rows = _read_rows(path)
-    if header[:2] != ["month", "y"]:
-        raise InvalidData(f"{path}: header must start with 'month,y'")
-    z_cols = _numbered_columns(header, "z_")
-    x_cols = _numbered_columns(header, "x_")
-    times, y, z, x = [], [], [], []
-    for ln, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise InvalidData(f"{path}:{ln}: expected {len(header)} fields")
-        times.append(row[0].strip())
-        y.append(_parse_float(row[1], f"{path}:{ln} y"))
-        z.append([_parse_float(row[i], f"{path}:{ln} {header[i]}") for i in z_cols])
-        x.append([_parse_float(row[i], f"{path}:{ln} {header[i]}") for i in x_cols])
-    T = len(times)
-    return MonthlyPanel(
-        times=tuple(times),
-        y=np.array(y),
-        z=np.array(z).reshape(T, len(z_cols)),
-        x=np.array(x).reshape(T, len(x_cols)),
-    )
+    times, (y, z, x) = _read_table(path, ("month", "y"), ("z_", "x_"))
+    return MonthlyPanel(times=tuple(times), y=y[:, 0], z=z, x=x)
 
 
 def read_surrogate_csv(path: str) -> SurrogatePanel:
     """Read ``month,ys_1..ys_K`` (month as YYYY-MM)."""
-    header, rows = _read_rows(path)
-    if header[:1] != ["month"]:
-        raise InvalidData(f"{path}: header must start with 'month'")
-    ys_cols = _numbered_columns(header, "ys_")
-    if not ys_cols:
+    times, (ys,) = _read_table(path, ("month",), ("ys_",))
+    if ys.shape[1] == 0:
         raise InvalidData(f"{path}: no ys_1..ys_K columns found")
-    times, ys = [], []
-    for ln, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise InvalidData(f"{path}:{ln}: expected {len(header)} fields")
-        times.append(row[0].strip())
-        ys.append([_parse_float(row[i], f"{path}:{ln} {header[i]}") for i in ys_cols])
-    return SurrogatePanel(times=tuple(times), ys=np.array(ys))
+    return SurrogatePanel(times=tuple(times), ys=ys)
 
 
 def read_daily_csv(path: str) -> DailyIndex:
     """Read ``date,score`` (date as YYYY-MM-DD)."""
-    header, rows = _read_rows(path)
-    if header != ["date", "score"]:
-        raise InvalidData(f"{path}: header must be 'date,score'")
-    dates, scores = [], []
-    for ln, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise InvalidData(f"{path}:{ln}: expected 2 fields")
+    labels, (scores,) = _read_table(path, ("date", "score"))
+    dates = []
+    for ln, label in enumerate(labels, start=2):
         try:
-            dates.append(_dt.date.fromisoformat(row[0].strip()))
+            dates.append(_dt.date.fromisoformat(label))
         except ValueError as exc:
-            raise InvalidData(f"{path}:{ln}: bad date {row[0]!r}") from exc
-        scores.append(_parse_float(row[1], f"{path}:{ln} score"))
-    return DailyIndex(dates=tuple(dates), scores=np.array(scores))
+            raise InvalidData(f"{path}:{ln}: bad date {label!r}") from exc
+    return DailyIndex(dates=tuple(dates), scores=scores[:, 0])
 
 
 def write_surrogate_csv(path: str, sp: SurrogatePanel) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["month"] + [f"ys_{k + 1}" for k in range(sp.K)])
-        for t, label in enumerate(sp.times):
-            writer.writerow([label] + [repr(float(v)) for v in sp.ys[t]])
+    _write_csv(path, ["month"] + [f"ys_{k + 1}" for k in range(sp.K)],
+               ([label] + sp.ys[t].tolist() for t, label in enumerate(sp.times)))

@@ -16,7 +16,6 @@ metrics are insensitive to that scale; absolute interval lengths are not.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,8 @@ from .forecasting import (
     Method,
 )
 from .intervals import BootstrapConfig, bj_interval, boot_interval
-from .panels import MonthlyPanel, SurrogatePanel, month_range, standardize_cpi
+from .panels import (MonthlyPanel, SurrogatePanel, _write_csv, month_range,
+                     standardize_cpi)
 from .selection import select_ar_order
 
 __all__ = [
@@ -390,12 +390,9 @@ class SimulationReport:
         raise KeyError((rho, H, method, metric))
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["variant", "rho", "H", "method", "metric", "value"])
-            for r in self.rows:
-                writer.writerow([r.variant, repr(float(r.rho)), r.H,
-                                 r.method, r.metric, repr(float(r.value))])
+        _write_csv(path, ["variant", "rho", "H", "method", "metric", "value"],
+                   ([r.variant, float(r.rho), r.H, r.method, r.metric, float(r.value)]
+                    for r in self.rows))
 
 
 def _rep_seeds(seed: int, variant: str, rho: float, H: int, rep: int):

@@ -1,21 +1,24 @@
+import contextlib
 import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surrocast import benchmark_dgp, generate
 from surrocast.cli import main
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def _write_workspace(directory, seed=77):
     """History and future CSVs from one draw of the benchmark process."""
     total, horizon = 40, 6
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=total, seed=77))
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=total, seed=seed))
     T = total - horizon
 
-    monthly = tmp_path / "monthly.csv"
+    monthly = directory / "monthly.csv"
     with open(monthly, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["month", "y", "x_1", "x_2"])
@@ -23,14 +26,14 @@ def workspace(tmp_path):
             w.writerow([mp.times[t], repr(float(mp.y[t])),
                         repr(float(mp.x[t, 0])), repr(float(mp.x[t, 1]))])
 
-    surrogate = tmp_path / "surrogate.csv"
+    surrogate = directory / "surrogate.csv"
     with open(surrogate, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["month", "ys_1", "ys_2", "ys_3"])
         for t in range(T):
             w.writerow([sp.times[t]] + [repr(float(v)) for v in sp.ys[t]])
 
-    future = tmp_path / "future.csv"
+    future = directory / "future.csv"
     with open(future, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["month", "x_1", "x_2", "ys_1", "ys_2", "ys_3"])
@@ -38,9 +41,14 @@ def workspace(tmp_path):
             w.writerow([mp.times[t], repr(float(mp.x[t, 0])), repr(float(mp.x[t, 1]))]
                        + [repr(float(v)) for v in sp.ys[t]])
 
-    return {"dir": tmp_path, "monthly": str(monthly),
+    return {"dir": directory, "monthly": str(monthly),
             "surrogate": str(surrogate), "future": str(future),
             "horizon": horizon}
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return _write_workspace(tmp_path)
 
 
 def _fit_args(ws, out):
@@ -424,6 +432,193 @@ def test_standardize_degenerate_series(tmp_path, capsys):
                "--base", "100", "--out", str(tmp_path / "s.csv")])
     assert rc == 3
     assert json.loads(capsys.readouterr().err.strip())["code"] == "DegenerateSeries"
+
+
+# ---------------------------------------------------------------------------
+# the history and future must belong to the fit
+# ---------------------------------------------------------------------------
+
+def _one_error_code(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    return json.loads(err[0])["code"]
+
+
+@pytest.mark.parametrize("command", [["forecast"], ["interval", "--method", "bj"]])
+def test_fit_of_another_draw_rejected(workspace, tmp_path, capsys, command):
+    # same months and widths, different draw: only the residuals differ
+    (tmp_path / "other").mkdir()
+    other = _write_workspace(tmp_path / "other", seed=78)
+    fit = tmp_path / "other" / "fit.json"
+    assert main(_fit_args(other, fit)) == 0
+    capsys.readouterr()
+    rc = main([*command, "--fit", str(fit), "--monthly", workspace["monthly"],
+               "--surrogate", workspace["surrogate"], "--future",
+               workspace["future"], "--horizon", "3",
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 3
+    assert _one_error_code(capsys) == "PanelMismatch"
+
+
+@pytest.mark.parametrize("method", ["bj", "boot"])
+def test_surrogate_narrower_than_fit_rejected(workspace, capsys, method):
+    fit = _fitted(workspace)
+    narrow = workspace["dir"] / "narrow_surrogate.csv"
+    with open(narrow, "w", newline="") as fh:
+        csv.writer(fh).writerows(r[:3] for r in _read_rows(workspace["surrogate"]))
+    capsys.readouterr()
+    rc = main(["interval", "--fit", fit, "--monthly", workspace["monthly"],
+               "--surrogate", str(narrow), "--future", workspace["future"],
+               "--horizon", "3", "--method", method, "--B", "100",
+               "--out", str(workspace["dir"] / "iv.csv")])
+    assert rc == 3
+    assert _one_error_code(capsys) == "PanelMismatch"
+
+
+@pytest.mark.parametrize("relabel", [
+    lambda last, months: ["1999-01"] * len(months),
+    lambda last, months: months[1:] + ["2099-01"],
+    lambda last, months: [last] + months[:-1],
+    lambda last, months: months[:2] + months[3:] + ["2099-01"],
+], ids=["constant", "late_start", "overlapping_start", "gap"])
+def test_future_months_must_continue_history(workspace, capsys, relabel):
+    fit = _fitted(workspace)
+    rows = _read_rows(workspace["future"])
+    last = _read_rows(workspace["monthly"])[-1][0]
+    for row, label in zip(rows[1:], relabel(last, [row[0] for row in rows[1:]])):
+        row[0] = label
+    bad = workspace["dir"] / "bad_future.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    rc = main(["forecast", "--fit", fit, "--monthly", workspace["monthly"],
+               "--surrogate", workspace["surrogate"], "--future", str(bad),
+               "--horizon", "3", "--out", str(workspace["dir"] / "fc.csv")])
+    assert rc == 3
+    assert _one_error_code(capsys) == "PanelMismatch"
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs: exit 3 with one JSON line, whatever the command
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """Valid inputs of every command; the fuzz corrupts copies of them."""
+    ws = _write_workspace(tmp_path_factory.mktemp("pristine"))
+    ws["fit"] = str(ws["dir"] / "fit.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(_fit_args(ws, ws["fit"])) == 0
+    ws["daily"] = str(ws["dir"] / "daily.csv")
+    _write_daily(ws["daily"],
+                 [[f"2021-01-{d:02d}", repr(d / 31)] for d in range(1, 32)])
+    ws["raw"] = str(ws["dir"] / "raw.csv")
+    _write_two_col(ws["raw"], [99.0, 101.0, 100.5, 98.7])
+    return ws
+
+
+_INPUTS = {
+    "fit": ("monthly", "surrogate"),
+    "forecast": ("fit", "monthly", "surrogate", "future"),
+    "interval": ("fit", "monthly", "surrogate", "future"),
+    "aggregate-daily": ("daily",),
+    "select": ("monthly",),
+    "standardize": ("raw",),
+}
+_NUMBERED = ("monthly", "surrogate", "future")  # files with x_/z_/ys_ blocks
+_CSV_KINDS = ("non_utf8", "ragged", "x2_without_x1", "non_numeric", "nan",
+              "empty", "header_only")
+_FIT_KINDS = ("truncated_json", "deep_json", "missing_alpha_hat", "long_alpha_hat")
+_FUZZ_CASES = [
+    (command, kind) for command, inputs in _INPUTS.items()
+    for kind in _CSV_KINDS + (_FIT_KINDS if "fit" in inputs else ())
+    if kind != "x2_without_x1" or set(inputs) & set(_NUMBERED)
+]
+
+
+def _argv(command, paths, draw):
+    out = ["--out", str(paths["dir"] / "fuzz_out.csv")]
+    if command == "fit":
+        return _fit_args(paths, paths["dir"] / "fuzz_fit.json")
+    if command in ("forecast", "interval"):
+        argv = [command, "--fit", paths["fit"], "--monthly", paths["monthly"],
+                "--surrogate", paths["surrogate"], "--future", paths["future"],
+                "--horizon", "3", *out]
+        if command == "interval":
+            argv += ["--method", draw(st.sampled_from(["bj", "boot"])), "--B", "50"]
+        return argv
+    if command == "aggregate-daily":
+        return ["aggregate-daily", "--daily", paths["daily"], *out]
+    if command == "select":
+        return ["select", "--monthly", paths["monthly"], "--q-max", "2", *out]
+    return ["standardize", "--input", paths["raw"], *out]
+
+
+def _corrupt(kind, raw, draw):
+    """``raw`` file bytes with one defect of the given kind."""
+    if kind == "non_utf8":
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + b"\xff" + raw[at:]
+    if kind == "empty":
+        return b""
+    if kind == "header_only":
+        return raw.split(b"\n", 1)[0] + b"\n"
+    if kind == "truncated_json":
+        return raw[:draw(st.integers(0, len(raw) - 2))]  # at least "}\n" goes
+    if kind == "deep_json":
+        return b"[" * draw(st.integers(10**5, 2 * 10**5))
+    if kind in _FIT_KINDS:
+        doc = json.loads(raw)
+        if kind == "missing_alpha_hat":
+            del doc["alpha_hat"]
+        else:
+            doc["alpha_hat"].append(draw(st.floats(-1.0, 1.0)))
+        return json.dumps(doc).encode()
+    rows = list(csv.reader(io.StringIO(raw.decode())))
+    r = draw(st.integers(1, len(rows) - 1))
+    if kind == "ragged":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["0.5"]
+    elif kind == "x2_without_x1":
+        firsts = [i for i, name in enumerate(rows[0])
+                  if re.fullmatch(r"(z|x|ys)_1", name)]
+        c = draw(st.sampled_from(firsts))
+        rows = [row[:c] + row[c + 1:] for row in rows]
+    else:
+        c = draw(st.integers(1, len(rows[r]) - 1))
+        rows[r][c] = draw(st.sampled_from(
+            ["abc", "", "1.2.3", "0x1p3", "--1"] if kind == "non_numeric"
+            else ["nan", "NaN", "inf", "-Infinity", "1e999"]))
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("command,kind", _FUZZ_CASES)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzz_malformed_input_exits_3(pristine, command, kind, data):
+    inputs = _INPUTS[command]
+    if kind in _FIT_KINDS:
+        name = "fit"
+    elif kind in ("non_utf8", "empty"):
+        name = data.draw(st.sampled_from(inputs))
+    else:
+        name = data.draw(st.sampled_from(
+            [n for n in inputs if n != "fit"
+             and (kind != "x2_without_x1" or n in _NUMBERED)]))
+    with open(pristine[name], "rb") as fh:
+        raw = fh.read()
+    paths = dict(pristine)
+    paths[name] = str(pristine["dir"] / f"fuzz_{name}")
+    with open(paths[name], "wb") as fh:
+        fh.write(_corrupt(kind, raw, data.draw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(_argv(command, paths, data.draw))
+    lines = err.getvalue().splitlines()
+    assert rc == 3, lines
+    assert len(lines) == 1 and "Traceback" not in lines[0]
+    assert set(json.loads(lines[0])) == {"code", "detail"}
 
 
 def test_usage_error_exit_code():

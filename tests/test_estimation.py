@@ -3,6 +3,7 @@ import pytest
 
 from surrocast import (
     InsufficientSample,
+    InvalidData,
     RankDeficient,
     benchmark_dgp,
     d_residual_matrix,
@@ -250,3 +251,45 @@ def test_fit_document_roundtrip():
     np.testing.assert_array_equal(jf.d_hat, jf2.d_hat)
     np.testing.assert_array_equal(sf.A_hat, sf2.A_hat)
     assert jf.sigma_e_hat == jf2.sigma_e_hat
+
+
+def _fit_document():
+    mp, sp, _ = generate(benchmark_dgp(0.2, T=40, seed=9))
+    return joint_fit_to_dict(*fit_joint(mp, sp, 2, 1))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("alpha_hat"),
+    lambda doc: doc.update(alpha_hat=doc["alpha_hat"] + [0.1]),
+    lambda doc: doc.update(q1=2.0),
+    lambda doc: doc.update(q2=3),
+    lambda doc: doc.update(sigma_e_hat=float("nan")),
+    lambda doc: doc.update(sigma_e_hat=-1.0),
+    lambda doc: doc.update(sigma_e_hat=[1.0]),
+    lambda doc: doc.update(sigma_e_hat=10 ** 400),
+    lambda doc: doc["theta_hat"].append(float("inf")),
+    lambda doc: doc.update(gamma_hat=doc["gamma_hat"][:2]),
+    lambda doc: doc.update(A_hat=doc["A_hat"] * 2),
+    lambda doc: doc.update(d_hat=[row[:2] for row in doc["d_hat"]]),
+    lambda doc: doc.update(surrogate_residuals=doc["surrogate_residuals"][1:]),
+    lambda doc: doc.update(B_hat=doc["B_hat"][:1]),
+    lambda doc: doc.update(residuals=doc["residuals"][1:]),
+    lambda doc: doc.update(d_hat=[[1.0, 2.0, 3.0], [1.0]]),
+    lambda doc: doc.update(residuals={"a": 1}),
+    lambda doc: doc.update(delta_hat=[10 ** 400]),
+], ids=["missing", "alpha_longer_than_q1", "float_order", "q2_above_q1",
+        "nan_sigma", "negative_sigma", "vector_sigma", "overflow_sigma",
+        "inf_entry", "narrow_gamma", "A_hat_lags", "narrow_d_hat",
+        "short_surrogate_residuals", "B_hat_rows", "short_residuals", "ragged",
+        "not_an_array", "overflow"])
+def test_fit_document_malformed_rejected(edit):
+    doc = _fit_document()
+    edit(doc)
+    with pytest.raises(InvalidData):
+        joint_fit_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [[], None, {"schema": "surrocast-fit/0"}])
+def test_fit_document_wrong_schema_rejected(doc):
+    with pytest.raises(InvalidData, match="schema"):
+        joint_fit_from_dict(doc)

@@ -101,6 +101,20 @@ def test_arx_geometric_recursion():
     np.testing.assert_allclose(fc.point, [2.0, 1.0, 0.5])
 
 
+def test_history_shorter_than_ar_order_rejected():
+    # one month of history cannot supply the two lags of an AR(2)
+    fit = ArxFit(alpha_hat=np.array([0.5, 0.3]), theta_hat=np.zeros(0),
+                 beta_hat=np.zeros(0), sigma_e_hat=1.0, residuals=np.zeros(3),
+                 q1=2)
+    with pytest.raises(InsufficientSample, match="q1=2"):
+        forecast_arx(fit, np.array([2.0]), None, 2)
+    mp, sp = build_panels([2.0], [[0.1]])
+    fut = FutureExogenous(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 1)))
+    with pytest.raises(InsufficientSample, match="q1=2"):
+        forecast_joint(_manual_joint([0.5, 0.3], [1.0]),
+                       _manual_surrogate([[0.0]]), mp, sp, fut, 2)
+
+
 def test_arx_equals_joint_when_gamma_zero():
     mp, sp, _ = generate(benchmark_dgp(0.3, T=80, seed=5))
     jf, sf = fit_joint(mp, sp, 2, 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -58,12 +59,33 @@ from .simulation import ExperimentGrid, run_experiment
 __all__ = ["main"]
 
 
+# argparse type= converters: a malformed value is a usage error (exit 2).
+
 def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+        if all(math.isfinite(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected comma-separated finite numbers, got {text!r}")
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _matrix(text: str) -> np.ndarray:
+    rows = [_floats(row) for row in text.split(";")]
+    if len({len(row) for row in rows}) != 1:
+        raise argparse.ArgumentTypeError(
+            f"matrix rows (separated by ';') differ in length: {text!r}")
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +184,8 @@ def _cmd_select(args) -> int:
 
 def _cmd_simulate(args) -> int:
     grid = ExperimentGrid(
-        rhos=tuple(_floats(args.rho_grid)),
-        horizons=tuple(_ints(args.H_grid)),
+        rhos=tuple(args.rho_grid),
+        horizons=tuple(args.H_grid),
         variant=args.variant,
         total_months=args.total_months,
         alpha=args.alpha,
@@ -179,16 +201,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    return np.array([_floats(row) for row in text.split(";")])
-
-
 def _cmd_efficiency(args) -> int:
     if args.sigma_ts is not None or args.sigma_ss is not None:
         if args.sigma_ts is None or args.sigma_ss is None:
             raise InvalidData("provide both --sigma-ts and --sigma-ss")
-        sigma_ts = np.array(_floats(args.sigma_ts))
-        sigma_ss = _parse_matrix(args.sigma_ss)
+        sigma_ts, sigma_ss = args.sigma_ts, args.sigma_ss
     else:
         sigma_ts = np.full(args.K, args.rho)
         sigma_ss = np.eye(args.K)
@@ -207,11 +224,11 @@ def _cmd_aggregate_daily(args) -> int:
 
 
 def _cmd_standardize(args) -> int:
-    header, rows = _read_rows(args.input)
+    header, rows, lines = _read_rows(args.input)
     if len(header) != 2 or any(len(row) != 2 for row in rows):
         raise InvalidData(f"{args.input}: expected a two-column CSV (label,value)")
-    values = np.array([_parse_float(row[1], f"{args.input}:{i + 2}")
-                       for i, row in enumerate(rows)])
+    values = np.array([_parse_float(row[1], f"{args.input}:{line}")
+                       for row, line in zip(rows, lines)])
     if args.mode == "cpi":
         std = standardize_cpi(values, base=args.base, train_size=args.train_size)
     else:
@@ -289,9 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("simulate", help="Monte Carlo evaluation harness")
-    p.add_argument("--rho-grid", default="0.1,0.2,0.3,0.4",
+    p.add_argument("--rho-grid", type=_floats, default="0.1,0.2,0.3,0.4",
                    help="comma-separated error-correlation levels")
-    p.add_argument("--H-grid", default="8,9,10,11,12,13,14,15",
+    p.add_argument("--H-grid", type=_ints, default="8,9,10,11,12,13,14,15",
                    help="comma-separated holdout horizons")
     p.add_argument("--Q", type=int, default=500, help="repetitions per cell")
     p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -320,9 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.1,
                    help="common target/surrogate error correlation")
     p.add_argument("--K", type=int, default=3, help="surrogate dimension")
-    p.add_argument("--sigma-ts", default=None,
+    p.add_argument("--sigma-ts", type=_floats, default=None,
                    help="explicit cross-covariances, comma-separated")
-    p.add_argument("--sigma-ss", default=None,
+    p.add_argument("--sigma-ss", type=_matrix, default=None,
                    help="explicit surrogate covariance, rows separated by ';'")
     p.set_defaults(func=_cmd_efficiency)
 

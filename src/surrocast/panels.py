@@ -321,16 +321,30 @@ def _parse_float(text: str, where: str) -> float:
     return value
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """Stripped header and non-empty rows; InvalidData unless UTF-8 CSV text."""
+def _parse_date(text: str, where: str) -> _dt.date:
+    try:
+        return _dt.date.fromisoformat(text)
+    except ValueError as exc:
+        raise InvalidData(f"{where}: bad date {text!r}") from exc
+
+
+def _read_rows(path: str) -> tuple[list[str], list[list[str]], list[int]]:
+    """Stripped header, the non-empty rows after it and the file line of each
+    row (its last line, if a quoted field spans several); InvalidData unless
+    UTF-8 CSV text."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InvalidData(f"{path}: unreadable CSV ({exc})") from None
     if not rows:
         raise InvalidData(f"{path}: empty file")
-    return [h.strip() for h in rows[0]], rows[1:]
+    return [h.strip() for h in rows[0]], rows[1:], lines[1:]
 
 
 def _numbered_columns(header: list[str], prefix: str) -> list[int]:
@@ -342,15 +356,17 @@ def _numbered_columns(header: list[str], prefix: str) -> list[int]:
     return [i for _, i in cols]
 
 
-def _read_table(path: str, lead: tuple[str, ...], prefixes: tuple[str, ...] = ()
-                ) -> tuple[list[str], list[np.ndarray]]:
+def _read_table(path: str, lead: tuple[str, ...], prefixes: tuple[str, ...] = (),
+                parse_label=lambda text, where: text
+                ) -> tuple[list, list[np.ndarray]]:
     """Labels and float blocks of a CSV whose header starts with ``lead``.
 
     ``lead[0]`` is the label column and each later name a block of width 1;
     then one block ``prefix1..prefixN`` (N >= 0, anywhere after ``lead``) per
-    prefix. A table without prefixes has exactly the ``lead`` columns.
+    prefix. A table without prefixes has exactly the ``lead`` columns. Each
+    stripped label goes through ``parse_label(text, "path:line")``.
     """
-    header, rows = _read_rows(path)
+    header, rows, lines = _read_rows(path)
     exact = not prefixes
     if (header if exact else header[:len(lead)]) != list(lead):
         raise InvalidData(f"{path}: header must {'be' if exact else 'start with'} "
@@ -359,12 +375,13 @@ def _read_table(path: str, lead: tuple[str, ...], prefixes: tuple[str, ...] = ()
     groups += [_numbered_columns(header, prefix) for prefix in prefixes]
     cols = [c for group in groups for c in group]
     labels, values = [], np.empty((len(rows), len(cols)))
-    for r, row in enumerate(rows):
+    for r, (row, line) in enumerate(zip(rows, lines)):
+        where = f"{path}:{line}"
         if len(row) != len(header):
-            raise InvalidData(f"{path}:{r + 2}: expected {len(header)} fields")
-        labels.append(row[0].strip())
+            raise InvalidData(f"{where}: expected {len(header)} fields")
+        labels.append(parse_label(row[0].strip(), where))
         for j, c in enumerate(cols):
-            values[r, j] = _parse_float(row[c], f"{path}:{r + 2} {header[c]}")
+            values[r, j] = _parse_float(row[c], f"{where} {header[c]}")
     edges = np.cumsum([len(group) for group in groups])[:-1]
     return labels, [block.copy() for block in np.split(values, edges, axis=1)]
 
@@ -394,13 +411,7 @@ def read_surrogate_csv(path: str) -> SurrogatePanel:
 
 def read_daily_csv(path: str) -> DailyIndex:
     """Read ``date,score`` (date as YYYY-MM-DD)."""
-    labels, (scores,) = _read_table(path, ("date", "score"))
-    dates = []
-    for ln, label in enumerate(labels, start=2):
-        try:
-            dates.append(_dt.date.fromisoformat(label))
-        except ValueError as exc:
-            raise InvalidData(f"{path}:{ln}: bad date {label!r}") from exc
+    dates, (scores,) = _read_table(path, ("date", "score"), parse_label=_parse_date)
     return DailyIndex(dates=tuple(dates), scores=scores[:, 0])
 
 

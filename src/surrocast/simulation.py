@@ -19,7 +19,6 @@ import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     BaselineDegenerate,
@@ -68,6 +67,16 @@ __all__ = [
 VARIANTS = ("base", "omitted", "overfit", "student-t")
 
 
+def _lfilter(b, a, x, axis=-1):
+    """scipy.signal.lfilter, imported on the first call.
+
+    Only the simulator filters, so importing surrocast (and every data
+    command of the CLI) does not pay the import of scipy.
+    """
+    from scipy.signal import lfilter
+    return lfilter(b, a, x, axis=axis)
+
+
 @dataclass(frozen=True)
 class Ar1Spec:
     """Independent AR(1) columns with a given stationary standard deviation."""
@@ -87,7 +96,7 @@ class Ar1Spec:
             return np.zeros((n, 0))
         innov = rng.standard_normal((n, self.n_cols))
         innov *= self.scale * np.sqrt(1.0 - self.phi**2)
-        return lfilter([1.0], [1.0, -self.phi], innov, axis=0)
+        return _lfilter([1.0], [1.0, -self.phi], innov, axis=0)
 
 
 def equicorrelated(dim: int, rho: float) -> np.ndarray:
@@ -217,7 +226,7 @@ def _var_recursion(A_S: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         stacked[:, :K] = inputs
         w = np.linalg.solve(vecs, stacked.T)
         for i, lam in enumerate(vals):
-            w[i] = lfilter([1.0], [1.0, -lam], w[i])
+            w[i] = _lfilter([1.0], [1.0, -lam], w[i])
         return np.real((vecs @ w).T[:, :K])
     ys = np.zeros((n, K))
     for t in range(n):
@@ -240,7 +249,7 @@ def generate(spec: DgpSpec) -> tuple[MonthlyPanel, SurrogatePanel, SimTruth]:
     ys = _var_recursion(spec.A_S, x @ spec.B_S.T + eps[:, 1:])
 
     driver = z @ spec.theta + x @ spec.beta + eps[:, 0]
-    y = lfilter([1.0], np.concatenate([[1.0], -spec.alpha]), driver)
+    y = _lfilter([1.0], np.concatenate([[1.0], -spec.alpha]), driver)
 
     b = spec.burn_in
     times = month_range("2019-01", spec.T)

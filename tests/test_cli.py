@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from surrocast import benchmark_dgp, generate
 from surrocast.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _write_workspace(directory, seed=77):
@@ -344,6 +350,26 @@ def test_efficiency_pd_violation_exit_code(capsys):
     assert json.loads(capsys.readouterr().err.strip())["code"] == "InvalidCovariance"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--rho-grid", "0.1,abc", "--out", "never.csv"], "--rho-grid"),
+    (["simulate", "--rho-grid", "0.1,nan", "--out", "never.csv"], "--rho-grid"),
+    (["simulate", "--H-grid", "8,x", "--out", "never.csv"], "--H-grid"),
+    (["efficiency", "--sigma-ts", "0.4,y", "--sigma-ss", "1,0;0,1"], "--sigma-ts"),
+    (["efficiency", "--sigma-ts", "0.4,0.4", "--sigma-ss", "1,0;0,1,2"], "--sigma-ss"),
+])
+def test_malformed_numeric_flag_is_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_efficiency_mis_sized_covariance_exit_code(capsys):
+    rc = main(["efficiency", "--sigma-ts", "0.4,0.4,0.4", "--sigma-ss", "1,0;0,1"])
+    assert rc == 3
+    assert _one_error_code(capsys) == "InvalidData"
+
+
 # ---------------------------------------------------------------------------
 # aggregate-daily
 # ---------------------------------------------------------------------------
@@ -625,3 +651,50 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["interval", "--method", "nonsense"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# start-up: only the simulator loads scipy
+# ---------------------------------------------------------------------------
+
+_SCIPY_FREE = """
+import json, sys
+import surrocast, surrocast.cli
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    assert surrocast.cli.main(argv) == 0, argv
+    seen[argv[0] + " " + " ".join(argv[1:3])] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_data_commands_do_not_import_scipy(workspace):
+    # importing scipy.stats cost about 1.2 s of every command's start-up;
+    # the package and the data commands must not load any part of scipy
+    ws, d = workspace, workspace["dir"]
+    _write_daily(d / "daily.csv", [[f"2021-01-{k:02d}", repr(k / 31)]
+                                   for k in range(1, 32)])
+    common = ["--fit", str(d / "fit.json"), "--monthly", ws["monthly"],
+              "--surrogate", ws["surrogate"], "--future", ws["future"],
+              "--horizon", str(ws["horizon"])]
+    commands = [
+        ["efficiency", "--sigma-tt", "1.0", "--rho", "0.3"],
+        ["aggregate-daily", "--daily", str(d / "daily.csv"), "--out", str(d / "s.csv")],
+        _fit_args(ws, d / "fit.json"),
+        ["forecast", *common, "--out", str(d / "fc.csv")],
+        ["interval", "--method", "bj", *common, "--out", str(d / "bj.csv")],
+        ["interval", "--method", "boot", "--B", "100", *common,
+         "--out", str(d / "boot.csv")],
+        ["select", "--monthly", ws["monthly"], "--out", str(d / "sel.csv")],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(seen) == 1 + len(commands)
+    assert all(modules == [] for modules in seen.values()), seen

@@ -33,6 +33,7 @@ from surrocast.intervals import (
     _batched_refit,
     _empirical_quantile,
     _joint_forecast_gradient,
+    _ndtri,
     _psi_weights,
 )
 
@@ -579,3 +580,37 @@ def test_efficiency_monotone_in_rho():
 def test_efficiency_rejects_non_pd_surrogate_cov():
     with pytest.raises(InvalidCovariance):
         efficiency_gain(1.0, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("sigma_ts,sigma_ss", [
+    (np.full(3, 0.4), np.eye(2)),                      # K of 3 against 2
+    (np.full(2, 0.4), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
+    (np.full((1, 2), 0.4), np.eye(2)),                 # not a vector
+])
+def test_efficiency_rejects_mismatched_shapes(sigma_ts, sigma_ss):
+    with pytest.raises(InvalidData):
+        efficiency_gain(1.0, sigma_ts, sigma_ss)
+
+
+# ---------------------------------------------------------------------------
+# normal quantile
+# ---------------------------------------------------------------------------
+
+def test_ndtri_bit_identical_to_scipy():
+    # scipy.special.ndtri (which norm.ppf calls) is the oracle: every branch
+    # of the Cephes port must return the same double, not a close one
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(20261018)
+    central = rng.uniform(0.136, 0.864, 4000)            # exp(-2) < p < 1 - exp(-2)
+    tail = 10.0 ** rng.uniform(-13.8, -0.87, 4000)       # 2 <= sqrt(-2 log p) < 8
+    far = 10.0 ** rng.uniform(-300.0, -13.9, 4000)       # sqrt(-2 log p) >= 8
+    alphas = np.array([0.01, 0.05, 0.1, 0.2, 0.32])
+    edges = np.array([math.exp(-2.0), np.nextafter(math.exp(-2.0), 1.0),
+                      math.exp(-32.0), np.nextafter(math.exp(-32.0), 0.0),
+                      0.5, 5e-324])
+    lower = np.concatenate([central, tail, far, alphas / 2.0, edges])
+    p = np.concatenate([lower, 1.0 - lower])              # the upper half too
+    mine = np.array([_ndtri(float(v)) for v in p])
+    assert np.array_equal(mine, ndtri(p))
+    assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf

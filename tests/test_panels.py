@@ -15,6 +15,7 @@ from surrocast import (
     SurrogatePanel,
     aggregate_daily,
     month_range,
+    read_daily_csv,
     read_monthly_csv,
     read_surrogate_csv,
     standardize_cpi,
@@ -217,3 +218,15 @@ def test_csv_reader_errors_name_line_and_column(tmp_path):
     path.write_bytes(b"month,ys_1\n2020-01,0.\xff5\n")
     with pytest.raises(InvalidData, match="unreadable CSV"):
         read_surrogate_csv(str(path))
+
+
+def test_csv_reader_errors_count_file_lines(tmp_path):
+    # a blank line is skipped but still counted: the bad cell is on line 5
+    path = tmp_path / "blank.csv"
+    path.write_text("month,y\n2020-01,1.0\n\n2020-02,2.0\n2020-03,abc\n")
+    with pytest.raises(InvalidData, match=r"blank.csv:5 y: 'abc' is not a number"):
+        read_monthly_csv(str(path))
+    daily = tmp_path / "daily.csv"
+    daily.write_text("date,score\n\n2021-01-01,0.1\n\n2021-01-32,0.2\n")
+    with pytest.raises(InvalidData, match=r"daily.csv:5: bad date '2021-01-32'"):
+        read_daily_csv(str(daily))

@@ -12,8 +12,8 @@ import numpy as np
 
 from surrocast import benchmark_dgp, fit_joint, generate, residual_pairs
 
-spec = benchmark_dgp(rho=0.4, T=600, seed=7)
-mp, sp, truth = generate(spec)
+spec = benchmark_dgp(rho=0.4, T=600)
+mp, sp, truth = generate(spec, 7)
 print(f"generated {mp.T} months: y plus {mp.p} covariate columns, "
       f"surrogate block {sp.ys.shape}")
 

@@ -25,7 +25,7 @@ from surrocast import (
 )
 
 H, total = 8, 60
-mp, sp, _ = generate(benchmark_dgp(rho=0.2, T=total, seed=5))
+mp, sp, _ = generate(benchmark_dgp(rho=0.2, T=total), 5)
 T = total - H
 mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
 fut = FutureExogenous(mp.z[T:], mp.x[T:], sp.ys[T:])

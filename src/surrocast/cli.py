@@ -61,23 +61,28 @@ __all__ = ["main"]
 
 # argparse type= converters: a malformed value is a usage error (exit 2).
 
-def _floats(text: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-        if all(math.isfinite(v) for v in values):
-            return values
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected comma-separated finite numbers, got {text!r}")
+def _converter(parse, valid, expected: str):
+    """A type= function: parse(text), accepted only when valid(value)."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
 
 
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+def _split(kind):
+    return lambda text: [kind(v) for v in text.split(",") if v.strip()]
+
+
+_floats = _converter(_split(float), lambda vs: all(map(math.isfinite, vs)),
+                     "comma-separated finite numbers")
+_ints = _converter(_split(int), lambda vs: True, "comma-separated integers")
+_finite_float = _converter(float, math.isfinite, "a finite number")
+_positive_int = _converter(int, lambda v: v >= 1, "a positive integer")
 
 
 def _matrix(text: str) -> np.ndarray:
@@ -332,11 +337,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("efficiency",
                        help="prediction-error variance ratio from the surrogate")
-    p.add_argument("--sigma-tt", type=float, default=1.0,
+    p.add_argument("--sigma-tt", type=_finite_float, default=1.0,
                    help="target error variance")
-    p.add_argument("--rho", type=float, default=0.1,
+    p.add_argument("--rho", type=_finite_float, default=0.1,
                    help="common target/surrogate error correlation")
-    p.add_argument("--K", type=int, default=3, help="surrogate dimension")
+    p.add_argument("--K", type=_positive_int, default=3, help="surrogate dimension")
     p.add_argument("--sigma-ts", type=_floats, default=None,
                    help="explicit cross-covariances, comma-separated")
     p.add_argument("--sigma-ss", type=_matrix, default=None,

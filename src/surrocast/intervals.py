@@ -504,6 +504,8 @@ def efficiency_gain(
             f"Sigma_ts of shape {Sigma_ts.shape} needs a ({K}, {K}) Sigma_ss, "
             f"got {Sigma_ss.shape}"
         )
+    if not np.isfinite(np.concatenate([[sigma_tt], Sigma_ts, Sigma_ss.ravel()])).all():
+        raise InvalidData("sigma_tt, Sigma_ts and Sigma_ss must be finite")
     if sigma_tt <= 0.0:
         raise InvalidCovariance("sigma_tt must be positive")
     if not np.allclose(Sigma_ss, Sigma_ss.T):

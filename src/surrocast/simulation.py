@@ -104,10 +104,6 @@ def equicorrelated(dim: int, rho: float) -> np.ndarray:
     return np.full((dim, dim), rho) + (1.0 - rho) * np.eye(dim)
 
 
-def _spectral_radius(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
-
-
 def _var_companion(A_S: np.ndarray) -> np.ndarray:
     q2, K, _ = A_S.shape
     comp = np.zeros((K * q2, K * q2))
@@ -125,6 +121,9 @@ class DgpSpec:
     target error variance, the rest the surrogate block. error_kind
     'student-t' rescales a multivariate t(df) so its covariance still equals
     Sigma. x_gen (and optionally z_gen) drive the exogenous columns.
+
+    A spec is validated and factored once, when it is built; every draw by
+    ``generate`` reuses its factors.
     """
 
     alpha: np.ndarray
@@ -139,7 +138,10 @@ class DgpSpec:
     error_kind: str = "gaussian"
     df: float = 10.0
     burn_in: int = 200
-    seed: object = 0
+    # Cholesky factor of the covariance of the normal part of each innovation
+    _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    # eig of the surrogate companion matrix; None when it is not diagonalizable
+    _modes: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("alpha", "beta", "theta"):
@@ -156,28 +158,35 @@ class DgpSpec:
         object.__setattr__(self, "Sigma", Sigma)
         if Sigma.shape != (1 + K, 1 + K) or not np.allclose(Sigma, Sigma.T):
             raise InvalidCovariance(f"Sigma must be symmetric ({1 + K} x {1 + K})")
-        try:
-            np.linalg.cholesky(Sigma)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidCovariance("Sigma is not positive definite") from exc
         if self.error_kind not in ("gaussian", "student-t"):
             raise InvalidData(f"unknown error_kind {self.error_kind!r}")
-        if self.error_kind == "student-t" and self.df <= 2:
+        if self.error_kind == "student-t" and not self.df > 2:
             raise InvalidData("student-t errors need df > 2 for a finite covariance")
+        # a t(df) draw is a normal draw times sqrt(df / chi2(df)), whose
+        # variance is df / (df - 2); the normal part is shrunk to match
+        normal_cov = (Sigma if self.error_kind == "gaussian"
+                      else Sigma * (self.df - 2.0) / self.df)
+        try:
+            object.__setattr__(self, "_chol", np.linalg.cholesky(normal_cov))
+        except np.linalg.LinAlgError as exc:
+            raise InvalidCovariance("Sigma is not positive definite") from exc
         if B_S.shape[1] != self.beta.shape[0]:
             raise InvalidData("beta and B_S must agree on the number of x columns")
         if self.x_gen.n_cols != self.beta.shape[0]:
             raise InvalidData("x_gen must generate one column per beta entry")
         if self.z_gen.n_cols != self.theta.shape[0]:
             raise InvalidData("z_gen must generate one column per theta entry")
-        r1 = _spectral_radius(companion_matrix(self.alpha))
-        r2 = _spectral_radius(_var_companion(A_S))
+        r1 = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(self.alpha)))))
+        vals, vecs = np.linalg.eig(_var_companion(A_S))
+        r2 = float(np.max(np.abs(vals)))
         if r1 >= 1.0 or r2 >= 1.0:
             raise NonStationarySpec(
                 f"spectral radii must be < 1 (target {r1:.3f}, surrogate {r2:.3f})"
             )
         if self.T < 1 or self.burn_in < 0:
             raise InvalidData("T must be >= 1 and burn_in >= 0")
+        modes = (vals, vecs) if np.linalg.cond(vecs) < 1e8 else None
+        object.__setattr__(self, "_modes", modes)
 
     @property
     def q1(self) -> int:
@@ -201,28 +210,24 @@ class SimTruth:
 
 
 def _draw_innovations(spec: DgpSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    normals = rng.standard_normal((n, 1 + spec.K)) @ spec._chol.T
     if spec.error_kind == "gaussian":
-        chol = np.linalg.cholesky(spec.Sigma)
-        return rng.standard_normal((n, 1 + spec.K)) @ chol.T
-    scale = spec.Sigma * (spec.df - 2.0) / spec.df
-    chol = np.linalg.cholesky(scale)
-    normals = rng.standard_normal((n, 1 + spec.K)) @ chol.T
+        return normals
     mix = np.sqrt(spec.df / rng.chisquare(spec.df, size=n))
     return normals * mix[:, None]
 
 
-def _var_recursion(A_S: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+def _var_recursion(spec: DgpSpec, inputs: np.ndarray) -> np.ndarray:
     """ys_t = sum_l A_l ys_{t-l} + inputs_t from zero initial states.
 
-    Diagonalizes the stacked VAR(1) form so the recursion runs as independent
-    scalar filters; falls back to the direct loop for defective matrices.
+    Runs the stacked VAR(1) form in the spec's eigenbasis as independent
+    scalar filters; a spec without modes (a defective companion matrix)
+    takes the direct loop.
     """
     n, K = inputs.shape
-    q2 = A_S.shape[0]
-    comp = _var_companion(A_S)
-    vals, vecs = np.linalg.eig(comp)
-    if np.linalg.cond(vecs) < 1e8:
-        stacked = np.zeros((n, K * q2), dtype=complex)
+    if spec._modes is not None:
+        vals, vecs = spec._modes
+        stacked = np.zeros((n, K * spec.q2), dtype=complex)
         stacked[:, :K] = inputs
         w = np.linalg.solve(vecs, stacked.T)
         for i, lam in enumerate(vals):
@@ -231,22 +236,22 @@ def _var_recursion(A_S: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     ys = np.zeros((n, K))
     for t in range(n):
         acc = inputs[t].copy()
-        for l in range(1, min(q2, t) + 1):
-            acc += A_S[l - 1] @ ys[t - l]
+        for l in range(1, min(spec.q2, t) + 1):
+            acc += spec.A_S[l - 1] @ ys[t - l]
         ys[t] = acc
     return ys
 
 
-def generate(spec: DgpSpec) -> tuple[MonthlyPanel, SurrogatePanel, SimTruth]:
-    """Draw one panel pair of length spec.T from the joint process."""
-    rng = np.random.default_rng(spec.seed)
+def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel, SimTruth]:
+    """Draw one panel pair of length spec.T from the joint process, seeded
+    by anything np.random.default_rng accepts."""
+    rng = np.random.default_rng(seed)
     n = spec.burn_in + spec.T
-    K = spec.K
     eps = _draw_innovations(spec, rng, n)
     x = spec.x_gen.draw(rng, n)
     z = spec.z_gen.draw(rng, n)
 
-    ys = _var_recursion(spec.A_S, x @ spec.B_S.T + eps[:, 1:])
+    ys = _var_recursion(spec, x @ spec.B_S.T + eps[:, 1:])
 
     driver = z @ spec.theta + x @ spec.beta + eps[:, 0]
     y = _lfilter([1.0], np.concatenate([[1.0], -spec.alpha]), driver)
@@ -264,8 +269,6 @@ def benchmark_dgp(
     error_kind: str = "gaussian",
     df: float = 10.0,
     x_scale: float = 6.0,
-    seed: object = 0,
-    burn_in: int = 200,
 ) -> DgpSpec:
     """Standard harness process: ARX(2) target, VARX(1) K=3 surrogate.
 
@@ -294,8 +297,6 @@ def benchmark_dgp(
         x_gen=Ar1Spec(2, phi=0.5, scale=x_scale),
         error_kind=error_kind,
         df=df,
-        burn_in=burn_in,
-        seed=seed,
     )
 
 
@@ -349,22 +350,22 @@ def coverage_length(
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """One simulation experiment: a grid of correlations and horizons."""
+    """One simulation experiment: a grid of correlations and horizons.
+
+    Every repetition standardises the target on its training window and fits
+    the joint model with q1=2, q2=1 against an AR benchmark of order <= 4;
+    the student-t variant draws t(10) innovations.
+    """
 
     rhos: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
     horizons: tuple[int, ...] = (8, 9, 10, 11, 12, 13, 14, 15)
     variant: str = "base"
     total_months: int = 60
-    q1: int = 2
-    q2: int = 1
-    ar_q_max: int = 4
     alpha: float = 0.05
     B: int = 500
     x_scale: float = 6.0
-    df: float = 10.0
     include_intervals: bool = True
     include_boot: bool = True
-    standardize: bool = True
     workers: int = 1
     check_holdout: bool = False
 
@@ -373,6 +374,8 @@ class ExperimentGrid:
             raise InvalidData(f"variant must be one of {VARIANTS}")
         if not self.rhos or not self.horizons:
             raise InvalidData("rho and horizon grids must be non-empty")
+        if not np.isfinite(self.rhos).all():
+            raise InvalidData(f"rho values must be finite, got {self.rhos}")
         if any(h < 1 or h >= self.total_months for h in self.horizons):
             raise InvalidData("horizons must satisfy 1 <= H < total_months")
 
@@ -416,37 +419,31 @@ def _fit_stage(grid: ExperimentGrid, mp_tr: MonthlyPanel, sp_tr: SurrogatePanel,
     if grid.variant == "overfit":  # two pure-noise columns in the surrogate fit
         noise = np.random.default_rng(noise_ss).standard_normal((mp_tr.T, 2))
         x_sur = np.hstack([x_sur, noise])
-    sf = fit_surrogate(sp_tr, x_sur, grid.q2)
-    jf = fit_joint_step2(mp_tr, sp_tr, sf, grid.q1)
-    ar = fit_arx(mp_tr.y, select_ar_order(mp_tr.y, grid.ar_q_max))
+    sf = fit_surrogate(sp_tr, x_sur, 1)
+    jf = fit_joint_step2(mp_tr, sp_tr, sf, 2)
+    ar = fit_arx(mp_tr.y, select_ar_order(mp_tr.y, 4))
     return jf, sf, ar
 
 
-def _run_rep(grid: ExperimentGrid, seed: int, rho: float, H: int, rep: int) -> dict:
+def _run_rep(task: tuple) -> dict:
+    grid, spec, seed, rho, H, rep = task
     dgp_ss, noise_ss, boot_ss = _rep_seeds(seed, grid.variant, rho, H, rep)
-    spec = benchmark_dgp(
-        rho, T=grid.total_months, x_scale=grid.x_scale,
-        error_kind="student-t" if grid.variant == "student-t" else "gaussian",
-        df=grid.df, seed=dgp_ss,
-    )
-    mp, sp, _ = generate(spec)
+    mp, sp, _ = generate(spec, dgp_ss)
     T_train = grid.total_months - H
-    y = mp.y
-    if grid.standardize:
-        y = standardize_cpi(y, base=0.0, train_size=T_train).values
+    y = standardize_cpi(mp.y, base=0.0, train_size=T_train).values
     x = mp.x
     if grid.variant == "omitted":
         x = x[:, :-1]  # second predictor withheld from estimation and forecasts
-    mp = MonthlyPanel(mp.times, y, mp.z, x)
-    mp_tr, sp_tr = mp.slice(0, T_train), sp.slice(0, T_train)
+    mp_tr = MonthlyPanel(mp.times[:T_train], y[:T_train], mp.z[:T_train],
+                         x[:T_train])
+    sp_tr = sp.slice(0, T_train)
 
     jf, sf, ar = _fit_stage(grid, mp_tr, sp_tr, noise_ss)
     if grid.check_holdout:
-        y_poisoned = mp.y.copy()
+        y_poisoned = y.copy()
         y_poisoned[T_train:] = 1e300
-        mp_poisoned = MonthlyPanel(mp.times, y_poisoned, mp.z, mp.x)
-        jf2, _, ar2 = _fit_stage(grid, mp_poisoned.slice(0, T_train), sp_tr,
-                                 noise_ss)
+        mp_poisoned = MonthlyPanel(mp_tr.times, y_poisoned[:T_train], mp_tr.z, mp_tr.x)
+        jf2, _, ar2 = _fit_stage(grid, mp_poisoned, sp_tr, noise_ss)
         same = (
             np.array_equal(jf.alpha_hat, jf2.alpha_hat)
             and np.array_equal(jf.gamma_hat, jf2.gamma_hat)
@@ -455,9 +452,8 @@ def _run_rep(grid: ExperimentGrid, seed: int, rho: float, H: int, rep: int) -> d
         if not same:
             raise AssertionError("holdout rows leaked into a fit")
 
-    fut = FutureExogenous(mp.z[T_train:], mp.x[T_train:], sp.ys[T_train:])
+    fut = FutureExogenous(mp.z[T_train:], x[T_train:], sp.ys[T_train:])
     y_train = mp_tr.y
-    y_test = mp.y[T_train:]
 
     fc_joint = forecast_joint(jf, sf, mp_tr, sp_tr, fut, H)
     fc_ar = forecast_arx(ar, y_train, None, H, method=Method.AR)
@@ -465,7 +461,7 @@ def _run_rep(grid: ExperimentGrid, seed: int, rho: float, H: int, rep: int) -> d
     fc_ave = forecast_ave(y_train, H)
 
     out = {
-        "truth": y_test,
+        "truth": y[T_train:],
         "JOINT": fc_joint.point,
         "AR": fc_ar.point,
         "RW": fc_rw.point,
@@ -486,11 +482,6 @@ def _run_rep(grid: ExperimentGrid, seed: int, rho: float, H: int, rep: int) -> d
     return out
 
 
-def _worker(task) -> tuple[tuple, dict]:
-    grid, seed, rho, H, rep = task
-    return (rho, H, rep), _run_rep(grid, seed, rho, H, rep)
-
-
 def run_experiment(grid: ExperimentGrid, Q: int, seed: int) -> SimulationReport:
     """Run the full grid with Q repetitions per cell.
 
@@ -500,21 +491,22 @@ def run_experiment(grid: ExperimentGrid, Q: int, seed: int) -> SimulationReport:
     """
     if Q < 1:
         raise InvalidData("Q must be >= 1")
+    error_kind = "student-t" if grid.variant == "student-t" else "gaussian"
+    specs = {rho: benchmark_dgp(rho, T=grid.total_months, error_kind=error_kind,
+                                x_scale=grid.x_scale)
+             for rho in grid.rhos}
     tasks = [
-        (grid, seed, rho, H, rep)
+        (grid, specs[rho], seed, rho, H, rep)
         for rho in grid.rhos for H in grid.horizons for rep in range(Q)
     ]
-    results: dict[tuple, dict] = {}
     if grid.workers > 1:
         # about four chunks per worker, so that a small run is shared too
         chunksize = -(-len(tasks) // (4 * grid.workers))
         with concurrent.futures.ProcessPoolExecutor(grid.workers) as pool:
-            for key, res in pool.map(_worker, tasks, chunksize=chunksize):
-                results[key] = res
+            outs = list(pool.map(_run_rep, tasks, chunksize=chunksize))
     else:
-        for task in tasks:
-            key, res = _worker(task)
-            results[key] = res
+        outs = [_run_rep(task) for task in tasks]
+    results = {task[3:]: out for task, out in zip(tasks, outs)}  # (rho, H, rep)
 
     rows: list[ReportRow] = []
     for rho in grid.rhos:

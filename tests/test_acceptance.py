@@ -77,7 +77,7 @@ def _closed_form_coverages(rho: float, Q: int = 500, H: int = 8,
     plug, est, truth = [], [], []
     for rep in range(Q):
         dgp_ss, _, _ = _rep_seeds(SEED, "base", rho, H, rep)
-        mp, sp, _ = generate(benchmark_dgp(rho, T=total_months, seed=dgp_ss))
+        mp, sp, _ = generate(benchmark_dgp(rho, T=total_months), dgp_ss)
         std = standardize_cpi(mp.y, base=0.0, train_size=T)
         mp = MonthlyPanel(mp.times, std.values, mp.z, mp.x)
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
@@ -146,9 +146,8 @@ def _error_variance_ratio(master_seed: int, rho: float, T: int, Q: int) -> float
     for rep in range(Q):
         spec = DgpSpec(alpha=[0.5, -0.3], beta=[0.7, -0.2], A_S=A_S1,
                        B_S=B_S, Sigma=sigma, T=T + 1,
-                       x_gen=Ar1Spec(2, 0.5, 1.0),
-                       seed=(master_seed, int(rho * 100), rep))
-        mp, sp, _ = generate(spec)
+                       x_gen=Ar1Spec(2, 0.5, 1.0))
+        mp, sp, _ = generate(spec, (master_seed, int(rho * 100), rep))
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         fut = FutureExogenous(mp.z[T:], mp.x[T:], sp.ys[T:])
         jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)

@@ -21,7 +21,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 def _write_workspace(directory, seed=77):
     """History and future CSVs from one draw of the benchmark process."""
     total, horizon = 40, 6
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=total, seed=seed))
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=total), seed)
     T = total - horizon
 
     monthly = directory / "monthly.csv"
@@ -356,6 +356,11 @@ def test_efficiency_pd_violation_exit_code(capsys):
     (["simulate", "--H-grid", "8,x", "--out", "never.csv"], "--H-grid"),
     (["efficiency", "--sigma-ts", "0.4,y", "--sigma-ss", "1,0;0,1"], "--sigma-ts"),
     (["efficiency", "--sigma-ts", "0.4,0.4", "--sigma-ss", "1,0;0,1,2"], "--sigma-ss"),
+    (["efficiency", "--K", "-1"], "--K"),
+    (["efficiency", "--K", "0"], "--K"),
+    (["efficiency", "--sigma-tt", "nan"], "--sigma-tt"),
+    (["efficiency", "--rho", "nan"], "--rho"),
+    (["efficiency", "--rho", "inf"], "--rho"),
 ])
 def test_malformed_numeric_flag_is_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -68,7 +68,7 @@ def test_surrogate_recovery_benchmark_dgp():
     B_sum = np.zeros((3, 2))
     n_seeds = 20
     for seed in range(n_seeds):
-        mp, sp, _ = generate(benchmark_dgp(0.2, T=5000, seed=seed))
+        mp, sp, _ = generate(benchmark_dgp(0.2, T=5000), seed)
         sf = fit_surrogate(sp, mp.x, q2=1)
         A_sum += sf.A_hat[0]
         B_sum += sf.B_hat
@@ -109,7 +109,7 @@ def test_joint_gamma_vanishes_without_error_correlation():
     gamma_sum = np.zeros(3)
     n_seeds = 20
     for seed in range(n_seeds):
-        mp, sp, _ = generate(benchmark_dgp(0.0, T=10000, seed=100 + seed))
+        mp, sp, _ = generate(benchmark_dgp(0.0, T=10000), 100 + seed)
         jf, _ = fit_joint(mp, sp, 2, 1)
         gamma_sum += jf.gamma_hat
     assert np.max(np.abs(gamma_sum / n_seeds)) < 0.05
@@ -119,14 +119,14 @@ def test_joint_alpha_recovery():
     alpha_sum = np.zeros(2)
     n_seeds = 20
     for seed in range(n_seeds):
-        mp, sp, _ = generate(benchmark_dgp(0.4, T=5000, seed=200 + seed))
+        mp, sp, _ = generate(benchmark_dgp(0.4, T=5000), 200 + seed)
         jf, _ = fit_joint(mp, sp, 2, 1)
         alpha_sum += jf.alpha_hat
     np.testing.assert_allclose(alpha_sum / n_seeds, [0.5, -0.3], atol=0.05)
 
 
 def test_joint_reduces_residual_variance():
-    mp, sp, _ = generate(benchmark_dgp(0.4, T=5000, seed=7))
+    mp, sp, _ = generate(benchmark_dgp(0.4, T=5000), 7)
     jf, _ = fit_joint(mp, sp, 2, 1)
     arx = fit_arx(mp.y, 2, x=mp.x)
     # error variance drops by Sigma_ts Sigma_ss^{-1} Sigma_st = 3rho^2/(1+2rho)
@@ -134,14 +134,14 @@ def test_joint_reduces_residual_variance():
 
 
 def test_joint_sigma_denominator_is_t_minus_q1():
-    mp, sp, _ = generate(benchmark_dgp(0.2, T=200, seed=3))
+    mp, sp, _ = generate(benchmark_dgp(0.2, T=200), 3)
     jf, _ = fit_joint(mp, sp, 2, 1)
     expected = np.sqrt(np.sum(jf.residuals**2) / (mp.T - 2))
     assert jf.sigma_e_hat == pytest.approx(expected, rel=1e-12)
 
 
 def test_joint_orthogonality_invariant():
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=400, seed=11))
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=400), 11)
     jf, sf = fit_joint(mp, sp, 2, 1)
     q1 = 2
     lags = np.column_stack([mp.y[q1 - l: mp.T - l] for l in range(1, q1 + 1)])
@@ -152,7 +152,7 @@ def test_joint_orthogonality_invariant():
 
 
 def test_joint_x_scaling_invariance():
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=300, seed=13))
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=300), 13)
     jf, sf = fit_joint(mp, sp, 2, 1)
     from surrocast import MonthlyPanel
 
@@ -176,7 +176,7 @@ def test_joint_root_t_consistency_rate():
     errs = {500: [], 1000: []}
     for seed in range(50):
         for T in (500, 1000):
-            mp, sp, _ = generate(benchmark_dgp(0.3, T=T, seed=(seed, T)))
+            mp, sp, _ = generate(benchmark_dgp(0.3, T=T), (seed, T))
             jf, _ = fit_joint(mp, sp, 2, 1)
             coef = np.concatenate([jf.alpha_hat, jf.delta_hat, jf.gamma_hat])
             errs[T].append(np.linalg.norm(coef - truth))
@@ -187,7 +187,7 @@ def test_joint_root_t_consistency_rate():
 def test_joint_misaligned_panels_rejected():
     from surrocast import PanelMismatch
 
-    mp, sp, _ = generate(benchmark_dgp(0.2, T=50, seed=1))
+    mp, sp, _ = generate(benchmark_dgp(0.2, T=50), 1)
     sp_shifted = type(sp)(times=tuple(["2018-12"] + list(sp.times[:-1])),
                           ys=sp.ys)
     with pytest.raises(PanelMismatch):
@@ -198,7 +198,7 @@ def test_joint_misaligned_panels_rejected():
 # residual_pairs
 # ---------------------------------------------------------------------------
 
-def _no_x_dgp(rho, T, seed):
+def _no_x_dgp(rho, T):
     return DgpSpec(
         alpha=np.array([0.5, -0.3]),
         beta=np.zeros(0),
@@ -207,12 +207,11 @@ def _no_x_dgp(rho, T, seed):
         Sigma=np.full((4, 4), rho) + (1 - rho) * np.eye(4),
         T=T,
         x_gen=Ar1Spec(0),
-        seed=seed,
     )
 
 
 def test_residual_pairs_cardinality():
-    mp, sp, _ = generate(_no_x_dgp(0.2, 7 + 2, seed=5))
+    mp, sp, _ = generate(_no_x_dgp(0.2, 7 + 2), 5)
     # K=3 here; check row count = T - q1 and width 1 + K
     jf, sf = fit_joint(mp, sp, 2, 1)
     pairs = residual_pairs(jf, sf)
@@ -220,7 +219,7 @@ def test_residual_pairs_cardinality():
 
 
 def test_residual_pairs_uncorrelated_when_independent():
-    mp, sp, _ = generate(_no_x_dgp(0.0, 10000, seed=21))
+    mp, sp, _ = generate(_no_x_dgp(0.0, 10000), 21)
     jf, sf = fit_joint(mp, sp, 2, 1)
     pairs = residual_pairs(jf, sf)
     for k in range(1, 4):
@@ -229,7 +228,7 @@ def test_residual_pairs_uncorrelated_when_independent():
 
 
 def test_residual_pairs_correlated_dgp():
-    mp, sp, _ = generate(_no_x_dgp(0.4, 5000, seed=22))
+    mp, sp, _ = generate(_no_x_dgp(0.4, 5000), 22)
     jf, sf = fit_joint(mp, sp, 2, 1)
     pairs = residual_pairs(jf, sf)
     for k in range(1, 4):
@@ -242,7 +241,7 @@ def test_residual_pairs_correlated_dgp():
 # ---------------------------------------------------------------------------
 
 def test_fit_document_roundtrip():
-    mp, sp, _ = generate(benchmark_dgp(0.2, T=80, seed=9))
+    mp, sp, _ = generate(benchmark_dgp(0.2, T=80), 9)
     jf, sf = fit_joint(mp, sp, 2, 1)
     doc = joint_fit_to_dict(jf, sf)
     jf2, sf2 = joint_fit_from_dict(doc)
@@ -254,7 +253,7 @@ def test_fit_document_roundtrip():
 
 
 def _fit_document():
-    mp, sp, _ = generate(benchmark_dgp(0.2, T=40, seed=9))
+    mp, sp, _ = generate(benchmark_dgp(0.2, T=40), 9)
     return joint_fit_to_dict(*fit_joint(mp, sp, 2, 1))
 
 

@@ -116,7 +116,7 @@ def test_history_shorter_than_ar_order_rejected():
 
 
 def test_arx_equals_joint_when_gamma_zero():
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=80, seed=5))
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=80), 5)
     jf, sf = fit_joint(mp, sp, 2, 1)
     jf_zero = _manual_joint(jf.alpha_hat, np.zeros(3), d_hat_rows=len(jf.d_hat))
     object.__setattr__(jf_zero, "delta_hat", jf.delta_hat)
@@ -244,7 +244,7 @@ def test_ar_recursion_batch_property(data, q1, H, B, extra, shared_alpha,
 
 
 def test_rolling_consistency_joint():
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=46, seed=8))
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=46), 8)
     T_train = 40
     mp_tr, sp_tr = mp.slice(0, T_train), sp.slice(0, T_train)
     jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
@@ -270,7 +270,7 @@ def test_joint_forecast_asymptotically_unbiased():
     Q, T = 500, 2000
     errors = np.empty(Q)
     for rep in range(Q):
-        mp, sp, _ = generate(benchmark_dgp(0.3, T=T + 1, seed=(17, rep)))
+        mp, sp, _ = generate(benchmark_dgp(0.3, T=T + 1), (17, rep))
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
         fut = FutureExogenous(mp.z[T:], mp.x[T:], sp.ys[T:])

@@ -144,7 +144,7 @@ def test_bj_width_proportional_to_weight():
 
 
 def test_bj_serves_ar_baseline_fit():
-    mp, _, _ = generate(benchmark_dgp(0.2, T=100, seed=2))
+    mp, _, _ = generate(benchmark_dgp(0.2, T=100), 2)
     ar = fit_arx(mp.y, 2)
     fc = forecast_arx(ar, mp.y, None, 3)
     iv = bj_interval(fc, ar, 0.05)
@@ -156,7 +156,7 @@ def test_bj_serves_ar_baseline_fit():
 # ---------------------------------------------------------------------------
 
 def _fitted_setup(rho=0.3, T_total=60, H=8, seed=4):
-    mp, sp, _ = generate(benchmark_dgp(rho, T=T_total, seed=seed))
+    mp, sp, _ = generate(benchmark_dgp(rho, T=T_total), seed)
     T = T_total - H
     mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
     jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
@@ -285,7 +285,7 @@ def test_boot_matches_per_replicate_lstsq(q1, burn_in, rule, H):
     # the batched refit sums in another order than lstsq's SVD; the
     # endpoints may move by rounding only
     for seed in range(5):
-        mp, sp, _ = generate(benchmark_dgp(0.3, T=60, seed=(17, seed)))
+        mp, sp, _ = generate(benchmark_dgp(0.3, T=60), (17, seed))
         T = 52
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         jf, sf = fit_joint(mp_tr, sp_tr, q1, 1)
@@ -373,7 +373,7 @@ def test_boot_duplicated_covariate_unstable():
 def test_boot_rejects_panels_of_another_draw():
     jf, sf, mp, sp, fut, _ = _fitted_setup()
     # the fitted shape, but not the fitted sample
-    mp_o, sp_o, _ = generate(benchmark_dgp(0.3, T=60, seed=5))
+    mp_o, sp_o, _ = generate(benchmark_dgp(0.3, T=60), 5)
     with pytest.raises(PanelMismatch, match="reproduce the fit residuals"):
         boot_interval(jf, sf, mp_o.slice(0, mp.T), sp_o.slice(0, sp.T), fut,
                       4, BootstrapConfig(B=120), 0.05)
@@ -433,7 +433,7 @@ def test_estimated_gradient_matches_loop_oracle(q1):
     # the bound is relative to each column's largest entry, because an entry
     # that cancels to 1e-4 of it keeps only the column's absolute rounding
     for seed in range(3):
-        mp, sp, _ = generate(benchmark_dgp(0.3, T=60, seed=(23, seed)))
+        mp, sp, _ = generate(benchmark_dgp(0.3, T=60), (23, seed))
         mp_tr, sp_tr = mp.slice(0, 48), sp.slice(0, 48)
         jf, sf = fit_joint(mp_tr, sp_tr, q1, 1)
         fut = FutureExogenous(mp.z[48:], mp.x[48:], sp.ys[48:])
@@ -472,12 +472,12 @@ def test_estimated_wider_than_plug_in():
 def test_estimated_rejects_mispaired_panels():
     jf, sf, mp, sp, fut, _ = _fitted_setup()
     # same shape, different draw: the residuals are not reproduced
-    mp_o, sp_o, _ = generate(benchmark_dgp(0.3, T=60, seed=5))
+    mp_o, sp_o, _ = generate(benchmark_dgp(0.3, T=60), 5)
     with pytest.raises(PanelMismatch):
         bj_interval_estimated(jf, sf, mp_o.slice(0, mp.T),
                               sp_o.slice(0, sp.T), fut, 4, 0.05)
     # a history longer than the fitted sample
-    mp_l, sp_l, _ = generate(benchmark_dgp(0.3, T=60, seed=4))
+    mp_l, sp_l, _ = generate(benchmark_dgp(0.3, T=60), 4)
     with pytest.raises(PanelMismatch):
         bj_interval_estimated(jf, sf, mp_l, sp_l, fut, 4, 0.05)
     # target and surrogate panels of different lengths
@@ -487,7 +487,7 @@ def test_estimated_rejects_mispaired_panels():
 
 def test_estimated_needs_residual_degrees_of_freedom():
     # T - q1 = 7 rows for 7 coefficients: the fit is exact, s^2 is undefined
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=12, seed=6))
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=12), 6)
     mp, sp = mp.slice(0, 9), sp.slice(0, 9)
     jf, sf = fit_joint(mp, sp, 2, 1)
     fut = FutureExogenous(np.zeros((1, 0)), np.zeros((1, 2)), np.zeros((1, 3)))
@@ -502,7 +502,7 @@ def test_estimated_needs_residual_degrees_of_freedom():
 def _per_h_coverage(interval_kind, T=200, Q=500, H=5, rho=0.2, B=500):
     hits = np.zeros(H)
     for rep in range(Q):
-        mp, sp, _ = generate(benchmark_dgp(rho, T=T + H, seed=(31, rep)))
+        mp, sp, _ = generate(benchmark_dgp(rho, T=T + H), (31, rep))
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
         fut = FutureExogenous(mp.z[T:], mp.x[T:], sp.ys[T:])
@@ -539,7 +539,7 @@ def test_joint_bj_shorter_than_ar_baseline():
     # correlate and the covariate signal dominates the target variance
     ratios = []
     for rep in range(40):
-        mp, sp, _ = generate(benchmark_dgp(0.2, T=205, seed=(41, rep)))
+        mp, sp, _ = generate(benchmark_dgp(0.2, T=205), (41, rep))
         T = 200
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
@@ -590,6 +590,17 @@ def test_efficiency_rejects_non_pd_surrogate_cov():
 def test_efficiency_rejects_mismatched_shapes(sigma_ts, sigma_ss):
     with pytest.raises(InvalidData):
         efficiency_gain(1.0, sigma_ts, sigma_ss)
+
+
+@pytest.mark.parametrize("sigma_tt,sigma_ts,sigma_ss", [
+    (math.nan, np.full(3, 0.4), np.eye(3)),
+    (math.inf, np.full(3, 0.4), np.eye(3)),
+    (1.0, np.array([0.4, math.nan, 0.4]), np.eye(3)),
+    (1.0, np.full(3, 0.4), np.diag([1.0, math.inf, 1.0])),
+])
+def test_efficiency_rejects_non_finite_input(sigma_tt, sigma_ts, sigma_ss):
+    with pytest.raises(InvalidData, match="finite"):
+        efficiency_gain(sigma_tt, sigma_ts, sigma_ss)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .panels import (
     _write_csv,
 )
 from .selection import correlation_pursuit
-from .simulation import ExperimentGrid, run_experiment
+from .simulation import VARIANTS, ExperimentGrid, run_experiment
 
 __all__ = ["main"]
 
@@ -317,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated holdout horizons")
     p.add_argument("--Q", type=int, default=500, help="repetitions per cell")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--variant", choices=("base", "omitted", "overfit", "student-t"),
+    p.add_argument("--variant", choices=VARIANTS,
                    default="base", help="robustness scenario")
     p.add_argument("--B", type=int, default=500,
                    help="bootstrap replicates per repetition")
@@ -361,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="'cpi': center at --base; 'z': center at the mean")
     p.add_argument("--base", type=float, default=100.0,
                    help="structural base value for cpi mode")
-    p.add_argument("--train-size", type=int, default=None,
+    p.add_argument("--train-size", type=_positive_int, default=None,
                    help="rows used for the spread estimate (default: all)")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=_cmd_standardize)

@@ -42,20 +42,29 @@ __all__ = [
 RANK_TOL = 1e-10
 
 
+def _full_rank(sv: np.ndarray) -> np.bool_ | np.ndarray:
+    """The rank rule of every least-squares solve: singular values sv, in
+    descending order along the last axis, pass when s_max > 0 and
+    s_min > RANK_TOL * s_max."""
+    return (sv[..., 0] > 0.0) & (sv[..., -1] > RANK_TOL * sv[..., 0])
+
+
 def ols_solve(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     """Least-squares coefficients minimizing ||response - design @ coef||_F.
 
     Solved through an orthogonal factorization (never the normal equations).
     Raises RankDeficient, listing the near-collinear columns, when the
-    smallest singular value is below RANK_TOL relative to the largest.
+    singular values fail _full_rank.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
     n, m = design.shape
     if n < m:
         raise InsufficientSample(f"{n} rows cannot identify {m} coefficients")
+    # gelsd, under lstsq, treats s_i <= RANK_TOL * s_1 as zero: its rank is
+    # below m exactly when _full_rank fails
     coef, _, rank, sv = np.linalg.lstsq(design, response, rcond=RANK_TOL)
-    if rank < m or sv[0] <= 0.0 or sv[-1] < RANK_TOL * sv[0]:
+    if not _full_rank(sv):
         raise RankDeficient(
             f"design is rank deficient (rank {rank} of {m})",
             columns=_collinear_columns(design),

@@ -27,7 +27,7 @@ from .errors import (
 from .estimation import (
     JointFit,
     SurrogateFit,
-    RANK_TOL,
+    _full_rank,
     _joint_design,
     _lag_block,
     d_residual_matrix,
@@ -87,23 +87,18 @@ class BootstrapConfig:
     """Residual-bootstrap settings.
 
     quantile_rule 'ceil' takes the order statistic with 1-based index
-    ceil(B*q); 'linear' interpolates. burn_in > 0 prepends that many
-    covariate-free warm-up steps to each rebuilt series and drops them,
-    instead of starting the recursion directly from resampled residuals.
+    ceil(B*q); 'linear' interpolates.
     """
 
     B: int = 500
     seed: int = 0
     quantile_rule: str = "ceil"
-    burn_in: int = 0
 
     def __post_init__(self):
         if self.B < 100:
             raise InvalidData("bootstrap needs B >= 100 replicates")
         if self.quantile_rule not in ("ceil", "linear"):
             raise InvalidData(f"unknown quantile_rule {self.quantile_rule!r}")
-        if self.burn_in < 0:
-            raise InvalidData("burn_in must be >= 0")
 
 
 # Rational approximations of Cephes ndtri (Moshier), leading coefficient
@@ -362,9 +357,9 @@ def _batched_refit(
         R = [[R_F, Q_F' L], [0, R_L]]
 
     is the R factor of [F, L] = [Q_F, Q_L] R, so its singular values are the
-    full design's. A replicate is kept under the rule ols_solve applies to
-    one design, s_max > 0 and s_min > RANK_TOL * s_max, and back-substitution
-    on R gives its lag coefficients first, then the fixed ones.
+    full design's. A replicate is kept when they pass _full_rank, the rule
+    ols_solve applies to one design, and back-substitution on R gives its
+    lag coefficients first, then the fixed ones.
 
     Returns (coef, kept): coef is (B, q1 + k) in [lags, fixed] column
     order, NaN on the rows of dropped replicates; kept is a (B,) bool mask.
@@ -384,8 +379,7 @@ def _batched_refit(
     R[:, k:, k:] = R_aug[:, :q1, :q1]
     rhs = np.concatenate([proj[:, q1], R_aug[:, :q1, q1]], axis=1)
 
-    sv = np.linalg.svd(R, compute_uv=False)
-    kept = (sv[:, 0] > 0.0) & (sv[:, -1] > RANK_TOL * sv[:, 0])
+    kept = _full_rank(np.linalg.svd(R, compute_uv=False))
     solution = _back_substitute(R[kept], rhs[kept])     # [fixed, lags] order
     coef = np.full((B, q1 + k), np.nan)
     coef[kept] = np.concatenate([solution[:, k:], solution[:, :k]], axis=1)
@@ -418,13 +412,13 @@ def boot_interval(
     (_batched_refit). The H-step forecasts of all replicates are then rolled
     forward together by the batched AR recursion.
 
-    Drop rule: a replicate whose refit design has s_min <= RANK_TOL * s_max
-    (or s_max = 0) is dropped, the rule ols_solve applies to one design. The
-    singular values come from the assembled R factor of the partialled
-    refit, which has those of the full design. The number dropped is logged
-    at DEBUG on the surrocast.intervals logger; more than 5% of them
-    dropped raises BootstrapUnstable, and so does a rank-deficient
-    covariate block, which drops every replicate.
+    Drop rule: a replicate whose refit design fails _full_rank is dropped,
+    the rule ols_solve applies to one design. The singular values come from
+    the assembled R factor of the partialled refit, which has those of the
+    full design. The number dropped is logged at DEBUG on the
+    surrocast.intervals logger; more than 5% of them dropped raises
+    BootstrapUnstable, and so does a rank-deficient covariate block, which
+    drops every replicate.
 
     mp and sp must be the panels the fit was estimated on; _fitted_design
     raises PanelMismatch otherwise.
@@ -446,20 +440,19 @@ def boot_interval(
     z_fut, x_fut, d_fut = _joint_future_rows(jf, sf, sp, fut, H)
     fut_driver = z_fut @ jf.theta_hat + x_fut @ jf.delta_hat + d_fut @ jf.gamma_hat
 
-    burn = cfg.burn_in
-    n_total = burn + T + H
+    n_total = T + H
     driver = np.zeros(n_total)
-    driver[burn + q1: burn + T] = hist_driver
-    driver[burn + T:] = fut_driver
+    driver[q1:T] = hist_driver
+    driver[T:] = fut_driver
 
     B = cfg.B
     rng = np.random.default_rng(cfg.seed)
     e_star = centered[rng.integers(0, n_resid, size=(B, n_total))]
 
-    # Rebuilt months 1..T+H of every replicate, burn-in dropped.
+    # Rebuilt months 1..T+H of every replicate.
     rebuilt = _ar_recursion(jf.alpha_hat, e_star[:, :q1],
                             driver[q1:] + e_star[:, q1:])
-    Y = np.concatenate([e_star[:, :q1], rebuilt], axis=1)[:, burn:]
+    Y = np.concatenate([e_star[:, :q1], rebuilt], axis=1)
 
     lags = np.stack([Y[:, q1 - l: T - l] for l in range(1, q1 + 1)], axis=1)
     coef, kept = _batched_refit(fixed, lags, Y[:, q1:T])

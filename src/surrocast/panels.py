@@ -14,7 +14,7 @@ import csv
 import datetime as _dt
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,7 +148,6 @@ class SurrogatePanel:
 
     times: tuple[str, ...]
     ys: np.ndarray
-    K: int = field(default=0)  # 0 -> inferred from ys
 
     def __post_init__(self):
         T = len(self.times)
@@ -158,17 +157,19 @@ class SurrogatePanel:
         ys = np.asarray(self.ys, dtype=float)
         if ys.ndim != 2 or ys.shape[0] != T:
             raise InvalidData(f"ys must be a (T, K) matrix with T={T}, got {ys.shape}")
-        K = self.K or ys.shape[1]
-        if K < 1 or ys.shape[1] != K:
-            raise InvalidData(f"K={K} inconsistent with ys shape {ys.shape}")
+        if ys.shape[1] < 1:
+            raise InvalidData(f"ys needs at least one column, got shape {ys.shape}")
         _require_finite("ys", ys)
         ys.setflags(write=False)
         object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "K", K)
 
     @property
     def T(self) -> int:
         return len(self.times)
+
+    @property
+    def K(self) -> int:
+        return self.ys.shape[1]
 
     def slice(self, start: int, stop: int) -> "SurrogatePanel":
         return SurrogatePanel(self.times[start:stop], self.ys[start:stop])
@@ -220,10 +221,21 @@ class StandardizedSeries:
         return v * self.scale + self.offset
 
 
-def _window_sd(centered: np.ndarray, train_size: int | None) -> float:
-    window = centered if train_size is None else centered[:train_size]
+def _train_window(values: np.ndarray, train_size: int | None) -> np.ndarray:
+    """The first ``train_size`` values (all when None), which the spread is
+    estimated on. InvalidData unless 1 <= train_size <= len(values)."""
+    window = values
+    if train_size is not None:
+        if not 1 <= train_size <= len(values):
+            raise InvalidData(
+                f"train_size must lie in 1..{len(values)}, got {train_size}")
+        window = values[:train_size]
     if window.size < 2:
         raise DegenerateSeries("need at least 2 observations to estimate a spread")
+    return window
+
+
+def _window_sd(window: np.ndarray) -> float:
     sd = float(np.std(window, ddof=1))
     if sd == 0.0 or not math.isfinite(sd):
         raise DegenerateSeries("series has zero sample variance; cannot standardize")
@@ -242,7 +254,7 @@ def standardize_cpi(
     raw = np.asarray(raw, dtype=float)
     _require_finite("series", raw)
     centered = raw - base
-    sd = _window_sd(centered, train_size)
+    sd = _window_sd(_train_window(centered, train_size))
     return StandardizedSeries(values=centered / sd, offset=float(base), scale=sd)
 
 
@@ -250,11 +262,9 @@ def standardize_z(raw: np.ndarray, train_size: int | None = None) -> Standardize
     """Standardize a covariate by its (training-window) mean and sd."""
     raw = np.asarray(raw, dtype=float)
     _require_finite("series", raw)
-    window = raw if train_size is None else raw[:train_size]
-    if window.size < 2:
-        raise DegenerateSeries("need at least 2 observations to estimate a spread")
+    window = _train_window(raw, train_size)
     mean = float(np.mean(window))
-    sd = _window_sd(raw - mean, train_size)
+    sd = _window_sd(window - mean)
     return StandardizedSeries(values=(raw - mean) / sd, offset=mean, scale=sd)
 
 

@@ -27,9 +27,6 @@ from .errors import (
     NonStationarySpec,
 )
 from .estimation import (
-    ArxFit,
-    JointFit,
-    SurrogateFit,
     companion_matrix,
     fit_joint_step2,
     fit_surrogate,
@@ -113,7 +110,7 @@ def _var_companion(A_S: np.ndarray) -> np.ndarray:
     return comp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DgpSpec:
     """Full specification of the joint data-generating process.
 
@@ -123,7 +120,8 @@ class DgpSpec:
     Sigma. x_gen (and optionally z_gen) drive the exogenous columns.
 
     A spec is validated and factored once, when it is built; every draw by
-    ``generate`` reuses its factors.
+    ``generate`` reuses its factors. Specs compare and hash by identity: two
+    specs built from equal arguments are distinct objects.
     """
 
     alpha: np.ndarray
@@ -139,9 +137,9 @@ class DgpSpec:
     df: float = 10.0
     burn_in: int = 200
     # Cholesky factor of the covariance of the normal part of each innovation
-    _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _chol: np.ndarray = field(init=False, repr=False)
     # eig of the surrogate companion matrix; None when it is not diagonalizable
-    _modes: tuple | None = field(init=False, repr=False, compare=False)
+    _modes: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("alpha", "beta", "theta"):
@@ -267,7 +265,6 @@ def benchmark_dgp(
     rho: float,
     T: int = 60,
     error_kind: str = "gaussian",
-    df: float = 10.0,
     x_scale: float = 6.0,
 ) -> DgpSpec:
     """Standard harness process: ARX(2) target, VARX(1) K=3 surrogate.
@@ -296,7 +293,6 @@ def benchmark_dgp(
         T=T,
         x_gen=Ar1Spec(2, phi=0.5, scale=x_scale),
         error_kind=error_kind,
-        df=df,
     )
 
 
@@ -367,7 +363,6 @@ class ExperimentGrid:
     include_intervals: bool = True
     include_boot: bool = True
     workers: int = 1
-    check_holdout: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -412,19 +407,6 @@ def _rep_seeds(seed: int, variant: str, rho: float, H: int, rep: int):
     return np.random.SeedSequence(entropy).spawn(3)
 
 
-def _fit_stage(grid: ExperimentGrid, mp_tr: MonthlyPanel, sp_tr: SurrogatePanel,
-               noise_ss) -> tuple[JointFit, SurrogateFit, ArxFit]:
-    """Fit the joint model and the AR benchmark on the training panels."""
-    x_sur = mp_tr.x
-    if grid.variant == "overfit":  # two pure-noise columns in the surrogate fit
-        noise = np.random.default_rng(noise_ss).standard_normal((mp_tr.T, 2))
-        x_sur = np.hstack([x_sur, noise])
-    sf = fit_surrogate(sp_tr, x_sur, 1)
-    jf = fit_joint_step2(mp_tr, sp_tr, sf, 2)
-    ar = fit_arx(mp_tr.y, select_ar_order(mp_tr.y, 4))
-    return jf, sf, ar
-
-
 def _run_rep(task: tuple) -> dict:
     grid, spec, seed, rho, H, rep = task
     dgp_ss, noise_ss, boot_ss = _rep_seeds(seed, grid.variant, rho, H, rep)
@@ -438,22 +420,16 @@ def _run_rep(task: tuple) -> dict:
                          x[:T_train])
     sp_tr = sp.slice(0, T_train)
 
-    jf, sf, ar = _fit_stage(grid, mp_tr, sp_tr, noise_ss)
-    if grid.check_holdout:
-        y_poisoned = y.copy()
-        y_poisoned[T_train:] = 1e300
-        mp_poisoned = MonthlyPanel(mp_tr.times, y_poisoned[:T_train], mp_tr.z, mp_tr.x)
-        jf2, _, ar2 = _fit_stage(grid, mp_poisoned, sp_tr, noise_ss)
-        same = (
-            np.array_equal(jf.alpha_hat, jf2.alpha_hat)
-            and np.array_equal(jf.gamma_hat, jf2.gamma_hat)
-            and np.array_equal(ar.alpha_hat, ar2.alpha_hat)
-        )
-        if not same:
-            raise AssertionError("holdout rows leaked into a fit")
+    x_sur = mp_tr.x
+    if grid.variant == "overfit":  # two pure-noise columns in the surrogate fit
+        noise = np.random.default_rng(noise_ss).standard_normal((T_train, 2))
+        x_sur = np.hstack([x_sur, noise])
+    sf = fit_surrogate(sp_tr, x_sur, 1)
+    jf = fit_joint_step2(mp_tr, sp_tr, sf, 2)
+    y_train = mp_tr.y
+    ar = fit_arx(y_train, select_ar_order(y_train, 4))
 
     fut = FutureExogenous(mp.z[T_train:], x[T_train:], sp.ys[T_train:])
-    y_train = mp_tr.y
 
     fc_joint = forecast_joint(jf, sf, mp_tr, sp_tr, fut, H)
     fc_ar = forecast_arx(ar, y_train, None, H, method=Method.AR)

@@ -361,6 +361,12 @@ def test_efficiency_pd_violation_exit_code(capsys):
     (["efficiency", "--sigma-tt", "nan"], "--sigma-tt"),
     (["efficiency", "--rho", "nan"], "--rho"),
     (["efficiency", "--rho", "inf"], "--rho"),
+    (["standardize", "--input", "raw.csv", "--train-size", "-1", "--out", "never.csv"],
+     "--train-size"),
+    (["standardize", "--input", "raw.csv", "--train-size", "-4", "--out", "never.csv"],
+     "--train-size"),
+    (["standardize", "--input", "raw.csv", "--train-size", "0", "--out", "never.csv"],
+     "--train-size"),
 ])
 def test_malformed_numeric_flag_is_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -463,6 +469,17 @@ def test_standardize_degenerate_series(tmp_path, capsys):
                "--base", "100", "--out", str(tmp_path / "s.csv")])
     assert rc == 3
     assert json.loads(capsys.readouterr().err.strip())["code"] == "DegenerateSeries"
+
+
+def test_standardize_train_size_beyond_file(tmp_path, capsys):
+    src = tmp_path / "raw.csv"
+    _write_two_col(src, [99.0, 101.0, 100.5, 98.0, 102.0, 100.0])
+    out = tmp_path / "s.csv"
+    rc = main(["standardize", "--input", str(src), "--train-size", "7",
+               "--out", str(out)])
+    assert rc == 3
+    assert _one_error_code(capsys) == "InvalidData"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -211,13 +211,6 @@ def test_boot_rejects_tiny_b():
         BootstrapConfig(B=50, seed=0)
 
 
-def test_boot_burn_in_mode_runs():
-    jf, sf, mp, sp, fut, _ = _fitted_setup()
-    cfg = BootstrapConfig(B=120, seed=3, burn_in=50)
-    iv = boot_interval(jf, sf, mp, sp, fut, 3, cfg, 0.05)
-    assert np.all(iv.length > 0)
-
-
 def _lstsq_keeps(design, response):
     """ols_solve's rank rule on one design; the coefficients when it keeps."""
     coef, _, rank, sv = np.linalg.lstsq(design, response, rcond=RANK_TOL)
@@ -236,14 +229,13 @@ def _reference_boot(jf, sf, mp, sp, fut, H, cfg, alpha):
     centered = jf.residuals - jf.residuals.mean()
     d_used = jf.d_hat[q1 - q2:]
     z_fut, x_fut, d_fut = _joint_future_rows(jf, sf, sp, fut, H)
-    burn = cfg.burn_in
-    n_total = burn + T + H
+    n_total = T + H
     driver = np.zeros(n_total)
-    driver[burn + q1: burn + T] = (mp.z[q1:] @ jf.theta_hat
-                                   + mp.x[q1:] @ jf.delta_hat
-                                   + d_used @ jf.gamma_hat)
-    driver[burn + T:] = (z_fut @ jf.theta_hat + x_fut @ jf.delta_hat
-                         + d_fut @ jf.gamma_hat)
+    driver[q1:T] = (mp.z[q1:] @ jf.theta_hat
+                    + mp.x[q1:] @ jf.delta_hat
+                    + d_used @ jf.gamma_hat)
+    driver[T:] = (z_fut @ jf.theta_hat + x_fut @ jf.delta_hat
+                  + d_fut @ jf.gamma_hat)
     rng = np.random.default_rng(cfg.seed)
     e_star = centered[rng.integers(0, T - q1, size=(cfg.B, n_total))]
     ystar = np.empty((cfg.B, n_total))
@@ -253,7 +245,7 @@ def _reference_boot(jf, sf, mp, sp, fut, H, cfg, alpha):
         for l in range(1, q1 + 1):
             acc = acc + jf.alpha_hat[l - 1] * ystar[:, t - l]
         ystar[:, t] = acc
-    Y = ystar[:, burn:]
+    Y = ystar
 
     fixed = np.hstack([mp.z[q1:], mp.x[q1:], d_used])
     fut_cov = np.hstack([z_fut, x_fut, d_fut])
@@ -278,10 +270,9 @@ def _reference_boot(jf, sf, mp, sp, fut, H, cfg, alpha):
 
 
 @pytest.mark.parametrize("q1", [1, 2, 4])
-@pytest.mark.parametrize("burn_in", [0, 50])
 @pytest.mark.parametrize("rule", ["ceil", "linear"])
 @pytest.mark.parametrize("H", [1, 8])
-def test_boot_matches_per_replicate_lstsq(q1, burn_in, rule, H):
+def test_boot_matches_per_replicate_lstsq(q1, rule, H):
     # the batched refit sums in another order than lstsq's SVD; the
     # endpoints may move by rounding only
     for seed in range(5):
@@ -290,8 +281,7 @@ def test_boot_matches_per_replicate_lstsq(q1, burn_in, rule, H):
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         jf, sf = fit_joint(mp_tr, sp_tr, q1, 1)
         fut = FutureExogenous(mp.z[T:], mp.x[T:], sp.ys[T:])
-        cfg = BootstrapConfig(B=500, seed=seed, quantile_rule=rule,
-                              burn_in=burn_in)
+        cfg = BootstrapConfig(B=500, seed=seed, quantile_rule=rule)
         iv = boot_interval(jf, sf, mp_tr, sp_tr, fut, H, cfg, 0.05)
         point, lower, upper, _ = _reference_boot(jf, sf, mp_tr, sp_tr, fut, H,
                                                  cfg, 0.05)

@@ -81,6 +81,19 @@ def test_standardize_train_window_only():
     assert std.scale == pytest.approx(np.sqrt(2.0))  # holdout rows ignored
 
 
+@pytest.mark.parametrize("standardize", [standardize_cpi, standardize_z])
+def test_standardize_train_size_must_fit_the_series(standardize):
+    # a slice [:train_size] would count a negative size from the end and
+    # clip one past the end to the whole series
+    raw = np.array([99.0, 101.0, 100.5, 98.0, 102.0, 100.0])
+    for bad in (-4, -1, 0, 7):
+        with pytest.raises(InvalidData):
+            standardize(raw, train_size=bad)
+    with pytest.raises(DegenerateSeries):
+        standardize(raw, train_size=1)
+    assert standardize(raw, train_size=6).scale == standardize(raw).scale
+
+
 # ---------------------------------------------------------------------------
 # aggregate_daily
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from surrocast import (
     ExperimentGrid,
     InvalidCovariance,
     InvalidData,
+    MonthlyPanel,
     NonStationarySpec,
     benchmark_dgp,
     coverage_length,
@@ -51,7 +52,7 @@ def test_generate_innovation_covariance_matches_sigma():
 
 
 def test_generate_student_t_covariance_matches_sigma():
-    spec = benchmark_dgp(0.3, T=5000, error_kind="student-t", df=10)
+    spec = benchmark_dgp(0.3, T=5000, error_kind="student-t")
     _, _, truth = generate(spec, 2)
     sample = np.cov(truth.eps.T)
     assert np.max(np.abs(sample - spec.Sigma)) < 0.05
@@ -270,11 +271,41 @@ def test_experiment_reaches_every_traced_layer(monkeypatch):
     assert {layer for layer in layers if calls[layer] == 0} == set()
 
 
-def test_experiment_holdout_hygiene_mode():
-    for variant in ("base", "omitted", "overfit", "student-t"):
-        grid = _small_grid(check_holdout=True, variant=variant)
-        report = run_experiment(grid, Q=2, seed=1)
-        assert len(report.rows) > 0
+@pytest.mark.parametrize("variant", simulation.VARIANTS)
+def test_experiment_rep_ignores_holdout_rows(variant, monkeypatch):
+    # every forecast and interval of a repetition is a function of its
+    # training months: poisoning the last H target values moves the truth
+    # and nothing else
+    H = 8
+    grid = _small_grid(variant=variant, include_boot=True)
+    spec = benchmark_dgp(
+        0.2, T=grid.total_months,
+        error_kind="student-t" if variant == "student-t" else "gaussian")
+    task = (grid, spec, 1, 0.2, H, 0)
+    clean = simulation._run_rep(task)
+
+    draw = simulation.generate
+
+    def poisoned(spec, seed):
+        mp, sp, truth = draw(spec, seed)
+        y = mp.y.copy()
+        y[-H:] = 1e6
+        return MonthlyPanel(mp.times, y, mp.z, mp.x), sp, truth
+
+    monkeypatch.setattr(simulation, "generate", poisoned)
+    dirty = simulation._run_rep(task)
+    assert clean.keys() == dirty.keys()
+    assert "JOINT_BOOT" in clean
+    assert not np.array_equal(clean["truth"], dirty["truth"])
+    for key in clean.keys() - {"truth"}:
+        assert np.array_equal(clean[key], dirty[key]), key
+
+
+def test_spec_compares_and_hashes_by_identity():
+    a, b = benchmark_dgp(0.3), benchmark_dgp(0.3)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 def test_experiment_variants_run():

@@ -20,7 +20,6 @@ from surrocast import (
     forecast_rw,
     generate,
     select_ar_order,
-    Method,
 )
 
 H = 8
@@ -39,7 +38,7 @@ fc_joint = forecast_joint(jf, sf, mp_tr, sp_tr, fut, H)
 
 q_ar = select_ar_order(mp_tr.y, q_max=4)
 ar = fit_arx(mp_tr.y, q_ar)
-fc_ar = forecast_arx(ar, mp_tr.y, None, H, method=Method.AR)
+fc_ar = forecast_arx(ar, mp_tr.y, None, H)
 fc_rw = forecast_rw(mp_tr.y, H)
 fc_ave = forecast_ave(mp_tr.y, H)
 

@@ -21,7 +21,6 @@ from surrocast import (
     forecast_arx,
     forecast_joint,
     generate,
-    Method,
 )
 
 H, total = 8, 60
@@ -38,7 +37,7 @@ iv_boot = boot_interval(jf, sf, mp_tr, sp_tr, fut, H,
                         BootstrapConfig(B=500, seed=11), alpha=0.05)
 
 ar = fit_arx(mp_tr.y, 2)
-fc_ar = forecast_arx(ar, mp_tr.y, None, H, method=Method.AR)
+fc_ar = forecast_arx(ar, mp_tr.y, None, H)
 iv_ar = bj_interval(fc_ar, ar, alpha=0.05)
 
 print("95% intervals around the joint forecast (truth in last column):")

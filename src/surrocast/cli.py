@@ -31,7 +31,6 @@ from .estimation import (
 )
 from .forecasting import (
     FutureExogenous,
-    Method,
     forecast_arx,
     forecast_ave,
     forecast_joint,
@@ -139,7 +138,7 @@ def _cmd_forecast(args) -> int:
     H = args.horizon
     forecasts = (
         forecast_joint(jf, sf, mp, sp, fut, H),
-        forecast_arx(fit_arx(mp.y, jf.q1), mp.y, None, H, method=Method.AR),
+        forecast_arx(fit_arx(mp.y, jf.q1), mp.y, None, H),
         forecast_rw(mp.y, H),
         forecast_ave(mp.y, H),
     )
@@ -330,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip the bootstrap interval (much faster)")
     p.add_argument("--skip-intervals", action="store_true",
                    help="point-forecast metrics only")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel worker processes (same output as 1)")
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=_cmd_simulate)

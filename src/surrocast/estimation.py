@@ -15,6 +15,7 @@ over t = q1+1..T. Both solves share one orthogonal-factorization kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,13 +86,19 @@ def _collinear_columns(design: np.ndarray) -> tuple[int, ...]:
 
 
 def companion_matrix(alpha: np.ndarray) -> np.ndarray:
-    """q x q companion form: first row alpha, identity subdiagonal."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    q = alpha.shape[0]
-    A = np.zeros((q, q))
-    A[0] = alpha
-    if q > 1:
-        A[np.arange(1, q), np.arange(q - 1)] = 1.0
+    """Companion form of lag coefficients: first block row [A_1 ... A_q],
+    identity below it.
+
+    alpha is a (q, K, K) stack of lag matrices, giving a Kq x Kq matrix, or a
+    vector of q scalar lags, giving the q x q matrix with first row alpha.
+    """
+    lags = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if lags.ndim == 1:
+        lags = lags[:, None, None]
+    q, K, _ = lags.shape
+    A = np.zeros((K * q, K * q))
+    A[:K] = np.hstack(list(lags))
+    A[K:, :-K] = np.eye(K * (q - 1))
     return A
 
 
@@ -146,34 +153,45 @@ class ArxFit:
     q1: int
 
 
-def _lag_block(series: np.ndarray, q: int, start: int) -> np.ndarray:
-    """Rows [series[t-1], ..., series[t-q]] for t = start..len(series)-1."""
-    cols = [series[start - l: len(series) - l] for l in range(1, q + 1)]
-    if series.ndim == 1:
-        return np.column_stack(cols)
-    return np.hstack(cols)
+def _design(series: np.ndarray, q: int, blocks=()) -> np.ndarray:
+    """ARX design: lag rows [s_{t-1}, ..., s_{t-q}] for t = q..len(series)-1,
+    followed by the last len(series) - q rows of each (rows, width) block.
+
+    Every block ends at the same month as series, so a block that starts
+    later (d_hat, from month q2) lines up without slicing.
+    """
+    n = len(series) - q
+    lags = [series[q - l: len(series) - l].reshape(n, -1) for l in range(1, q + 1)]
+    return np.hstack(lags + [block[len(block) - n:] for block in blocks])
+
+
+def _solve(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ols_solve's coefficients and the residuals response - design @ coef."""
+    coef = ols_solve(design, response)
+    return coef, response - design @ coef
+
+
+def _fit(series: np.ndarray, q: int, blocks=()) -> tuple[np.ndarray, np.ndarray]:
+    """_solve of series[q:] on _design(series, q, blocks); InsufficientSample
+    when the T - q rows are fewer than the coefficients."""
+    T = len(series)
+    m = q * math.prod(series.shape[1:]) + sum(b.shape[1] for b in blocks)
+    if T - q < m:
+        raise InsufficientSample(
+            f"fit needs T - q >= {m} rows, one per coefficient (T={T}, q={q})"
+        )
+    return _solve(_design(series, q, blocks), series[q:])
 
 
 def fit_surrogate(sp: SurrogatePanel, x: np.ndarray, q2: int) -> SurrogateFit:
     """Row-wise least squares for the surrogate VARX over t = q2+1..T."""
     if q2 < 1:
         raise InvalidData("q2 must be >= 1")
-    ys = sp.ys
-    T, K = ys.shape
+    T, K = sp.ys.shape
     x = np.asarray(x, dtype=float).reshape(T, -1)
-    p = x.shape[1]
-    n_coef = K * q2 + p
-    if T - q2 < n_coef or T <= q2:
-        raise InsufficientSample(
-            f"surrogate fit needs T - q2 > K*q2 + p rows "
-            f"(T={T}, q2={q2}, K={K}, p={p})"
-        )
-    design = np.hstack([_lag_block(ys, q2, q2), x[q2:]])
-    response = ys[q2:]
-    coef = ols_solve(design, response)
+    coef, residuals = _fit(sp.ys, q2, (x,))
     A_hat = np.stack([coef[l * K:(l + 1) * K].T for l in range(q2)])
-    B_hat = coef[K * q2:].T.reshape(K, p)
-    residuals = response - design @ coef
+    B_hat = coef[K * q2:].T.reshape(K, x.shape[1])
     return SurrogateFit(A_hat=A_hat, B_hat=B_hat, residuals=residuals, q2=q2)
 
 
@@ -189,12 +207,6 @@ def d_residual_matrix(ys: np.ndarray, A_hat: np.ndarray, q2: int) -> np.ndarray:
     return out
 
 
-def _joint_design(
-    y: np.ndarray, z: np.ndarray, x: np.ndarray, d_rows: np.ndarray, q1: int
-) -> np.ndarray:
-    return np.hstack([_lag_block(y, q1, q1), z[q1:], x[q1:], d_rows])
-
-
 def fit_joint_step2(
     mp: MonthlyPanel, sp: SurrogatePanel, sf: SurrogateFit, q1: int
 ) -> JointFit:
@@ -204,23 +216,22 @@ def fit_joint_step2(
     (withheld or augmented columns); fit_joint covers the standard case.
     """
     check_aligned(mp, sp)
+    return _joint_step2(mp, sp, sf, q1)
+
+
+def _joint_step2(
+    mp: MonthlyPanel, sp: SurrogatePanel, sf: SurrogateFit, q1: int
+) -> JointFit:
+    """fit_joint_step2 on panels already known to cover the same months."""
     q2 = sf.q2
     if q1 < 1:
         raise InvalidData("q1 must be >= 1")
     if q2 > q1:
         raise InvalidData(f"q2={q2} must not exceed q1={q1}")
-    T, K, d, p = mp.T, sf.K, mp.d, mp.p
-    if T - q1 < q1 + d + p + K:
-        raise InsufficientSample(
-            f"joint fit needs T - q1 >= q1 + d + p + K rows "
-            f"(T={T}, q1={q1}, d={d}, p={p}, K={K})"
-        )
+    d, p = mp.d, mp.p
     d_hat = d_residual_matrix(sp.ys, sf.A_hat, q2)
-    design = _joint_design(mp.y, mp.z, mp.x, d_hat[q1 - q2:], q1)
-    response = mp.y[q1:]
-    coef = ols_solve(design, response)
-    residuals = response - design @ coef
-    sigma_e = float(np.sqrt(np.sum(residuals**2) / (T - q1)))
+    coef, residuals = _fit(mp.y, q1, (mp.z, mp.x, d_hat))
+    sigma_e = float(np.sqrt(np.sum(residuals**2) / (mp.T - q1)))
     return JointFit(
         alpha_hat=coef[:q1],
         theta_hat=coef[q1:q1 + d],
@@ -240,7 +251,7 @@ def fit_joint(
     """Two-step fit: surrogate VARX first, then the surrogate-augmented ARX."""
     check_aligned(mp, sp)
     sf = fit_surrogate(sp, mp.x, q2)
-    return fit_joint_step2(mp, sp, sf, q1), sf
+    return _joint_step2(mp, sp, sf, q1), sf
 
 
 def fit_arx(
@@ -256,15 +267,8 @@ def fit_arx(
     x = np.zeros((T, 0)) if x is None else np.asarray(x, dtype=float).reshape(T, -1)
     if q1 < 1:
         raise InvalidData("q1 must be >= 1")
-    d, p = z.shape[1], x.shape[1]
-    if T - q1 < q1 + d + p:
-        raise InsufficientSample(
-            f"ARX fit needs T - q1 >= q1 + d + p rows (T={T}, q1={q1})"
-        )
-    design = np.hstack([_lag_block(y, q1, q1), z[q1:], x[q1:]])
-    response = y[q1:]
-    coef = ols_solve(design, response)
-    residuals = response - design @ coef
+    d = z.shape[1]
+    coef, residuals = _fit(y, q1, (z, x))
     sigma_e = float(np.sqrt(np.sum(residuals**2) / (T - q1)))
     return ArxFit(
         alpha_hat=coef[:q1],

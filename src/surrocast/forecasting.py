@@ -78,14 +78,43 @@ class ForecastResult:
         object.__setattr__(self, "point", point)
 
 
-def _future_block(arr: np.ndarray, H: int, width: int, name: str) -> np.ndarray:
-    if width == 0:
-        return np.zeros((H, 0))
-    if arr.shape[0] < H or arr.shape[1] != width:
-        raise MissingExogenous(
-            f"{name}: need {H} rows x {width} columns, got {arr.shape}"
-        )
-    return arr[:H]
+def _future_rows(
+    fut: FutureExogenous,
+    H: int,
+    d: int,
+    p: int,
+    sf: SurrogateFit | None = None,
+    sp: SurrogatePanel | None = None,
+) -> list[np.ndarray]:
+    """Validated covariate rows of months T+1..T+H: z (d columns), x (p
+    columns) and, given a surrogate fit and its history, the innovations
+    d_hat of the future surrogate rows. A block of width 0 is (H, 0)."""
+    names = ("z_future", "x_future", "ys_future")
+    rows = []
+    for name, width in zip(names, (d, p) if sf is None else (d, p, sf.K)):
+        arr = getattr(fut, name)
+        if width and (arr.shape[0] < H or arr.shape[1] != width):
+            raise MissingExogenous(
+                f"{name}: need {H} rows x {width} columns, got {arr.shape}"
+            )
+        rows.append(arr[:H] if width else np.zeros((H, 0)))
+    if sf is not None:
+        if sp.T < sf.q2:
+            raise MissingExogenous(
+                f"surrogate history must supply at least q2={sf.q2} months of lags"
+            )
+        ys_all = np.vstack([sp.ys[-sf.q2:], rows[2]])
+        rows[2] = d_residual_matrix(ys_all, sf.A_hat, sf.q2)
+    return rows
+
+
+def _driver(blocks, coefs) -> np.ndarray:
+    """Covariate driver block_1 @ coef_1 + block_2 @ coef_2 + ..., summed
+    left to right."""
+    driver = blocks[0] @ coefs[0]
+    for block, coef in zip(blocks[1:], coefs[1:]):
+        driver = driver + block @ coef
+    return driver
 
 
 def _ar_recursion(
@@ -121,27 +150,6 @@ def _ar_recursion(
     return buf[q1:].T
 
 
-def _joint_future_rows(
-    jf: JointFit,
-    sf: SurrogateFit,
-    sp: SurrogatePanel,
-    fut: FutureExogenous,
-    H: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated joint-model covariate rows (z, x, d_hat) for T+1..T+H."""
-    d, p, K = len(jf.theta_hat), len(jf.delta_hat), sf.K
-    z_fut = _future_block(fut.z_future, H, d, "z_future")
-    x_fut = _future_block(fut.x_future, H, p, "x_future")
-    ys_fut = _future_block(fut.ys_future, H, K, "ys_future")
-    if sp.T < jf.q2:
-        raise MissingExogenous(
-            f"surrogate history must supply at least q2={jf.q2} months of lags"
-        )
-    ys_all = np.vstack([sp.ys[-jf.q2:], ys_fut])
-    d_fut = d_residual_matrix(ys_all, sf.A_hat, sf.q2)
-    return z_fut, x_fut, d_fut
-
-
 def forecast_joint(
     jf: JointFit,
     sf: SurrogateFit,
@@ -160,8 +168,8 @@ def forecast_joint(
     if H < 1:
         raise InvalidData("H must be >= 1")
     check_aligned(mp, sp)
-    z_fut, x_fut, d_fut = _joint_future_rows(jf, sf, sp, fut, H)
-    driver = z_fut @ jf.theta_hat + x_fut @ jf.delta_hat + d_fut @ jf.gamma_hat
+    rows = _future_rows(fut, H, len(jf.theta_hat), len(jf.delta_hat), sf, sp)
+    driver = _driver(rows, (jf.theta_hat, jf.delta_hat, jf.gamma_hat))
     point = _ar_recursion(jf.alpha_hat, mp.y, driver)
     return ForecastResult(method=Method.JOINT, point=point, horizon=H)
 
@@ -171,22 +179,21 @@ def forecast_arx(
     y: np.ndarray,
     fut: FutureExogenous | None,
     H: int,
-    method: Method = Method.ARX,
 ) -> ForecastResult:
     """h-step forecasts from a plain ARX fit (no surrogate term).
 
-    Serves the pure AR benchmark (empty covariates), the macro-covariate
-    benchmark, and the embedding-covariate benchmarks alike.
+    Serves the pure AR benchmark (empty covariates, labelled AR), the
+    macro-covariate benchmark and the embedding-covariate benchmarks alike
+    (labelled ARX). fut may be None when the fit has no covariates.
     """
     if H < 1:
         raise InvalidData("H must be >= 1")
     d, p = len(fit.theta_hat), len(fit.beta_hat)
     if fut is None:
         fut = FutureExogenous(np.zeros((H, 0)), np.zeros((H, 0)), np.zeros((H, 0)))
-    z_fut = _future_block(fut.z_future, H, d, "z_future")
-    x_fut = _future_block(fut.x_future, H, p, "x_future")
-    driver = z_fut @ fit.theta_hat + x_fut @ fit.beta_hat
+    driver = _driver(_future_rows(fut, H, d, p), (fit.theta_hat, fit.beta_hat))
     point = _ar_recursion(fit.alpha_hat, np.asarray(y, dtype=float), driver)
+    method = Method.ARX if d + p else Method.AR
     return ForecastResult(method=method, point=point, horizon=H)
 
 

@@ -24,19 +24,13 @@ from .errors import (
     InvalidData,
     PanelMismatch,
 )
-from .estimation import (
-    JointFit,
-    SurrogateFit,
-    _full_rank,
-    _joint_design,
-    _lag_block,
-    d_residual_matrix,
-)
+from .estimation import JointFit, SurrogateFit, _design, _full_rank, d_residual_matrix
 from .forecasting import (
     ForecastResult,
     FutureExogenous,
     _ar_recursion,
-    _joint_future_rows,
+    _driver,
+    _future_rows,
     forecast_joint,
 )
 from .panels import MonthlyPanel, SurrogatePanel, check_aligned
@@ -234,8 +228,7 @@ def _fitted_design(
             f"match the fitted sample ({jf.residuals.shape[0]} residuals after "
             f"q1={q1} lags, d={len(jf.theta_hat)}, p={len(jf.delta_hat)}, K={sf.K})"
         )
-    d_rows = d_residual_matrix(sp.ys, sf.A_hat, sf.q2)[q1 - sf.q2:]
-    X = _joint_design(mp.y, mp.z, mp.x, d_rows, q1)
+    X = _design(mp.y, q1, (mp.z, mp.x, d_residual_matrix(sp.ys, sf.A_hat, sf.q2)))
     coef = np.concatenate([jf.alpha_hat, jf.theta_hat, jf.delta_hat,
                            jf.gamma_hat])
     resid = mp.y[q1:] - X @ coef
@@ -261,11 +254,10 @@ def _joint_forecast_gradient(
     forecast lags (observed ones at or before T) in the alpha columns and
     the future (z, x, d_hat) row in the others.
     """
-    q1 = jf.q1
+    q1, d, p = jf.q1, len(jf.theta_hat), len(jf.delta_hat)
     point = forecast_joint(jf, sf, mp, sp, fut, H).point
     path = np.concatenate([mp.y[-q1:], point])  # y_{T-q1+1..T}, then forecasts
-    rows = np.hstack([_lag_block(path, q1, q1),
-                      *_joint_future_rows(jf, sf, sp, fut, H)])
+    rows = _design(path, q1, _future_rows(fut, H, d, p, sf, sp))
     grad = _ar_recursion(jf.alpha_hat, np.zeros(q1), rows.T).T
     return point, grad
 
@@ -435,15 +427,12 @@ def boot_interval(
     centered = resid - resid.mean()
 
     # Covariate contribution per month (zero until the first fitted month).
-    hist_driver = (fixed[:, :d] @ jf.theta_hat + fixed[:, d:d + p] @ jf.delta_hat
-                   + fixed[:, d + p:] @ jf.gamma_hat)
-    z_fut, x_fut, d_fut = _joint_future_rows(jf, sf, sp, fut, H)
-    fut_driver = z_fut @ jf.theta_hat + x_fut @ jf.delta_hat + d_fut @ jf.gamma_hat
-
+    coefs = (jf.theta_hat, jf.delta_hat, jf.gamma_hat)
+    fut_rows = _future_rows(fut, H, d, p, sf, sp)
     n_total = T + H
     driver = np.zeros(n_total)
-    driver[q1:T] = hist_driver
-    driver[T:] = fut_driver
+    driver[q1:T] = _driver(np.split(fixed, [d, d + p], axis=1), coefs)
+    driver[T:] = _driver(fut_rows, coefs)
 
     B = cfg.B
     rng = np.random.default_rng(cfg.seed)
@@ -466,7 +455,7 @@ def boot_interval(
         )
 
     coef = coef[kept]
-    fut_cov = np.hstack([z_fut, x_fut, d_fut])
+    fut_cov = np.hstack(fut_rows)
     paths = _ar_recursion(coef[:, :q1], Y[kept, T - q1:T],
                           coef[:, q1:] @ fut_cov.T)
     errors = np.sort(Y[kept, T:] - paths, axis=0)

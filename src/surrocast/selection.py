@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSample, InvalidData, PenaltyUndefined, RankDeficient
-from .estimation import fit_arx, ols_solve
+from .estimation import _design, _solve, fit_arx
 
 __all__ = [
     "corrected_aic",
@@ -56,13 +56,10 @@ def select_ar_order(y: np.ndarray, q_max: int) -> int:
     T = y.shape[0]
     if T <= q_max + 2:
         raise InsufficientSample(f"need T > q_max + 2 (T={T}, q_max={q_max})")
-    response = y[q_max:]
-    lags = np.column_stack([y[q_max - l: T - l] for l in range(1, q_max + 1)])
+    lags = _design(y, q_max)
     best_q, best_aic = 1, np.inf
     for q in range(1, q_max + 1):
-        design = lags[:, :q]
-        coef = ols_solve(design, response)
-        aic = corrected_aic(response - design @ coef, q)
+        aic = corrected_aic(_solve(lags[:, :q], y[q_max:])[1], q)
         if aic < best_aic:
             best_q, best_aic = q, aic
     return best_q

@@ -38,7 +38,6 @@ from .forecasting import (
     forecast_ave,
     forecast_joint,
     forecast_rw,
-    Method,
 )
 from .intervals import BootstrapConfig, bj_interval, boot_interval
 from .panels import (MonthlyPanel, SurrogatePanel, _write_csv, month_range,
@@ -99,15 +98,6 @@ class Ar1Spec:
 def equicorrelated(dim: int, rho: float) -> np.ndarray:
     """dim x dim matrix with unit diagonal and constant off-diagonal rho."""
     return np.full((dim, dim), rho) + (1.0 - rho) * np.eye(dim)
-
-
-def _var_companion(A_S: np.ndarray) -> np.ndarray:
-    q2, K, _ = A_S.shape
-    comp = np.zeros((K * q2, K * q2))
-    comp[:K] = np.hstack(list(A_S))
-    if q2 > 1:
-        comp[K:, :-K] = np.eye(K * (q2 - 1))
-    return comp
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +165,7 @@ class DgpSpec:
         if self.z_gen.n_cols != self.theta.shape[0]:
             raise InvalidData("z_gen must generate one column per theta entry")
         r1 = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(self.alpha)))))
-        vals, vecs = np.linalg.eig(_var_companion(A_S))
+        vals, vecs = np.linalg.eig(companion_matrix(A_S))
         r2 = float(np.max(np.abs(vals)))
         if r1 >= 1.0 or r2 >= 1.0:
             raise NonStationarySpec(
@@ -373,6 +363,12 @@ class ExperimentGrid:
             raise InvalidData(f"rho values must be finite, got {self.rhos}")
         if any(h < 1 or h >= self.total_months for h in self.horizons):
             raise InvalidData("horizons must satisfy 1 <= H < total_months")
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidData(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not 0.0 <= self.x_scale < np.inf:
+            raise InvalidData(f"x_scale must be finite and >= 0, got {self.x_scale}")
+        if self.workers < 1:
+            raise InvalidData(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -432,7 +428,7 @@ def _run_rep(task: tuple) -> dict:
     fut = FutureExogenous(mp.z[T_train:], x[T_train:], sp.ys[T_train:])
 
     fc_joint = forecast_joint(jf, sf, mp_tr, sp_tr, fut, H)
-    fc_ar = forecast_arx(ar, y_train, None, H, method=Method.AR)
+    fc_ar = forecast_arx(ar, y_train, None, H)
     fc_rw = forecast_rw(y_train, H)
     fc_ave = forecast_ave(y_train, H)
 

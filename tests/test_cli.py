@@ -367,12 +367,27 @@ def test_efficiency_pd_violation_exit_code(capsys):
      "--train-size"),
     (["standardize", "--input", "raw.csv", "--train-size", "0", "--out", "never.csv"],
      "--train-size"),
+    (["simulate", "--workers", "0", "--out", "never.csv"], "--workers"),
+    (["simulate", "--workers", "-3", "--out", "never.csv"], "--workers"),
 ])
 def test_malformed_numeric_flag_is_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,field", [("--x-scale", "nan", "x_scale"),
+                                              ("--alpha", "1.5", "alpha")])
+def test_simulate_invalid_grid_named_before_any_rep(flag, value, field, tmp_path,
+                                                    capsys):
+    out = tmp_path / "never.csv"
+    rc = main(["simulate", "--rho-grid", "0.2", "--H-grid", "8", "--Q", "1",
+               flag, value, "--out", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "InvalidData" and field in err["detail"]
+    assert not out.exists()
 
 
 def test_efficiency_mis_sized_covariance_exit_code(capsys):

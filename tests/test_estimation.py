@@ -6,9 +6,11 @@ from surrocast import (
     InvalidData,
     RankDeficient,
     benchmark_dgp,
+    companion_matrix,
     d_residual_matrix,
     fit_arx,
     fit_joint,
+    fit_joint_step2,
     fit_surrogate,
     generate,
     joint_fit_from_dict,
@@ -16,6 +18,7 @@ from surrocast import (
     ols_solve,
     residual_pairs,
 )
+from surrocast.estimation import _design
 from surrocast.simulation import Ar1Spec, DgpSpec
 
 from conftest import build_panels
@@ -46,6 +49,68 @@ def test_ols_duplicated_column_rank_deficient(rng):
 def test_ols_more_columns_than_rows():
     with pytest.raises(InsufficientSample):
         ols_solve(np.ones((2, 3)), np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# _design: byte-for-byte the designs the fits used to stack by hand
+# ---------------------------------------------------------------------------
+
+def _hand_lags(series, q):
+    cols = [series[q - l: len(series) - l] for l in range(1, q + 1)]
+    return np.column_stack(cols) if series.ndim == 1 else np.hstack(cols)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("d,p", [(0, 0), (0, 2), (1, 0), (2, 3)])
+def test_design_equals_hand_stacked_designs(q, K, d, p):
+    rng = np.random.default_rng(100 * q + 10 * K + d + p)
+    T, H = 30, 5
+    y, ys = rng.standard_normal(T), rng.standard_normal((T, K))
+    z, x = rng.standard_normal((T, d)), rng.standard_normal((T, p))
+    # surrogate VARX and ARX
+    assert _same_bytes(_design(ys, q, (x,)), np.hstack([_hand_lags(ys, q), x[q:]]))
+    assert _same_bytes(_design(y, q, (z, x)), np.hstack([_hand_lags(y, q), z[q:], x[q:]]))
+    # AR order selection: the lag block alone
+    assert _same_bytes(_design(y, q), np.column_stack(
+        [y[q - l: T - l] for l in range(1, q + 1)]))
+    for q2 in range(1, q + 1):  # joint model: d_hat starts at month q2
+        d_hat = rng.standard_normal((T - q2, K))
+        assert _same_bytes(_design(y, q, (z, x, d_hat)), np.hstack(
+            [_hand_lags(y, q), z[q:], x[q:], d_hat[q - q2:]]))
+    # forecast-gradient rows of T+1..T+H
+    path = rng.standard_normal(q + H)
+    fut = (rng.standard_normal((H, d)), rng.standard_normal((H, p)),
+           rng.standard_normal((H, K)))
+    assert _same_bytes(_design(path, q, fut), np.hstack([_hand_lags(path, q), *fut]))
+
+
+# ---------------------------------------------------------------------------
+# companion_matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_companion_scalar_lags_equal_one_by_one_stack(rng, q):
+    alpha = rng.uniform(-0.9, 0.9, size=q)
+    A = companion_matrix(alpha)
+    np.testing.assert_array_equal(A, companion_matrix(alpha[:, None, None]))
+    np.testing.assert_array_equal(A[0], alpha)
+    np.testing.assert_array_equal(A[1:, :-1], np.eye(q - 1))
+
+
+def test_companion_of_lag_stack():
+    A1, A2 = np.arange(4.0).reshape(2, 2), -np.arange(4.0).reshape(2, 2)
+    np.testing.assert_array_equal(companion_matrix(np.stack([A1, A2])), [
+        [0.0, 1.0, -0.0, -1.0],
+        [2.0, 3.0, -2.0, -3.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+    ])
+    np.testing.assert_array_equal(companion_matrix(A1[None]), A1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +257,12 @@ def test_joint_misaligned_panels_rejected():
                           ys=sp.ys)
     with pytest.raises(PanelMismatch):
         fit_joint(mp, sp_shifted, 2, 1)
+    # a shorter surrogate panel is rejected before the surrogate step runs
+    with pytest.raises(PanelMismatch):
+        fit_joint(mp, sp.slice(0, 40), 2, 1)
+    sf = fit_surrogate(sp, mp.x, 1)
+    with pytest.raises(PanelMismatch):
+        fit_joint_step2(mp, sp_shifted, sf, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from surrocast import (
     generate,
 )
 
-from surrocast.forecasting import _ar_recursion
+from surrocast.forecasting import _ar_recursion, _driver
 
 from conftest import build_panels
 
@@ -99,6 +99,37 @@ def test_arx_geometric_recursion():
                  q1=1)
     fc = forecast_arx(fit, np.array([1.0, 4.0]), None, 3)
     np.testing.assert_allclose(fc.point, [2.0, 1.0, 0.5])
+
+
+def test_arx_labels_ar_without_covariates():
+    ar = ArxFit(alpha_hat=np.array([0.5]), theta_hat=np.zeros(0),
+                beta_hat=np.zeros(0), sigma_e_hat=1.0, residuals=np.zeros(3), q1=1)
+    assert forecast_arx(ar, np.ones(3), None, 2).method is Method.AR
+    arx = ArxFit(alpha_hat=np.array([0.5]), theta_hat=np.zeros(0),
+                 beta_hat=np.array([1.0]), sigma_e_hat=1.0, residuals=np.zeros(3),
+                 q1=1)
+    fut = FutureExogenous(np.zeros((2, 0)), np.ones((2, 1)), np.zeros((2, 0)))
+    assert forecast_arx(arx, np.ones(3), fut, 2).method is Method.ARX
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("d,p", [(0, 0), (0, 2), (1, 0), (2, 3)])
+def test_driver_equals_hand_written_sums(K, d, p):
+    # the expressions forecast_joint, forecast_arx and boot_interval used to
+    # write out: byte-identical, one block order and one float order
+    rng = np.random.default_rng(10 * K + d + p)
+    n = 40
+    z, x, dh = (rng.standard_normal((n, w)) for w in (d, p, K))
+    theta, delta, gamma = (rng.standard_normal(w) for w in (d, p, K))
+    three = z @ theta + x @ delta + dh @ gamma
+    assert _driver((z, x, dh), (theta, delta, gamma)).tobytes() == three.tobytes()
+    two = z @ theta + x @ delta
+    assert _driver((z, x), (theta, delta)).tobytes() == two.tobytes()
+    fixed = np.hstack([z, x, dh])
+    hist = (fixed[:, :d] @ theta + fixed[:, d:d + p] @ delta
+            + fixed[:, d + p:] @ gamma)
+    split = np.split(fixed, [d, d + p], axis=1)
+    assert _driver(split, (theta, delta, gamma)).tobytes() == hist.tobytes()
 
 
 def test_history_shorter_than_ar_order_rejected():

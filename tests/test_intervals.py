@@ -27,8 +27,8 @@ from surrocast import (
     forecast_joint,
     generate,
 )
-from surrocast.estimation import RANK_TOL, _joint_design, d_residual_matrix
-from surrocast.forecasting import _ar_recursion, _joint_future_rows
+from surrocast.estimation import RANK_TOL, _design, d_residual_matrix
+from surrocast.forecasting import _ar_recursion, _future_rows
 from surrocast.intervals import (
     _batched_refit,
     _empirical_quantile,
@@ -228,7 +228,7 @@ def _reference_boot(jf, sf, mp, sp, fut, H, cfg, alpha):
     q1, q2, T = jf.q1, jf.q2, mp.T
     centered = jf.residuals - jf.residuals.mean()
     d_used = jf.d_hat[q1 - q2:]
-    z_fut, x_fut, d_fut = _joint_future_rows(jf, sf, sp, fut, H)
+    z_fut, x_fut, d_fut = _future_rows(fut, H, mp.d, mp.p, sf, sp)
     n_total = T + H
     driver = np.zeros(n_total)
     driver[q1:T] = (mp.z[q1:] @ jf.theta_hat
@@ -354,7 +354,7 @@ def test_boot_duplicated_covariate_unstable():
     dup = MonthlyPanel(times=mp.times, y=mp.y, z=mp.z, x=x)
     # the residuals of jf's coefficients on the duplicated panel
     q1 = jf.q1
-    X = _joint_design(dup.y, dup.z, dup.x, jf.d_hat[q1 - jf.q2:], q1)
+    X = _design(dup.y, q1, (dup.z, dup.x, jf.d_hat))
     jf = dataclasses.replace(jf, residuals=dup.y[q1:] - X @ _joint_coef(jf))
     with pytest.raises(BootstrapUnstable):
         boot_interval(jf, sf, dup, sp, fut, 4, BootstrapConfig(B=120), 0.05)
@@ -406,7 +406,7 @@ def _loop_gradient(jf, sf, mp, sp, fut, H):
     """The former gradient loop: g_h = r_h + sum_l alpha_l g_{h-l}, by row."""
     q1 = jf.q1
     point = forecast_joint(jf, sf, mp, sp, fut, H).point
-    cov_rows = np.hstack(_joint_future_rows(jf, sf, sp, fut, H))
+    cov_rows = np.hstack(_future_rows(fut, H, mp.d, mp.p, sf, sp))
     path = np.concatenate([mp.y[-q1:], point])
     grad = np.empty((H, q1 + cov_rows.shape[1]))
     for h in range(H):

@@ -251,15 +251,40 @@ def test_experiment_grid_rejects_non_finite_rho(rho):
         ExperimentGrid(rhos=(0.2, rho), horizons=(8,), include_boot=False)
 
 
-def test_experiment_reaches_every_traced_layer(monkeypatch):
-    # perfbench/tracing.py times the harness by wrapping the names it calls in
-    # surrocast.simulation; a call routed around one of them would leave that
-    # layer empty in a traced benchmark run
+@pytest.mark.parametrize("field,value", [
+    ("workers", 0), ("workers", -3),
+    ("x_scale", math.nan), ("x_scale", math.inf), ("x_scale", -1.0),
+    ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.05), ("alpha", math.nan),
+])
+def test_experiment_grid_rejects_invalid_field(field, value):
+    with pytest.raises(InvalidData, match=field):
+        _small_grid(**{field: value})
+
+
+def _load_tracing(monkeypatch):
+    """perfbench/tracing.py, loaded without writing bytecode beside it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # the tracer patches these names by module; a refactor that unbinds one
+    # would otherwise first fail in a traced benchmark run
+    for mod_name, attrs in _load_tracing(monkeypatch).TARGETS.items():
+        mod = importlib.import_module(mod_name)
+        missing = [attr for attr in attrs if not callable(getattr(mod, attr, None))]
+        assert missing == [], f"{mod_name} lacks {missing}"
+
+
+def test_experiment_reaches_every_traced_layer(monkeypatch):
+    # perfbench/tracing.py times the harness by wrapping the names it calls in
+    # surrocast.simulation; a call routed around one of them would leave that
+    # layer empty in a traced benchmark run
+    tracing = _load_tracing(monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -24,7 +24,14 @@ from .errors import (
     InvalidData,
     PanelMismatch,
 )
-from .estimation import JointFit, SurrogateFit, _design, _full_rank, d_residual_matrix
+from .estimation import (
+    RANK_TOL,
+    JointFit,
+    SurrogateFit,
+    _design,
+    _full_rank,
+    d_residual_matrix,
+)
 from .forecasting import (
     ForecastResult,
     FutureExogenous,
@@ -326,18 +333,82 @@ def _empirical_quantile(sorted_vals: np.ndarray, q: float, rule: str) -> float:
 
 
 def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve R x = rhs for a batch of upper-triangular (B, m, m) R."""
+    """Solve R x = rhs for upper-triangular R (..., m, m) and rhs (..., m, r).
+
+    The leading axes broadcast, so one R can serve a batch of right-hand
+    sides.
+    """
     m = R.shape[-1]
-    x = np.empty_like(rhs)
+    x = np.empty(np.broadcast_shapes(R.shape[:-2], rhs.shape[:-2])
+                 + rhs.shape[-2:])
     for i in range(m - 1, -1, -1):
-        tail = np.einsum("bj,bj->b", R[:, i, i + 1:], x[:, i + 1:])
-        x[:, i] = (rhs[:, i] - tail) / R[:, i, i]
+        tail = np.einsum("...j,...jr->...r", R[..., i, i + 1:],
+                         x[..., i + 1:, :])
+        x[..., i, :] = (rhs[..., i, :] - tail) / R[..., i, i, None]
     return x
+
+
+# Largest computed kappa_F that _refit_full_rank accepts without an SVD: a
+# factor 100 below the 1 / RANK_TOL that _full_rank allows.
+_SCREEN_KAPPA = 1e-2 / RANK_TOL
+
+
+def _refit_full_rank(R: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """_full_rank of the singular values of every assembled refit R factor.
+
+    R is (B, m, m) upper triangular, [[R_F, C], [0, R_L]], with the (k, k)
+    block R_F the same in every replicate. Returns the (B,) mask and the
+    number of replicates whose singular values had to be computed.
+
+    Most replicates are decided by a screen on kappa_F = ||R||_F ||R^-1||_F.
+    X = R^-1 is block triangular: X_F = R_F^-1 (once per call), X_L = R_L^-1
+    and X_FL, solving R_F X_FL = -C X_L, all by the substitution that
+    refits; so ||R^-1||_F^2 = ||X_F||^2 + ||X_FL||^2 + ||X_L||^2, and
+    ||R||_F^2 = ||R_F||^2 + ||C||^2 + ||R_L||^2. A replicate passes the
+    screen when both squares are normal numbers and the computed kappa_F is
+    at most _SCREEN_KAPPA = 1e8. Every other one (a zero or non-finite
+    pivot, a rank-deficient R_F, anything near the cutoff) gets
+    _full_rank(svd(R)), so the mask is the SVD rule's for every replicate.
+
+    Why a passing replicate passes the SVD rule (u = 2^-53; Golub & Van
+    Loan, Matrix Computations, sec. 2.3 and 8.6; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 8):
+    - s_max <= ||R||_F and 1/s_min <= ||R^-1||_F, so kappa_2 <= kappa_F.
+    - Substitution gives |R X^ - I| <= gamma_m |R| |X^| for the computed
+      X^ (the product C X_L adds a term of the same form), so
+      R^-1 = X^ (I + E)^-1 with ||E||_2 <= gamma_m ||R||_F ||X^||_F. The
+      true kappa_F thus exceeds the computed one by a factor of at most
+      1 / (1 - gamma_m 1e8), times the rounding of the norms (gamma_{m^2}):
+      1 + 1e-5 for any m below 1000. Normal squares keep underflow out.
+      This bound needs no knowledge of the true kappa, unlike one for
+      X_F C X_L formed as a product, whose error grows as kappa_F^2.
+    - LAPACK's singular values are within p(m) u s_max of the exact ones,
+      so the computed s_min / s_max is at least
+      (1e-8 / (1 + 1e-5) - p(m) u) / (1 + p(m) u), above RANK_TOL = 1e-10
+      for any p(m) up to 10^5. The factor 100 is that slack, with room.
+    """
+    m = R.shape[-1]
+    R_F, C, R_L = R[0, :k, :k], R[:, :k, k:], R[:, k:, k:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        X_F = _back_substitute(R_F, np.eye(k))
+        X_L = _back_substitute(R_L, np.eye(m - k))
+        X_FL = _back_substitute(R_F, -(C @ X_L))
+        r2 = np.einsum("bij,bij->b", R, R)
+        x2 = (np.einsum("ij,ij->", X_F, X_F)
+              + np.einsum("bij,bij->b", X_FL, X_FL)
+              + np.einsum("bij,bij->b", X_L, X_L))
+        tiny = np.finfo(float).tiny
+        screened = (r2 >= tiny) & (x2 >= tiny) & (r2 * x2 <= _SCREEN_KAPPA**2)
+    kept = screened.copy()
+    rest = np.flatnonzero(~screened)
+    if rest.size:
+        kept[rest] = _full_rank(np.linalg.svd(R[rest], compute_uv=False))
+    return kept, int(rest.size)
 
 
 def _batched_refit(
     fixed: np.ndarray, lags: np.ndarray, response: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Least-squares refits of response[b] on [lag columns of b, fixed].
 
     fixed is the (n, k) block shared by every replicate; lags is (B, q1, n),
@@ -350,11 +421,14 @@ def _batched_refit(
 
     is the R factor of [F, L] = [Q_F, Q_L] R, so its singular values are the
     full design's. A replicate is kept when they pass _full_rank, the rule
-    ols_solve applies to one design, and back-substitution on R gives its
-    lag coefficients first, then the fixed ones.
+    ols_solve applies to one design; _refit_full_rank decides that from the
+    block structure of R and computes singular values only near the cutoff.
+    Back-substitution on R gives a kept replicate's lag coefficients first,
+    then the fixed ones.
 
-    Returns (coef, kept): coef is (B, q1 + k) in [lags, fixed] column
-    order, NaN on the rows of dropped replicates; kept is a (B,) bool mask.
+    Returns (coef, kept, n_svd): coef is (B, q1 + k) in [lags, fixed] column
+    order, NaN on the rows of dropped replicates; kept is a (B,) bool mask;
+    n_svd counts the replicates whose singular values were computed.
     """
     B, q1, n = lags.shape
     k = fixed.shape[1]
@@ -371,11 +445,11 @@ def _batched_refit(
     R[:, k:, k:] = R_aug[:, :q1, :q1]
     rhs = np.concatenate([proj[:, q1], R_aug[:, :q1, q1]], axis=1)
 
-    kept = _full_rank(np.linalg.svd(R, compute_uv=False))
-    solution = _back_substitute(R[kept], rhs[kept])     # [fixed, lags] order
+    kept, n_svd = _refit_full_rank(R, k)
+    solution = _back_substitute(R[kept], rhs[kept, :, None])[..., 0]  # [fixed, lags]
     coef = np.full((B, q1 + k), np.nan)
     coef[kept] = np.concatenate([solution[:, k:], solution[:, :k]], axis=1)
-    return coef, kept
+    return coef, kept, n_svd
 
 
 def boot_interval(
@@ -405,12 +479,15 @@ def boot_interval(
     forward together by the batched AR recursion.
 
     Drop rule: a replicate whose refit design fails _full_rank is dropped,
-    the rule ols_solve applies to one design. The singular values come from
-    the assembled R factor of the partialled refit, which has those of the
-    full design. The number dropped is logged at DEBUG on the
-    surrocast.intervals logger; more than 5% of them dropped raises
-    BootstrapUnstable, and so does a rank-deficient covariate block, which
-    drops every replicate.
+    the rule ols_solve applies to one design, applied to the assembled R
+    factor of the partialled refit, which has the full design's singular
+    values. _refit_full_rank keeps a replicate without computing them when
+    kappa_F = ||R||_F ||R^-1||_F, read off the block-triangular R, is far
+    below the cutoff; it computes them for the rest, so the kept set is the
+    SVD rule's. The number dropped, and the number that needed the singular
+    values, are logged at DEBUG on the surrocast.intervals logger; more than
+    5% of them dropped raises BootstrapUnstable, and so does a rank-deficient
+    covariate block, which drops every replicate.
 
     mp and sp must be the panels the fit was estimated on; _fitted_design
     raises PanelMismatch otherwise.
@@ -444,11 +521,11 @@ def boot_interval(
     Y = np.concatenate([e_star[:, :q1], rebuilt], axis=1)
 
     lags = np.stack([Y[:, q1 - l: T - l] for l in range(1, q1 + 1)], axis=1)
-    coef, kept = _batched_refit(fixed, lags, Y[:, q1:T])
+    coef, kept, n_svd = _batched_refit(fixed, lags, Y[:, q1:T])
 
     n_failed = B - int(kept.sum())
-    logger.debug("boot_interval: %d of %d bootstrap replicates dropped",
-                 n_failed, B)
+    logger.debug("boot_interval: %d of %d bootstrap replicates dropped; "
+                 "%d needed the SVD rank check", n_failed, B, n_svd)
     if n_failed > 0.05 * B:
         raise BootstrapUnstable(
             f"{n_failed} of {B} bootstrap replicates failed to refit"

@@ -138,6 +138,8 @@ class DgpSpec:
         A_S = np.asarray(self.A_S, dtype=float)
         if A_S.ndim == 2:
             A_S = A_S[None]
+        if self.alpha.size == 0 or A_S.size == 0:
+            raise InvalidData("alpha and A_S need at least one lag")
         object.__setattr__(self, "A_S", A_S)
         K = A_S.shape[1]
         B_S = np.asarray(self.B_S, dtype=float).reshape(K, -1)

@@ -142,11 +142,10 @@ def _error_variance_ratio(master_seed: int, rho: float, T: int, Q: int) -> float
     B_S = np.array([[0.1, 0.1], [-0.1, -0.1], [-0.3, -0.3]])
     sigma = np.eye(4)
     sigma[0, 1:] = sigma[1:, 0] = rho
+    spec = DgpSpec(alpha=[0.5, -0.3], beta=[0.7, -0.2], A_S=A_S1, B_S=B_S,
+                   Sigma=sigma, T=T + 1, x_gen=Ar1Spec(2, 0.5, 1.0))
     num = den = 0.0
     for rep in range(Q):
-        spec = DgpSpec(alpha=[0.5, -0.3], beta=[0.7, -0.2], A_S=A_S1,
-                       B_S=B_S, Sigma=sigma, T=T + 1,
-                       x_gen=Ar1Spec(2, 0.5, 1.0))
         mp, sp, _ = generate(spec, (master_seed, int(rho * 100), rep))
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         fut = FutureExogenous(mp.z[T:], mp.x[T:], sp.ys[T:])

@@ -27,7 +27,7 @@ from surrocast import (
     forecast_joint,
     generate,
 )
-from surrocast.estimation import RANK_TOL, _design, d_residual_matrix
+from surrocast.estimation import RANK_TOL, _design, _full_rank, d_residual_matrix
 from surrocast.forecasting import _ar_recursion, _future_rows
 from surrocast.intervals import (
     _batched_refit,
@@ -35,6 +35,7 @@ from surrocast.intervals import (
     _joint_forecast_gradient,
     _ndtri,
     _psi_weights,
+    _refit_full_rank,
 )
 
 
@@ -300,7 +301,7 @@ def test_batched_refit_rank_rule_matches_lstsq(rng):
     lags[29, 1] = fixed[:, 0] + 1e-11 * rng.normal(size=n)  # under 1e-10
     lags[33, 0] = fixed[:, 1] + 1e-7 * rng.normal(size=n)   # kept
     lags[35, 0] = 0.0                                # s_min = 0
-    coef, kept = _batched_refit(fixed, lags, response)
+    coef, kept, _ = _batched_refit(fixed, lags, response)
     for b in range(B):
         ref = _lstsq_keeps(np.hstack([lags[b].T, fixed]), response[b])
         assert kept[b] == (ref is not None), b
@@ -309,6 +310,124 @@ def test_batched_refit_rank_rule_matches_lstsq(rng):
         elif b != 33:  # 33 is kept with a condition number near 1e8
             np.testing.assert_allclose(coef[b], ref, rtol=1e-10, atol=1e-12)
     assert np.flatnonzero(~kept).tolist() == [3, 17, 29, 35]
+
+
+def _block_r(R_F, C, R_L):
+    """The refit's (B, k + q1, k + q1) R factor [[R_F, C], [0, R_L]]."""
+    B, k, q1 = C.shape
+    R = np.zeros((B, k + q1, k + q1))
+    R[:, :k, :k] = R_F
+    R[:, :k, k:] = C
+    R[:, k:, k:] = R_L
+    return R
+
+
+def _triangular(rng, sv):
+    """Upper-triangular R factor of a random matrix with singular values sv."""
+    m = len(sv)
+    U = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    V = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    return np.linalg.qr((U * sv) @ V.T, mode="r")
+
+
+def _screen_batches(rng):
+    """(k, R) pairs, R a batch of the refit's block shape, named by how it
+    is conditioned."""
+    k = 5
+    kappas = np.concatenate([np.logspace(2, 14, 25), np.logspace(8, 12, 81)])
+    batches = {}
+    for q1 in (1, 2, 4):
+        # kappa_2 of R set by R_L, log-spaced and dense about 1 / RANK_TOL
+        R_F = _triangular(rng, np.geomspace(1.0, 0.1, k))
+        R_L = np.stack([_triangular(rng, np.geomspace(1.0, 1.0 / kap, q1 + 1)[1:])
+                        for kap in kappas])
+        C = rng.normal(size=(len(kappas), k, q1))
+        batches[f"graded q1={q1}"] = (k, _block_r(R_F, C, R_L))
+        # ill-conditioning that only the C block of R^-1 shows:
+        # R_F^-1 C R_L^-1 is far larger than R_F^-1 and R_L^-1
+        R_F = _triangular(rng, [1.0, 1.0, 1.0, 1.0, 1e-3])
+        weak = np.linalg.solve(R_F, np.eye(k))[:, -1]   # R_F @ weak = e_k
+        C = (np.geomspace(1e-2, 1e5, 106)[:, None, None]
+             * R_F @ weak[:, None] @ rng.normal(size=(1, q1)))
+        R_L = np.stack([_triangular(rng, np.geomspace(1.0, 1e-3, q1 + 1)[1:])
+                        for _ in range(106)])
+        batches[f"coupled q1={q1}"] = (k, _block_r(R_F, C, R_L))
+    # k = q1 = 1 and s_min / s_max within a few ulps of RANK_TOL, where
+    # kappa_F = kappa_2 + 1 / kappa_2 rounds to kappa_2
+    ulp = np.finfo(float).eps
+    j = np.arange(-8, 9)
+    for s in np.geomspace(0.01, 100.0, 5):
+        C = np.zeros((2 * len(j), 1, 1))
+        C[len(j):] = 1e-3 * s
+        R_L = np.tile(s * RANK_TOL * (1.0 + j * ulp), 2)[:, None, None]
+        batches[f"at the cutoff, scale {s:g}"] = (
+            1, _block_r(np.array([[s]]), C, R_L))
+    # zero, duplicated and fixed-copy lag columns among ordinary ones
+    R_F = _triangular(rng, np.geomspace(1.0, 0.1, k))
+    C = rng.normal(size=(8, k, 2))
+    R_L = np.stack([_triangular(rng, [1.0, 0.5]) for _ in range(8)])
+    C[0, :, 0], R_L[0, :, 0] = 0.0, 0.0                    # a zero lag
+    C[1, :, 1], R_L[1, :, 1] = C[1, :, 0], R_L[1, :, 0]    # two equal lags
+    C[2, :, 0], R_L[2, :, 0] = R_F[:, 3], 0.0              # a copy of F
+    C[3, :, 1], R_L[3, :, 1] = -2.0 * C[3, :, 0], -2.0 * R_L[3, :, 0]
+    batches["collinear lags"] = (k, _block_r(R_F, C, R_L))
+    # a rank-deficient fixed block: numerically, and with an exact zero
+    R_L = np.stack([_triangular(rng, [1.0, 0.5]) for _ in range(8)])
+    batches["deficient R_F"] = (k, _block_r(
+        _triangular(rng, [1.0, 1.0, 1.0, 1.0, 0.0]), C, R_L))
+    R_F = _triangular(rng, np.geomspace(1.0, 0.1, k))
+    R_F[:, 2] = 0.0
+    batches["zero R_F column"] = (k, _block_r(R_F, C, R_L))
+    return batches
+
+
+def test_refit_screen_matches_svd_rule(rng):
+    spread = []
+    for name, (k, R) in _screen_batches(rng).items():
+        kept, n_svd = _refit_full_rank(R, k)
+        sv = np.linalg.svd(R, compute_uv=False)
+        ref = _full_rank(sv)
+        bad = np.flatnonzero(kept != ref)
+        assert bad.size == 0, (name, bad, sv[bad, 0] / sv[bad, -1])
+        assert 0 <= n_svd <= len(R)
+        with np.errstate(divide="ignore"):
+            spread.append(sv[:, 0] / sv[:, -1])
+    kappa = np.concatenate(spread)
+    # the batches reach both sides of the cutoff and beyond
+    assert np.sum((kappa > 1e8) & (kappa < 1e12)) > 300
+    assert np.min(kappa) < 1e3 and np.sum(np.isinf(kappa) | (kappa > 1e14)) > 5
+
+
+def _count_svd_rows(monkeypatch):
+    rows = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return rows
+
+
+def test_refit_screen_skips_svd_when_well_conditioned(rng, monkeypatch):
+    rows = _count_svd_rows(monkeypatch)
+    B, q1, n, k = 500, 2, 52, 5
+    coef, kept, n_svd = _batched_refit(rng.normal(size=(n, k)),
+                                       rng.normal(size=(B, q1, n)),
+                                       rng.normal(size=(B, n)))
+    assert kept.all() and n_svd == 0 and rows == []
+
+
+def test_refit_screen_sends_near_cutoff_to_svd(monkeypatch):
+    k, R = _screen_batches(np.random.default_rng(3))["graded q1=2"]
+    rows = _count_svd_rows(monkeypatch)
+    kept, n_svd = _refit_full_rank(R, k)
+    kappa = np.linalg.cond(R)
+    near = (kappa > 1e9) & (kappa < 1e11)
+    assert near.sum() > 20
+    assert rows == [n_svd] and n_svd >= near.sum()
+    assert n_svd < len(R)
 
 
 def _sparse_residual_fit():

@@ -70,6 +70,16 @@ def test_generate_rejects_nonstationary_surrogate():
                 B_S=np.zeros((2, 0)), Sigma=np.eye(3), T=50, x_gen=Ar1Spec(0))
 
 
+@pytest.mark.parametrize("alpha, A_S", [
+    (np.zeros(0), np.zeros((1, 2, 2))),
+    ([0.5], np.zeros((0, 2, 2))),
+])
+def test_spec_rejects_empty_lag_coefficients(alpha, A_S):
+    with pytest.raises(InvalidData, match="at least one lag"):
+        DgpSpec(alpha=alpha, beta=np.zeros(0), A_S=A_S, B_S=np.zeros((2, 0)),
+                Sigma=np.eye(3), T=10, x_gen=Ar1Spec(0))
+
+
 def test_generate_rejects_non_pd_sigma():
     sigma = equicorrelated(4, 0.9)
     sigma[0, 1] = 0.2  # asymmetric

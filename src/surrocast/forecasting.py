@@ -59,11 +59,6 @@ class FutureExogenous:
             if arr.shape[0] not in (0, H):
                 raise InvalidData("future covariate blocks must have equal row counts")
 
-    @property
-    def horizon(self) -> int:
-        return max(self.z_future.shape[0], self.x_future.shape[0],
-                   self.ys_future.shape[0])
-
 
 @dataclass(frozen=True)
 class ForecastResult:

@@ -1,11 +1,15 @@
 """Synthetic data generation and the Monte Carlo evaluation harness.
 
-The generator draws jointly correlated target/surrogate innovations, builds
-the surrogate vector series and the target series recursively, and discards a
-burn-in prefix. The harness repeats the full pipeline (generate, hold out the
-last H months, standardize on the training window, fit, forecast, score) over
-a (variant, correlation, horizon) grid with per-repetition RNG streams, so
-reports are bit-identical for a fixed seed regardless of worker count.
+The generator draws jointly correlated target/surrogate innovations and the
+covariate innovations, runs the target, the surrogate vector series and the
+covariates as one VAR(1) in stacked state-space form, and discards a burn-in
+prefix. The state recursion is solved by recursive doubling in numpy, in
+ceil(log2 n) matrix products for n months.
+
+The harness repeats the full pipeline (generate, hold out the last H months,
+standardize on the training window, fit, forecast, score) over a (variant,
+correlation, horizon) grid with per-repetition RNG streams, so reports are
+bit-identical for a fixed seed regardless of worker count.
 
 The embedding covariates are synthetic stand-ins: two smooth AR(1) columns
 whose stationary spread (default 6.0) is calibrated so the covariate part
@@ -63,14 +67,31 @@ __all__ = [
 VARIANTS = ("base", "omitted", "overfit", "student-t")
 
 
-def _lfilter(b, a, x, axis=-1):
-    """scipy.signal.lfilter, imported on the first call.
+# degrees of freedom of the student-t innovations
+_T_DF = 10.0
 
-    Only the simulator filters, so importing surrocast (and every data
-    command of the CLI) does not pay the import of scipy.
+
+def _linear_recursion(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Rows s_t = M s_{t-1} + W_t of a linear recursion from s_{-1} = 0.
+
+    Recursive doubling: after the pass with shift k, row t holds
+    sum_{j<2k} M^j W_{t-j}, so ceil(log2 n) matrix products cover all n
+    rows. The product on the right is a new array, so reading rows of s
+    that the same statement updates is safe.
+
+    Entries of M^(2^k) that decay below the smallest normal double are set
+    to zero: their terms are smaller than any rounding of s, and subnormal
+    operands slow a matrix product about eightfold.
     """
-    from scipy.signal import lfilter
-    return lfilter(b, a, x, axis=axis)
+    s = np.array(W, dtype=float)
+    P = M
+    shift = 1
+    while shift < len(s):
+        s[shift:] += s[:-shift] @ P.T
+        P = P @ P
+        P[np.abs(P) < np.finfo(float).tiny] = 0.0
+        shift *= 2
+    return s
 
 
 @dataclass(frozen=True)
@@ -87,12 +108,14 @@ class Ar1Spec:
         if self.n_cols < 0 or self.scale < 0:
             raise InvalidData("n_cols and scale must be nonnegative")
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.n_cols == 0:
-            return np.zeros((n, 0))
+    def _innovations(self, rng: np.random.Generator, n: int) -> np.ndarray:
         innov = rng.standard_normal((n, self.n_cols))
         innov *= self.scale * np.sqrt(1.0 - self.phi**2)
-        return _lfilter([1.0], [1.0, -self.phi], innov, axis=0)
+        return innov
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return _linear_recursion(self.phi * np.eye(self.n_cols),
+                                 self._innovations(rng, n))
 
 
 def equicorrelated(dim: int, rho: float) -> np.ndarray:
@@ -106,12 +129,19 @@ class DgpSpec:
 
     Sigma is the (1+K) x (1+K) innovation covariance: entry (0,0) is the
     target error variance, the rest the surrogate block. error_kind
-    'student-t' rescales a multivariate t(df) so its covariance still equals
-    Sigma. x_gen (and optionally z_gen) drive the exogenous columns.
+    'student-t' rescales a multivariate t(10) so its covariance still equals
+    Sigma. x_gen drives the exogenous columns.
 
-    A spec is validated and factored once, when it is built; every draw by
-    ``generate`` reuses its factors. Specs compare and hash by identity: two
-    specs built from equal arguments are distinct objects.
+    The target ARX(q1), the surrogate VARX(q2) and the AR(1) columns x form
+    one VAR(1) in the state s_t = [x_t, ys_t..ys_{t-q2+1}, y_t..y_{t-q1+1}].
+    x enters ys_t and y_t in the same month; with x_t = phi x_{t-1} + u_t,
+    the transition couples the previous month's x through phi B_S and
+    phi beta, and u_t joins the innovations.
+
+    A spec is validated, factored and put in state-space form once, when it
+    is built; every draw by ``generate`` reuses its factor and transition
+    matrix. Specs compare and hash by identity: two specs built from equal
+    arguments are distinct objects.
     """
 
     alpha: np.ndarray
@@ -120,19 +150,16 @@ class DgpSpec:
     B_S: np.ndarray
     Sigma: np.ndarray
     T: int
-    theta: np.ndarray = field(default_factory=lambda: np.zeros(0))
     x_gen: Ar1Spec = Ar1Spec(0)
-    z_gen: Ar1Spec = Ar1Spec(0)
     error_kind: str = "gaussian"
-    df: float = 10.0
     burn_in: int = 200
     # Cholesky factor of the covariance of the normal part of each innovation
     _chol: np.ndarray = field(init=False, repr=False)
-    # eig of the surrogate companion matrix; None when it is not diagonalizable
-    _modes: tuple | None = field(init=False, repr=False)
+    # transition matrix of the state s_t
+    _transition: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "theta"):
+        for name in ("alpha", "beta"):
             object.__setattr__(self, name, np.atleast_1d(
                 np.asarray(getattr(self, name), dtype=float)))
         A_S = np.asarray(self.A_S, dtype=float)
@@ -150,12 +177,10 @@ class DgpSpec:
             raise InvalidCovariance(f"Sigma must be symmetric ({1 + K} x {1 + K})")
         if self.error_kind not in ("gaussian", "student-t"):
             raise InvalidData(f"unknown error_kind {self.error_kind!r}")
-        if self.error_kind == "student-t" and not self.df > 2:
-            raise InvalidData("student-t errors need df > 2 for a finite covariance")
         # a t(df) draw is a normal draw times sqrt(df / chi2(df)), whose
         # variance is df / (df - 2); the normal part is shrunk to match
         normal_cov = (Sigma if self.error_kind == "gaussian"
-                      else Sigma * (self.df - 2.0) / self.df)
+                      else Sigma * (_T_DF - 2.0) / _T_DF)
         try:
             object.__setattr__(self, "_chol", np.linalg.cholesky(normal_cov))
         except np.linalg.LinAlgError as exc:
@@ -164,23 +189,23 @@ class DgpSpec:
             raise InvalidData("beta and B_S must agree on the number of x columns")
         if self.x_gen.n_cols != self.beta.shape[0]:
             raise InvalidData("x_gen must generate one column per beta entry")
-        if self.z_gen.n_cols != self.theta.shape[0]:
-            raise InvalidData("z_gen must generate one column per theta entry")
-        r1 = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(self.alpha)))))
-        vals, vecs = np.linalg.eig(companion_matrix(A_S))
-        r2 = float(np.max(np.abs(vals)))
+        target, surrogate = companion_matrix(self.alpha), companion_matrix(A_S)
+        r1 = float(np.max(np.abs(np.linalg.eigvals(target))))
+        r2 = float(np.max(np.abs(np.linalg.eigvals(surrogate))))
         if r1 >= 1.0 or r2 >= 1.0:
             raise NonStationarySpec(
                 f"spectral radii must be < 1 (target {r1:.3f}, surrogate {r2:.3f})"
             )
         if self.T < 1 or self.burn_in < 0:
             raise InvalidData("T must be >= 1 and burn_in >= 0")
-        modes = (vals, vecs) if np.linalg.cond(vecs) < 1e8 else None
-        object.__setattr__(self, "_modes", modes)
-
-    @property
-    def q1(self) -> int:
-        return self.alpha.shape[0]
+        p, ns, phi = B_S.shape[1], len(surrogate), self.x_gen.phi
+        M = np.zeros((p + ns + len(target),) * 2)
+        M[:p, :p] = phi * np.eye(p)
+        M[p:p + ns, p:p + ns] = surrogate
+        M[p:p + K, :p] = phi * B_S
+        M[p + ns:, p + ns:] = target
+        M[p + ns, :p] = phi * self.beta
+        object.__setattr__(self, "_transition", M)
 
     @property
     def q2(self) -> int:
@@ -203,33 +228,8 @@ def _draw_innovations(spec: DgpSpec, rng: np.random.Generator, n: int) -> np.nda
     normals = rng.standard_normal((n, 1 + spec.K)) @ spec._chol.T
     if spec.error_kind == "gaussian":
         return normals
-    mix = np.sqrt(spec.df / rng.chisquare(spec.df, size=n))
+    mix = np.sqrt(_T_DF / rng.chisquare(_T_DF, size=n))
     return normals * mix[:, None]
-
-
-def _var_recursion(spec: DgpSpec, inputs: np.ndarray) -> np.ndarray:
-    """ys_t = sum_l A_l ys_{t-l} + inputs_t from zero initial states.
-
-    Runs the stacked VAR(1) form in the spec's eigenbasis as independent
-    scalar filters; a spec without modes (a defective companion matrix)
-    takes the direct loop.
-    """
-    n, K = inputs.shape
-    if spec._modes is not None:
-        vals, vecs = spec._modes
-        stacked = np.zeros((n, K * spec.q2), dtype=complex)
-        stacked[:, :K] = inputs
-        w = np.linalg.solve(vecs, stacked.T)
-        for i, lam in enumerate(vals):
-            w[i] = _lfilter([1.0], [1.0, -lam], w[i])
-        return np.real((vecs @ w).T[:, :K])
-    ys = np.zeros((n, K))
-    for t in range(n):
-        acc = inputs[t].copy()
-        for l in range(1, min(spec.q2, t) + 1):
-            acc += spec.A_S[l - 1] @ ys[t - l]
-        ys[t] = acc
-    return ys
 
 
 def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel, SimTruth]:
@@ -238,18 +238,21 @@ def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel, SimTrut
     rng = np.random.default_rng(seed)
     n = spec.burn_in + spec.T
     eps = _draw_innovations(spec, rng, n)
-    x = spec.x_gen.draw(rng, n)
-    z = spec.z_gen.draw(rng, n)
+    u = spec.x_gen._innovations(rng, n)
 
-    ys = _var_recursion(spec, x @ spec.B_S.T + eps[:, 1:])
-
-    driver = z @ spec.theta + x @ spec.beta + eps[:, 0]
-    y = _lfilter([1.0], np.concatenate([[1.0], -spec.alpha]), driver)
+    p, K = u.shape[1], spec.K
+    y_col = p + K * spec.q2
+    W = np.zeros((n, len(spec._transition)))
+    W[:, :p] = u
+    W[:, p:p + K] = u @ spec.B_S.T + eps[:, 1:]
+    W[:, y_col] = u @ spec.beta + eps[:, 0]
+    s = _linear_recursion(spec._transition, W)
 
     b = spec.burn_in
     times = month_range("2019-01", spec.T)
-    mp = MonthlyPanel(times=times, y=y[b:], z=z[b:], x=x[b:])
-    sp = SurrogatePanel(times=times, ys=ys[b:])
+    mp = MonthlyPanel(times=times, y=s[b:, y_col], z=np.zeros((spec.T, 0)),
+                      x=s[b:, :p])
+    sp = SurrogatePanel(times=times, ys=s[b:, p:p + K])
     return mp, sp, SimTruth(eps=eps[b:], spec=spec)
 
 

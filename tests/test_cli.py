@@ -691,7 +691,7 @@ def test_usage_error_exit_code():
 
 
 # ---------------------------------------------------------------------------
-# start-up: only the simulator loads scipy
+# start-up: no part of the runtime loads scipy
 # ---------------------------------------------------------------------------
 
 _SCIPY_FREE = """
@@ -709,7 +709,8 @@ print(json.dumps(seen))
 
 def test_data_commands_do_not_import_scipy(workspace):
     # importing scipy.stats cost about 1.2 s of every command's start-up;
-    # the package and the data commands must not load any part of scipy
+    # the package, the data commands and the simulator must not load any
+    # part of scipy, which only the tests use as an oracle
     ws, d = workspace, workspace["dir"]
     _write_daily(d / "daily.csv", [[f"2021-01-{k:02d}", repr(k / 31)]
                                    for k in range(1, 32)])
@@ -725,6 +726,8 @@ def test_data_commands_do_not_import_scipy(workspace):
         ["interval", "--method", "boot", "--B", "100", *common,
          "--out", str(d / "boot.csv")],
         ["select", "--monthly", ws["monthly"], "--out", str(d / "sel.csv")],
+        ["simulate", "--rho-grid", "0.2", "--H-grid", "8", "--Q", "2",
+         "--B", "100", "--out", str(d / "sim.csv")],
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -24,6 +24,7 @@ from surrocast import (
     run_experiment,
 )
 from surrocast import simulation
+from surrocast.estimation import companion_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +102,73 @@ def test_generate_deterministic_given_seed():
             assert truth.eps.tobytes() == draws[0][2].eps.tobytes()
 
 
-def test_generate_defective_surrogate_matrix_uses_direct_recursion():
-    # a Jordan block has no eigenbasis, so the VAR recursion runs directly
+def _surrogate_lags():
+    """Random stable (q2, K, K) lag stacks, a Jordan block and a strongly
+    non-normal matrix."""
+    rng = np.random.default_rng(0)
+    lags = {}
+    for K in (1, 2, 3):
+        for q2 in (1, 2):
+            A_S = rng.standard_normal((q2, K, K))
+            radius = np.max(np.abs(np.linalg.eigvals(companion_matrix(A_S))))
+            # scaling lag l by c**l scales every companion eigenvalue by c
+            scale = (0.9 / radius) ** np.arange(1, q2 + 1)
+            lags[f"K{K}-q2{q2}"] = A_S * scale[:, None, None]
+    lags["jordan"] = np.array([[[0.5, 1.0], [0.0, 0.5]]])
+    lags["non-normal"] = np.array([[[0.95, 5.0], [0.0, 0.95]]])
+    return lags
+
+
+_SURROGATE_LAGS = _surrogate_lags()
+
+
+@pytest.mark.parametrize("n", [1, 2, 260, 2201])
+@pytest.mark.parametrize("case", list(_SURROGATE_LAGS))
+def test_linear_recursion_matches_direct_loop(case, n):
+    # the doubling scan sums M^j W_{t-j} in another order than the loop, so
+    # the two agree to a bound set by double rounding, not bit for bit;
+    # 2201 is the draw length of criterion 3
+    A_S = _SURROGATE_LAGS[case]
+    K = A_S.shape[-1]
+    rng = np.random.default_rng(n)
+    spec = DgpSpec(alpha=[0.5, -0.3], beta=rng.standard_normal(2), A_S=A_S,
+                   B_S=rng.standard_normal((K, 2)), Sigma=np.eye(1 + K), T=10,
+                   x_gen=Ar1Spec(2, phi=0.8))
+    M = spec._transition
+    W = rng.standard_normal((n, len(M)))
+    loop = np.zeros_like(W)
+    for t in range(n):
+        loop[t] = W[t] + (M @ loop[t - 1] if t else 0.0)
+    scan = simulation._linear_recursion(M, W)
+    assert np.max(np.abs(scan - loop)) <= 1e-12 * (1.0 + np.max(np.abs(loop)))
+
+
+def test_generate_matches_model_equations():
+    # one state-space draw equals the model written out month by month:
+    # ys_t = A ys_{t-1} + B_S x_t + e_t and y_t = alpha'y_lags + beta'x_t + e_t,
+    # here with a Jordan-block surrogate matrix, which has no eigenbasis
     A = np.array([[0.5, 1.0], [0.0, 0.5]])
-    spec = DgpSpec(alpha=[0.5], beta=np.zeros(0), A_S=A[None],
-                   B_S=np.zeros((2, 0)), Sigma=np.eye(3), T=40, burn_in=0)
-    assert spec._modes is None
-    _, sp, truth = generate(spec, 3)
-    expected = np.zeros((40, 2))
-    for t in range(40):
-        expected[t] = truth.eps[t, 1:] + (A @ expected[t - 1] if t else 0.0)
-    np.testing.assert_array_equal(sp.ys, expected)
+    beta, B_S = np.array([0.7, -0.2]), np.array([[0.1, 0.3], [-0.2, 0.4]])
+    alpha = np.array([0.5, -0.3])
+    spec = DgpSpec(alpha=alpha, beta=beta, A_S=A[None], B_S=B_S,
+                   Sigma=np.eye(3), T=300, x_gen=Ar1Spec(2, phi=0.6, scale=2.0),
+                   burn_in=0)
+    mp, sp, truth = generate(spec, 3)
+    x, eps = mp.x, truth.eps
+    ys, y = np.zeros((300, 2)), np.zeros(300)
+    for t in range(300):
+        ys[t] = B_S @ x[t] + eps[t, 1:] + (A @ ys[t - 1] if t else 0.0)
+        y[t] = beta @ x[t] + eps[t, 0] + sum(
+            alpha[l] * y[t - 1 - l] for l in range(2) if t > l)
+    bound = 1e-12 * (1.0 + max(np.max(np.abs(ys)), np.max(np.abs(y))))
+    assert np.max(np.abs(sp.ys - ys)) <= bound
+    assert np.max(np.abs(mp.y - y)) <= bound
+    assert mp.z.shape == (300, 0)
+    # the covariate innovations are drawn after the target/surrogate ones
+    rng = np.random.default_rng(3)
+    rng.standard_normal((300, 3))
+    x_alone = spec.x_gen.draw(rng, 300)
+    assert np.max(np.abs(x - x_alone)) <= 1e-12 * (1.0 + np.max(np.abs(x_alone)))
 
 
 def test_x_generator_stationary_scale():

@@ -112,6 +112,25 @@ def _driver(blocks, coefs) -> np.ndarray:
     return driver
 
 
+def _ar_roll(alpha: np.ndarray, buf: np.ndarray) -> None:
+    """Roll the AR recursion through a time-major buffer, in place.
+
+    buf[t] is month t of every series. Its first q1 months are the history;
+    each later month holds that month's driver on entry and
+    sum_l alpha_l buf[t-l] + driver on return. alpha has the lags on its
+    last axis, shape (q1,) shared by every series or (batch, q1) per series.
+    The lag sum accumulates left to right from l = 1 before the driver is
+    added, the order of a sequential dot product.
+    """
+    lag_coef = alpha.T
+    q1 = lag_coef.shape[0]
+    for t in range(q1, buf.shape[0]):
+        acc = 0.0
+        for l in range(q1):
+            acc = acc + lag_coef[l] * buf[t - 1 - l]
+        buf[t] = acc + buf[t]
+
+
 def _ar_recursion(
     alpha: np.ndarray, history: np.ndarray, driver: np.ndarray
 ) -> np.ndarray:
@@ -120,10 +139,9 @@ def _ar_recursion(
     The last axis of each argument runs over lags, history months and steps.
     A leading axis of driver is a batch axis: one call then rolls a batch of
     series forward together, with alpha and history of shape (q1,) shared by
-    all of them or (batch, .) per series. The lag sum accumulates left to
-    right from l = 1 before the driver is added, the order of a sequential
-    dot product, so a 1-D call returns what the scalar loop would. A history
-    shorter than q1 raises InsufficientSample.
+    all of them or (batch, .) per series. The steps are those of _ar_roll,
+    so a 1-D call returns what the scalar loop would. A history shorter than
+    q1 raises InsufficientSample.
     """
     alpha, history, driver = (np.asarray(a, dtype=float)
                               for a in (alpha, history, driver))
@@ -131,17 +149,11 @@ def _ar_recursion(
     if history.shape[-1] < q1:
         raise InsufficientSample(
             f"history of {history.shape[-1]} months is shorter than q1={q1}")
-    # Time runs along axis 0 so that buf[t] is one month of every series.
-    lag_coef = alpha.T
-    buf = np.zeros((q1 + H,) + driver.shape[:-1])
+    buf = np.empty((q1 + H,) + driver.shape[:-1])
     tail = history[..., history.shape[-1] - q1:]
     buf[:q1] = np.broadcast_to(tail, driver.shape[:-1] + (q1,)).T
-    for h, step in enumerate(driver.T):
-        t = q1 + h
-        acc = 0.0
-        for l in range(q1):
-            acc = acc + lag_coef[l] * buf[t - 1 - l]
-        buf[t] = acc + step
+    buf[q1:] = driver.T
+    _ar_roll(alpha, buf)
     return buf[q1:].T
 
 

@@ -36,6 +36,7 @@ from .forecasting import (
     ForecastResult,
     FutureExogenous,
     _ar_recursion,
+    _ar_roll,
     _driver,
     _future_rows,
     forecast_joint,
@@ -324,12 +325,18 @@ def bj_interval_estimated(
     )
 
 
-def _empirical_quantile(sorted_vals: np.ndarray, q: float, rule: str) -> float:
+def _empirical_quantile(sorted_vals: np.ndarray, q, rule: str) -> np.ndarray:
+    """Empirical q-quantiles along axis 0 of sorted_vals, q a scalar or a
+    sequence.
+
+    rule 'ceil' takes the order statistic with 1-based index ceil(n q),
+    clipped to [1, n]; 'linear' interpolates as np.quantile does.
+    """
     n = sorted_vals.shape[0]
     if rule == "ceil":
-        idx = min(max(math.ceil(n * q), 1), n)
-        return float(sorted_vals[idx - 1])
-    return float(np.quantile(sorted_vals, q))
+        idx = np.clip(np.ceil(n * np.asarray(q, dtype=float)), 1, n).astype(int)
+        return sorted_vals[idx - 1]
+    return np.quantile(sorted_vals, q, axis=0)
 
 
 def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -382,6 +389,12 @@ def _refit_full_rank(R: np.ndarray, k: int) -> tuple[np.ndarray, int]:
       1 + 1e-5 for any m below 1000. Normal squares keep underflow out.
       This bound needs no knowledge of the true kappa, unlike one for
       X_F C X_L formed as a product, whose error grows as kappa_F^2.
+    - R itself comes from _batched_refit's modified Gram-Schmidt sweep,
+      whose computed R is the exact R factor of a design within
+      p(n, m) u ||A|| of the refit's design A (Bjorck & Paige 1992, SIAM J.
+      Matrix Anal. Appl. 13), the bound a Householder QR meets; the loss of
+      orthogonality of its Q does not enter. So the rule on R is the rule
+      on the design, up to that backward error.
     - LAPACK's singular values are within p(m) u s_max of the exact ones,
       so the computed s_min / s_max is at least
       (1e-8 / (1 + 1e-5) - p(m) u) / (1 + p(m) u), above RANK_TOL = 1e-10
@@ -407,48 +420,77 @@ def _refit_full_rank(R: np.ndarray, k: int) -> tuple[np.ndarray, int]:
 
 
 def _batched_refit(
-    fixed: np.ndarray, lags: np.ndarray, response: np.ndarray
+    fixed: np.ndarray, lags, response: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Least-squares refits of response[b] on [lag columns of b, fixed].
+    """Least-squares refits of every replicate's response on [its lag
+    columns, fixed].
 
-    fixed is the (n, k) block shared by every replicate; lags is (B, q1, n),
-    lags[b, l] being the lag-(l+1) column of replicate b; response is (B, n).
+    Replicates run along the last axis. fixed is the (n, k) block shared by
+    all of them; lags is a sequence of q1 (n, B) arrays, lags[l][:, b] being
+    the lag-(l+1) column of replicate b (row slices of one time-major series
+    serve as they are); response is (n, B).
+
     Frisch-Waugh-Lovell partialling: one QR F = Q_F R_F of the fixed block;
-    Q_F is projected out of every lag column and response, and one batched
-    QR of the partialled [L_b, r_b] gives R_L and Q_L' r. The assembled
+    Q_F' of every lag column and response is one (k, n) @ (n, B) product,
+    written into R, and what Q_F leaves of each goes into one work buffer.
+    Modified Gram-Schmidt (MGS) across the batch then orthogonalises the
+    partialled lag columns in place, the response carried along as a last
+    column: an O(q1^2) sequence of vector operations on (n, B) arrays that
+    gives R_L and Q_L' r. The assembled
 
         R = [[R_F, Q_F' L], [0, R_L]]
 
     is the R factor of [F, L] = [Q_F, Q_L] R, so its singular values are the
-    full design's. A replicate is kept when they pass _full_rank, the rule
-    ols_solve applies to one design; _refit_full_rank decides that from the
-    block structure of R and computes singular values only near the cutoff.
-    Back-substitution on R gives a kept replicate's lag coefficients first,
-    then the fixed ones.
+    full design's. The R that MGS computes is backward stable like a
+    Householder one: it is the exact R factor of a matrix within a modest
+    multiple of u ||L|| of the partialled block (Bjorck & Paige 1992, "Loss
+    and recapture of orthogonality in the modified Gram-Schmidt algorithm",
+    SIAM J. Matrix Anal. Appl. 13), although the computed Q_L may lose
+    orthogonality; and MGS on [L, r] gives Q_L' r as the same backward-stable
+    least-squares solve. A pivot that is zero or not finite is set to zero
+    with its column, leaving R finite and singular, so the replicate goes to
+    the SVD and is dropped.
+
+    A replicate is kept when the singular values of R pass _full_rank, the
+    rule ols_solve applies to one design; _refit_full_rank decides that from
+    the block structure of R and computes singular values only near the
+    cutoff. Back-substitution on R gives a kept replicate's lag coefficients
+    first, then the fixed ones. Every step treats each replicate's columns
+    on their own, so a replicate's result does not depend on the others in
+    the batch.
 
     Returns (coef, kept, n_svd): coef is (B, q1 + k) in [lags, fixed] column
     order, NaN on the rows of dropped replicates; kept is a (B,) bool mask;
     n_svd counts the replicates whose singular values were computed.
     """
-    B, q1, n = lags.shape
-    k = fixed.shape[1]
+    q1, (n, B), k = len(lags), response.shape, fixed.shape[1]
+    m = k + q1
     Q_F, R_F = np.linalg.qr(fixed)
-    cols = np.concatenate([lags, response[:, None, :]], axis=1).reshape(-1, n)
-    proj = cols @ Q_F                                   # Q_F' of every column
-    partialled = (cols - proj @ Q_F.T).reshape(B, q1 + 1, n)
-    R_aug = np.linalg.qr(partialled.transpose(0, 2, 1), mode="r")
-    proj = proj.reshape(B, q1 + 1, k)
+    Rr = np.zeros((m, m + 1, B))        # [R | Q' r], one replicate per column
+    Rr[:k, :k] = R_F[:, :, None]
+    # the partialled lag columns and response, then one scratch column
+    part = np.empty((q1 + 2, n, B))
+    scratch = part[q1 + 1]
+    for j, col in enumerate((*lags, response)):
+        proj = np.matmul(Q_F.T, col, out=Rr[:k, k + j])
+        np.subtract(col, np.matmul(Q_F, proj, out=part[j]), out=part[j])
 
-    R = np.zeros((B, k + q1, k + q1))
-    R[:, :k, :k] = R_F
-    R[:, :k, k:] = proj[:, :q1].transpose(0, 2, 1)
-    R[:, k:, k:] = R_aug[:, :q1, :q1]
-    rhs = np.concatenate([proj[:, q1], R_aug[:, :q1, q1]], axis=1)
-
+    for i in range(q1):
+        col = part[i]
+        pivot = np.sqrt(np.einsum("tb,tb->b", col, col))
+        ok = np.isfinite(pivot) & (pivot > 0.0)
+        Rr[k + i, k + i] = np.where(ok, pivot, 0.0)
+        col *= np.divide(1.0, pivot, out=np.zeros(B), where=ok)
+        for j in range(i + 1, q1 + 1):
+            r = np.einsum("tb,tb->b", col, part[j], out=Rr[k + i, k + j])
+            part[j] -= np.multiply(col, r, out=scratch)
+    R = Rr[:, :m].transpose(2, 0, 1)
     kept, n_svd = _refit_full_rank(R, k)
-    solution = _back_substitute(R[kept], rhs[kept, :, None])[..., 0]  # [fixed, lags]
-    coef = np.full((B, q1 + k), np.nan)
-    coef[kept] = np.concatenate([solution[:, k:], solution[:, :k]], axis=1)
+    # a dropped replicate's singular R may divide by zero; its row is NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        solution = _back_substitute(R, Rr[:, m].T[..., None])[..., 0]  # [fixed, lags]
+    coef = np.concatenate([solution[:, k:], solution[:, :k]], axis=1)
+    coef[~kept] = np.nan
     return coef, kept, n_svd
 
 
@@ -471,12 +513,16 @@ def boot_interval(
     error at each horizon. Interval endpoints add the empirical alpha/2 and
     1-alpha/2 error quantiles to the original point forecast.
 
-    All B refits are done together. Only the q1 lag columns change from one
-    replicate to the next; the (z, x, d_hat) block is the same in all of
-    them, so it is factored once and partialled out (Frisch-Waugh-Lovell),
-    and one batched QR of the partialled lag block finishes every refit
-    (_batched_refit). The H-step forecasts of all replicates are then rolled
-    forward together by the batched AR recursion.
+    All B replicates live in one time-major (T + H, B) array: the drawn
+    residuals fill it and the AR recursion rebuilds it in place, so the lag
+    windows and the response of every refit are row slices of it. Only the
+    q1 lag columns change from one replicate to the next; the (z, x, d_hat)
+    block is the same in all of them, so it is factored once and partialled
+    out (Frisch-Waugh-Lovell), and modified Gram-Schmidt across the batch
+    finishes every refit (_batched_refit). The H-step forecasts of all
+    replicates are then rolled forward together by the batched AR
+    recursion, and both endpoints are read off the sorted (kept, H) error
+    matrix in one call.
 
     Drop rule: a replicate whose refit design fails _full_rank is dropped,
     the rule ols_solve applies to one design, applied to the assembled R
@@ -484,7 +530,10 @@ def boot_interval(
     values. _refit_full_rank keeps a replicate without computing them when
     kappa_F = ||R||_F ||R^-1||_F, read off the block-triangular R, is far
     below the cutoff; it computes them for the rest, so the kept set is the
-    SVD rule's. The number dropped, and the number that needed the singular
+    SVD rule's. That argument needs R to be the exact R factor of a nearby
+    design, which the Gram-Schmidt R is: modified Gram-Schmidt computes a
+    backward-stable R (Bjorck & Paige 1992), though not an orthogonal Q.
+    The number dropped, and the number that needed the singular
     values, are logged at DEBUG on the surrocast.intervals logger; more than
     5% of them dropped raises BootstrapUnstable, and so does a rank-deficient
     covariate block, which drops every replicate.
@@ -513,15 +562,16 @@ def boot_interval(
 
     B = cfg.B
     rng = np.random.default_rng(cfg.seed)
-    e_star = centered[rng.integers(0, n_resid, size=(B, n_total))]
+    # Months 1..T+H of every replicate, time-major: Y[t] holds month t + 1 of
+    # all B. The indices are drawn replicate by replicate, as they always
+    # were, so every replicate keeps its residuals; the gathered residuals
+    # fill Y and the recursion rebuilds it in place.
+    Y = centered[rng.integers(0, n_resid, size=(B, n_total)).T]
+    Y[q1:] += driver[q1:, None]
+    _ar_roll(jf.alpha_hat, Y)
 
-    # Rebuilt months 1..T+H of every replicate.
-    rebuilt = _ar_recursion(jf.alpha_hat, e_star[:, :q1],
-                            driver[q1:] + e_star[:, q1:])
-    Y = np.concatenate([e_star[:, :q1], rebuilt], axis=1)
-
-    lags = np.stack([Y[:, q1 - l: T - l] for l in range(1, q1 + 1)], axis=1)
-    coef, kept, n_svd = _batched_refit(fixed, lags, Y[:, q1:T])
+    coef, kept, n_svd = _batched_refit(
+        fixed, [Y[q1 - l: T - l] for l in range(1, q1 + 1)], Y[q1:T])
 
     n_failed = B - int(kept.sum())
     logger.debug("boot_interval: %d of %d bootstrap replicates dropped; "
@@ -533,17 +583,11 @@ def boot_interval(
 
     coef = coef[kept]
     fut_cov = np.hstack(fut_rows)
-    paths = _ar_recursion(coef[:, :q1], Y[kept, T - q1:T],
+    paths = _ar_recursion(coef[:, :q1], Y[T - q1:T, kept].T,
                           coef[:, q1:] @ fut_cov.T)
-    errors = np.sort(Y[kept, T:] - paths, axis=0)
-
-    lower = np.empty(H)
-    upper = np.empty(H)
-    for h in range(H):
-        lower[h] = point[h] + _empirical_quantile(errors[:, h], alpha / 2.0,
-                                                  cfg.quantile_rule)
-        upper[h] = point[h] + _empirical_quantile(errors[:, h], 1.0 - alpha / 2.0,
-                                                  cfg.quantile_rule)
+    errors = np.sort(Y[T:, kept].T - paths, axis=0)
+    lower, upper = point + _empirical_quantile(
+        errors, (alpha / 2.0, 1.0 - alpha / 2.0), cfg.quantile_rule)
     return IntervalResult(lower=lower, upper=upper, alpha=alpha, kind="boot")
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,26 @@ def _reference_boot(jf, sf, mp, sp, fut, H, cfg, alpha):
     return point, lower, upper, cfg.B - errors.shape[0]
 
 
+@pytest.mark.parametrize("rule", ["ceil", "linear"])
+def test_quantile_read_out_matches_per_horizon_loop(rng, rule):
+    # one read over the sorted (kept, H) error matrix gives the bits of one
+    # read per horizon: the ceil(n q)-th order statistic, or np.quantile of
+    # the column
+    H = 8
+    for n in (1, 2, 99, 475, 500):
+        errors = np.sort(rng.standard_t(3, size=(n, H)), axis=0)
+        for q in (0.005, 0.025, 0.05, 0.5, 0.95, 0.975, 0.995):
+            lower, upper = _empirical_quantile(errors, (q, 1.0 - q), rule)
+            for got, p in ((lower, q), (upper, 1.0 - q)):
+                for h in range(H):
+                    col = errors[:, h]
+                    if rule == "ceil":
+                        want = col[min(max(math.ceil(n * p), 1), n) - 1]
+                    else:
+                        want = np.quantile(col, p)
+                    assert got[h].tobytes() == np.float64(want).tobytes()
+
+
 @pytest.mark.parametrize("q1", [1, 2, 4])
 @pytest.mark.parametrize("rule", ["ceil", "linear"])
 @pytest.mark.parametrize("H", [1, 8])
@@ -291,7 +312,10 @@ def test_boot_matches_per_replicate_lstsq(q1, rule, H):
         assert np.all(np.abs(iv.upper - upper) <= bound)
 
 
-def test_batched_refit_rank_rule_matches_lstsq(rng):
+def _rank_rule_batch(rng):
+    """(fixed, lags, response) of 40 replicates, lags (B, q1, n) and
+    response (B, n) replicate-major; replicates 3, 17, 29 and 35 are rank
+    deficient and 33 is just above the cutoff."""
     B, q1, n, k = 40, 2, 50, 5
     fixed = rng.normal(size=(n, k))
     lags = rng.normal(size=(B, q1, n))
@@ -301,7 +325,13 @@ def test_batched_refit_rank_rule_matches_lstsq(rng):
     lags[29, 1] = fixed[:, 0] + 1e-11 * rng.normal(size=n)  # under 1e-10
     lags[33, 0] = fixed[:, 1] + 1e-7 * rng.normal(size=n)   # kept
     lags[35, 0] = 0.0                                # s_min = 0
-    coef, kept, _ = _batched_refit(fixed, lags, response)
+    return fixed, lags, response
+
+
+def test_batched_refit_rank_rule_matches_lstsq(rng):
+    fixed, lags, response = _rank_rule_batch(rng)
+    B = len(lags)
+    coef, kept, _ = _batched_refit(fixed, lags.transpose(1, 2, 0), response.T)
     for b in range(B):
         ref = _lstsq_keeps(np.hstack([lags[b].T, fixed]), response[b])
         assert kept[b] == (ref is not None), b
@@ -310,6 +340,29 @@ def test_batched_refit_rank_rule_matches_lstsq(rng):
         elif b != 33:  # 33 is kept with a condition number near 1e8
             np.testing.assert_allclose(coef[b], ref, rtol=1e-10, atol=1e-12)
     assert np.flatnonzero(~kept).tolist() == [3, 17, 29, 35]
+
+
+def test_batched_refit_replicate_independent_of_batch(rng):
+    # the time-major layout must not couple replicates: every replicate's
+    # refit has the same bits in the whole batch as in a slice of 37
+    B, q1, n, k = 500, 2, 50, 5
+    fixed = rng.normal(size=(n, k))
+    Y = rng.normal(size=(q1 + n, B))             # months x replicates
+    Y[:, 40] = 0.0                               # zero lag columns
+    Y[q1 - 1:q1 - 1 + n, 77] = fixed[:, 2]       # a lag copying F
+
+    def refit(Y):
+        lags = [Y[q1 - l:q1 - l + n] for l in range(1, q1 + 1)]
+        return _batched_refit(fixed, lags, Y[q1:])
+
+    coef, kept, _ = refit(Y)
+    assert np.flatnonzero(~kept).tolist() == [40, 77]
+    for start in range(0, B, 37):
+        part = slice(start, start + 37)
+        for Y_part in (Y[:, part], np.ascontiguousarray(Y[:, part])):
+            coef_part, kept_part, _ = refit(Y_part)
+            assert coef_part.tobytes() == coef[part].tobytes(), start
+            assert kept_part.tolist() == kept[part].tolist(), start
 
 
 def _block_r(R_F, C, R_L):
@@ -413,9 +466,10 @@ def _count_svd_rows(monkeypatch):
 def test_refit_screen_skips_svd_when_well_conditioned(rng, monkeypatch):
     rows = _count_svd_rows(monkeypatch)
     B, q1, n, k = 500, 2, 52, 5
-    coef, kept, n_svd = _batched_refit(rng.normal(size=(n, k)),
-                                       rng.normal(size=(B, q1, n)),
-                                       rng.normal(size=(B, n)))
+    fixed = rng.normal(size=(n, k))
+    lags = rng.normal(size=(B, q1, n)).transpose(1, 2, 0)
+    response = rng.normal(size=(B, n)).T
+    coef, kept, n_svd = _batched_refit(fixed, lags, response)
     assert kept.all() and n_svd == 0 and rows == []
 
 
@@ -464,6 +518,24 @@ def test_boot_drop_threshold(seed, dropped, caplog):
             with pytest.raises(BootstrapUnstable, match=f"{dropped} of 500"):
                 boot_interval(jf, sf, mp, sp, fut, 4, cfg, 0.05)
     assert f"{dropped} of 500 bootstrap replicates dropped" in caplog.text
+
+
+def test_refit_zero_pivot_warns_nothing(rng, caplog):
+    # a zero partialled lag column is a zero Gram-Schmidt pivot: it must
+    # leave R finite for the SVD rather than divide 0 by 0
+    jf, sf, mp, sp, fut = _sparse_residual_fit()
+    fixed, lags, response = _rank_rule_batch(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with caplog.at_level(logging.DEBUG, logger="surrocast.intervals"):
+            boot_interval(jf, sf, mp, sp, fut, 4, BootstrapConfig(B=500, seed=7),
+                          0.05)
+            with pytest.raises(BootstrapUnstable, match="28 of 500"):
+                boot_interval(jf, sf, mp, sp, fut, 4,
+                              BootstrapConfig(B=500, seed=8), 0.05)
+        _, kept, _ = _batched_refit(fixed, lags.transpose(1, 2, 0), response.T)
+    assert "25 of 500 bootstrap replicates dropped" in caplog.text
+    assert np.flatnonzero(~kept).tolist() == [3, 17, 29, 35]
 
 
 def test_boot_duplicated_covariate_unstable():

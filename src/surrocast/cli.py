@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="training panel CSV with candidate x_ columns")
     p.add_argument("--q-max", type=int, default=4,
                    help="largest autoregressive order to consider (default 4)")
-    p.add_argument("--min-decrease", type=float, default=1e-8,
+    p.add_argument("--min-decrease", type=_finite_float, default=1e-8,
                    help="required AIC improvement per accepted feature")
     p.add_argument("--rerank", action="store_true",
                    help="re-rank remaining candidates after each acceptance")
@@ -358,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="two-column CSV (label,value)")
     p.add_argument("--mode", choices=("cpi", "z"), default="cpi",
                    help="'cpi': center at --base; 'z': center at the mean")
-    p.add_argument("--base", type=float, default=100.0,
+    p.add_argument("--base", type=_finite_float, default=100.0,
                    help="structural base value for cpi mode")
     p.add_argument("--train-size", type=_positive_int, default=None,
                    help="rows used for the spread estimate (default: all)")

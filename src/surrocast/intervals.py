@@ -360,56 +360,46 @@ def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 _SCREEN_KAPPA = 1e-2 / RANK_TOL
 
 
-def _refit_full_rank(R: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """_full_rank of the singular values of every assembled refit R factor.
+def _refit_full_rank(R: np.ndarray) -> tuple[np.ndarray, int]:
+    """_full_rank of the singular values of every refit R factor.
 
-    R is (B, m, m) upper triangular, [[R_F, C], [0, R_L]], with the (k, k)
-    block R_F the same in every replicate. Returns the (B,) mask and the
-    number of replicates whose singular values had to be computed.
+    R is (B, m, m) upper triangular, one replicate's R factor per entry.
+    Returns the (B,) mask and the number of replicates whose singular values
+    had to be computed.
 
-    Most replicates are decided by a screen on kappa_F = ||R||_F ||R^-1||_F.
-    X = R^-1 is block triangular: X_F = R_F^-1 (once per call), X_L = R_L^-1
-    and X_FL, solving R_F X_FL = -C X_L, all by the substitution that
-    refits; so ||R^-1||_F^2 = ||X_F||^2 + ||X_FL||^2 + ||X_L||^2, and
-    ||R||_F^2 = ||R_F||^2 + ||C||^2 + ||R_L||^2. A replicate passes the
-    screen when both squares are normal numbers and the computed kappa_F is
-    at most _SCREEN_KAPPA = 1e8. Every other one (a zero or non-finite
-    pivot, a rank-deficient R_F, anything near the cutoff) gets
-    _full_rank(svd(R)), so the mask is the SVD rule's for every replicate.
+    Most replicates are decided by a screen on kappa_F = ||R||_F ||R^-1||_F,
+    with X = R^-1 from one back substitution on the identity. A replicate
+    passes the screen when both squared norms are normal numbers and the
+    computed kappa_F is at most _SCREEN_KAPPA = 1e8. Every other one (a zero
+    or non-finite pivot, anything near the cutoff) gets _full_rank(svd(R)),
+    so the mask is the SVD rule's for every replicate.
 
     Why a passing replicate passes the SVD rule (u = 2^-53; Golub & Van
     Loan, Matrix Computations, sec. 2.3 and 8.6; Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 8):
     - s_max <= ||R||_F and 1/s_min <= ||R^-1||_F, so kappa_2 <= kappa_F.
-    - Substitution gives |R X^ - I| <= gamma_m |R| |X^| for the computed
-      X^ (the product C X_L adds a term of the same form), so
-      R^-1 = X^ (I + E)^-1 with ||E||_2 <= gamma_m ||R||_F ||X^||_F. The
-      true kappa_F thus exceeds the computed one by a factor of at most
-      1 / (1 - gamma_m 1e8), times the rounding of the norms (gamma_{m^2}):
-      1 + 1e-5 for any m below 1000. Normal squares keep underflow out.
-      This bound needs no knowledge of the true kappa, unlike one for
-      X_F C X_L formed as a product, whose error grows as kappa_F^2.
-    - R itself comes from _batched_refit's modified Gram-Schmidt sweep,
-      whose computed R is the exact R factor of a design within
-      p(n, m) u ||A|| of the refit's design A (Bjorck & Paige 1992, SIAM J.
-      Matrix Anal. Appl. 13), the bound a Householder QR meets; the loss of
-      orthogonality of its Q does not enter. So the rule on R is the rule
-      on the design, up to that backward error.
+    - Back substitution gives |R X^ - I| <= gamma_m |R| |X^| for the
+      computed X^, column by column, so R^-1 = X^ (I + E)^-1 with
+      ||E||_2 <= gamma_m ||R||_F ||X^||_F. The true kappa_F thus exceeds the
+      computed one by a factor of at most 1 / (1 - gamma_m 1e8), times the
+      rounding of the norms (gamma_{m^2}): 1 + 1e-5 for any m below 1000.
+      Normal squares keep underflow out.
+    - R itself comes from _batched_refit's modified Gram-Schmidt (MGS)
+      sweep. The R that MGS computes is the exact R factor of a design
+      within p(n, m) u ||A|| of the refit's design A (Bjorck & Paige 1992,
+      "Loss and recapture of orthogonality in the modified Gram-Schmidt
+      algorithm", SIAM J. Matrix Anal. Appl. 13), the bound a Householder
+      QR meets; the loss of orthogonality of its Q does not enter. So the
+      rule on R is the rule on the design, up to that backward error.
     - LAPACK's singular values are within p(m) u s_max of the exact ones,
       so the computed s_min / s_max is at least
       (1e-8 / (1 + 1e-5) - p(m) u) / (1 + p(m) u), above RANK_TOL = 1e-10
       for any p(m) up to 10^5. The factor 100 is that slack, with room.
     """
-    m = R.shape[-1]
-    R_F, C, R_L = R[0, :k, :k], R[:, :k, k:], R[:, k:, k:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        X_F = _back_substitute(R_F, np.eye(k))
-        X_L = _back_substitute(R_L, np.eye(m - k))
-        X_FL = _back_substitute(R_F, -(C @ X_L))
+        X = _back_substitute(R, np.eye(R.shape[-1]))
         r2 = np.einsum("bij,bij->b", R, R)
-        x2 = (np.einsum("ij,ij->", X_F, X_F)
-              + np.einsum("bij,bij->b", X_FL, X_FL)
-              + np.einsum("bij,bij->b", X_L, X_L))
+        x2 = np.einsum("bij,bij->b", X, X)
         tiny = np.finfo(float).tiny
         screened = (r2 >= tiny) & (x2 >= tiny) & (r2 * x2 <= _SCREEN_KAPPA**2)
     kept = screened.copy()
@@ -441,19 +431,15 @@ def _batched_refit(
         R = [[R_F, Q_F' L], [0, R_L]]
 
     is the R factor of [F, L] = [Q_F, Q_L] R, so its singular values are the
-    full design's. The R that MGS computes is backward stable like a
-    Householder one: it is the exact R factor of a matrix within a modest
-    multiple of u ||L|| of the partialled block (Bjorck & Paige 1992, "Loss
-    and recapture of orthogonality in the modified Gram-Schmidt algorithm",
-    SIAM J. Matrix Anal. Appl. 13), although the computed Q_L may lose
-    orthogonality; and MGS on [L, r] gives Q_L' r as the same backward-stable
-    least-squares solve. A pivot that is zero or not finite is set to zero
-    with its column, leaving R finite and singular, so the replicate goes to
-    the SVD and is dropped.
+    full design's. The R that MGS computes is backward stable although its
+    Q_L may lose orthogonality (see _refit_full_rank), and MGS on [L, r]
+    gives Q_L' r as the same backward-stable least-squares solve. A pivot
+    that is zero or not finite is set to zero with its column, leaving R
+    finite and singular, so the replicate goes to the SVD and is dropped.
 
     A replicate is kept when the singular values of R pass _full_rank, the
     rule ols_solve applies to one design; _refit_full_rank decides that from
-    the block structure of R and computes singular values only near the
+    a kappa_F screen on R and computes singular values only near the
     cutoff. Back-substitution on R gives a kept replicate's lag coefficients
     first, then the fixed ones. Every step treats each replicate's columns
     on their own, so a replicate's result does not depend on the others in
@@ -484,8 +470,12 @@ def _batched_refit(
         for j in range(i + 1, q1 + 1):
             r = np.einsum("tb,tb->b", col, part[j], out=Rr[k + i, k + j])
             part[j] -= np.multiply(col, r, out=scratch)
+    # free the spent work buffer (col and scratch are views of it) before the
+    # screen allocates R^-1: with both live, a B = 500 call took about 330
+    # minor page faults, against none with the buffer freed first
+    del col, part, scratch
     R = Rr[:, :m].transpose(2, 0, 1)
-    kept, n_svd = _refit_full_rank(R, k)
+    kept, n_svd = _refit_full_rank(R)
     # a dropped replicate's singular R may divide by zero; its row is NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         solution = _back_substitute(R, Rr[:, m].T[..., None])[..., 0]  # [fixed, lags]
@@ -528,15 +518,14 @@ def boot_interval(
     the rule ols_solve applies to one design, applied to the assembled R
     factor of the partialled refit, which has the full design's singular
     values. _refit_full_rank keeps a replicate without computing them when
-    kappa_F = ||R||_F ||R^-1||_F, read off the block-triangular R, is far
+    kappa_F = ||R||_F ||R^-1||_F, from one back substitution on R, is far
     below the cutoff; it computes them for the rest, so the kept set is the
-    SVD rule's. That argument needs R to be the exact R factor of a nearby
-    design, which the Gram-Schmidt R is: modified Gram-Schmidt computes a
-    backward-stable R (Bjorck & Paige 1992), though not an orthogonal Q.
-    The number dropped, and the number that needed the singular
-    values, are logged at DEBUG on the surrocast.intervals logger; more than
-    5% of them dropped raises BootstrapUnstable, and so does a rank-deficient
-    covariate block, which drops every replicate.
+    SVD rule's (the argument, which rests on the backward stability of the
+    Gram-Schmidt R, is stated there). The number dropped, and the number
+    that needed the singular values, are logged at DEBUG on the
+    surrocast.intervals logger; more than 5% of them dropped raises
+    BootstrapUnstable, and so does a rank-deficient covariate block, which
+    drops every replicate.
 
     mp and sp must be the panels the fit was estimated on; _fitted_design
     raises PanelMismatch otherwise.

@@ -253,6 +253,8 @@ def standardize_cpi(
     """
     raw = np.asarray(raw, dtype=float)
     _require_finite("series", raw)
+    if not math.isfinite(base):
+        raise InvalidData(f"base must be finite, got {base}")
     centered = raw - base
     sd = _window_sd(_train_window(centered, train_size))
     return StandardizedSeries(values=centered / sd, offset=float(base), scale=sd)

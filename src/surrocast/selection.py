@@ -11,6 +11,7 @@ selection.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,8 @@ def correlation_pursuit(
         raise InvalidData("x must be a (T, p) matrix aligned with y")
     if x.shape[1] < 1:
         raise InvalidData("need at least one candidate column")
+    if not math.isfinite(min_decrease):
+        raise InvalidData(f"min_decrease must be finite, got {min_decrease}")
 
     q = select_ar_order(y, q_max)
     base = fit_arx(y, q)

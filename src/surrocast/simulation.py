@@ -64,7 +64,17 @@ __all__ = [
     "run_experiment",
 ]
 
-VARIANTS = ("base", "omitted", "overfit", "student-t")
+# One row per robustness variant: the innovation kind, the number of x
+# columns (the last ones) withheld from every fit and forecast, and the number
+# of pure-noise columns added to the surrogate fit. The order is part of every
+# repetition's seed (_rep_seeds), so a new variant goes at the end.
+_VARIANTS = {
+    "base": ("gaussian", 0, 0),
+    "omitted": ("gaussian", 1, 0),
+    "overfit": ("gaussian", 0, 2),
+    "student-t": ("student-t", 0, 0),
+}
+VARIANTS = tuple(_VARIANTS)
 
 
 # degrees of freedom of the student-t innovations
@@ -345,7 +355,7 @@ class ExperimentGrid:
 
     Every repetition standardises the target on its training window and fits
     the joint model with q1=2, q2=1 against an AR benchmark of order <= 4;
-    the student-t variant draws t(10) innovations.
+    the variant's row of _VARIANTS says what it changes.
     """
 
     rhos: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
@@ -374,6 +384,8 @@ class ExperimentGrid:
             raise InvalidData(f"x_scale must be finite and >= 0, got {self.x_scale}")
         if self.workers < 1:
             raise InvalidData(f"workers must be >= 1, got {self.workers}")
+        if self.include_intervals and self.include_boot:
+            BootstrapConfig(B=self.B)  # raises on a replicate count it rejects
 
 
 @dataclass(frozen=True)
@@ -410,20 +422,19 @@ def _rep_seeds(seed: int, variant: str, rho: float, H: int, rep: int):
 
 def _run_rep(task: tuple) -> dict:
     grid, spec, seed, rho, H, rep = task
+    _, withheld, n_noise = _VARIANTS[grid.variant]
     dgp_ss, noise_ss, boot_ss = _rep_seeds(seed, grid.variant, rho, H, rep)
     mp, sp, _ = generate(spec, dgp_ss)
     T_train = grid.total_months - H
     y = standardize_cpi(mp.y, base=0.0, train_size=T_train).values
-    x = mp.x
-    if grid.variant == "omitted":
-        x = x[:, :-1]  # second predictor withheld from estimation and forecasts
+    x = mp.x[:, :mp.p - withheld]
     mp_tr = MonthlyPanel(mp.times[:T_train], y[:T_train], mp.z[:T_train],
                          x[:T_train])
     sp_tr = sp.slice(0, T_train)
 
     x_sur = mp_tr.x
-    if grid.variant == "overfit":  # two pure-noise columns in the surrogate fit
-        noise = np.random.default_rng(noise_ss).standard_normal((T_train, 2))
+    if n_noise:
+        noise = np.random.default_rng(noise_ss).standard_normal((T_train, n_noise))
         x_sur = np.hstack([x_sur, noise])
     sf = fit_surrogate(sp_tr, x_sur, 1)
     jf = fit_joint_step2(mp_tr, sp_tr, sf, 2)
@@ -468,14 +479,13 @@ def run_experiment(grid: ExperimentGrid, Q: int, seed: int) -> SimulationReport:
     """
     if Q < 1:
         raise InvalidData("Q must be >= 1")
-    error_kind = "student-t" if grid.variant == "student-t" else "gaussian"
+    error_kind = _VARIANTS[grid.variant][0]
     specs = {rho: benchmark_dgp(rho, T=grid.total_months, error_kind=error_kind,
                                 x_scale=grid.x_scale)
              for rho in grid.rhos}
-    tasks = [
-        (grid, specs[rho], seed, rho, H, rep)
-        for rho in grid.rhos for H in grid.horizons for rep in range(Q)
-    ]
+    cells = [(rho, H) for rho in grid.rhos for H in grid.horizons]
+    tasks = [(grid, specs[rho], seed, rho, H, rep)
+             for rho, H in cells for rep in range(Q)]
     if grid.workers > 1:
         # about four chunks per worker, so that a small run is shared too
         chunksize = -(-len(tasks) // (4 * grid.workers))
@@ -483,30 +493,23 @@ def run_experiment(grid: ExperimentGrid, Q: int, seed: int) -> SimulationReport:
             outs = list(pool.map(_run_rep, tasks, chunksize=chunksize))
     else:
         outs = [_run_rep(task) for task in tasks]
-    results = {task[3:]: out for task, out in zip(tasks, outs)}  # (rho, H, rep)
 
+    # both loops keep task order, so cell c holds outs[c*Q:(c+1)*Q]
     rows: list[ReportRow] = []
-    for rho in grid.rhos:
-        for H in grid.horizons:
-            reps = [results[(rho, H, rep)] for rep in range(Q)]
-            truth = np.stack([r["truth"] for r in reps])
-            base = np.stack([r["AR"] for r in reps])
-            for method in ("RW", "AVE", "JOINT"):
-                fc = np.stack([r[method] for r in reps])
-                rows.append(ReportRow(grid.variant, rho, H, method, "rpmse",
-                                      rpmse(fc, truth, base)))
-                rows.append(ReportRow(grid.variant, rho, H, method, "rsign",
-                                      rsign(fc, truth, base)))
-            if grid.include_intervals:
-                names = ["AR_BJ", "JOINT_BJ"]
-                if grid.include_boot:
-                    names.append("JOINT_BOOT")
-                for name in names:
-                    lo = np.stack([r[name][0] for r in reps])
-                    hi = np.stack([r[name][1] for r in reps])
-                    cov, length = coverage_length(lo, hi, truth)
-                    rows.append(ReportRow(grid.variant, rho, H, name,
-                                          "coverage", cov))
-                    rows.append(ReportRow(grid.variant, rho, H, name,
-                                          "length", length))
+    for c, (rho, H) in enumerate(cells):
+        reps = outs[c * Q:(c + 1) * Q]
+        cell = (grid.variant, rho, H)
+        truth = np.stack([r["truth"] for r in reps])
+        base = np.stack([r["AR"] for r in reps])
+        for method in ("RW", "AVE", "JOINT"):
+            fc = np.stack([r[method] for r in reps])
+            rows.append(ReportRow(*cell, method, "rpmse", rpmse(fc, truth, base)))
+            rows.append(ReportRow(*cell, method, "rsign", rsign(fc, truth, base)))
+        for name in (n for n in ("AR_BJ", "JOINT_BJ", "JOINT_BOOT")
+                     if n in reps[0]):
+            lo = np.stack([r[name][0] for r in reps])
+            hi = np.stack([r[name][1] for r in reps])
+            cov, length = coverage_length(lo, hi, truth)
+            rows.append(ReportRow(*cell, name, "coverage", cov))
+            rows.append(ReportRow(*cell, name, "length", length))
     return SimulationReport(rows=tuple(rows), Q=Q)

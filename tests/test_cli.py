@@ -369,6 +369,16 @@ def test_efficiency_pd_violation_exit_code(capsys):
      "--train-size"),
     (["simulate", "--workers", "0", "--out", "never.csv"], "--workers"),
     (["simulate", "--workers", "-3", "--out", "never.csv"], "--workers"),
+    (["select", "--monthly", "m.csv", "--min-decrease", "nan", "--out", "never.csv"],
+     "--min-decrease"),
+    (["select", "--monthly", "m.csv", "--min-decrease", "inf", "--out", "never.csv"],
+     "--min-decrease"),
+    (["select", "--monthly", "m.csv", "--min-decrease=-inf", "--out", "never.csv"],
+     "--min-decrease"),
+    (["standardize", "--input", "raw.csv", "--base", "nan", "--out", "never.csv"],
+     "--base"),
+    (["standardize", "--input", "raw.csv", "--base", "inf", "--out", "never.csv"],
+     "--base"),
 ])
 def test_malformed_numeric_flag_is_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

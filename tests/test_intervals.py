@@ -436,8 +436,8 @@ def _screen_batches(rng):
 
 def test_refit_screen_matches_svd_rule(rng):
     spread = []
-    for name, (k, R) in _screen_batches(rng).items():
-        kept, n_svd = _refit_full_rank(R, k)
+    for name, (_, R) in _screen_batches(rng).items():
+        kept, n_svd = _refit_full_rank(R)
         sv = np.linalg.svd(R, compute_uv=False)
         ref = _full_rank(sv)
         bad = np.flatnonzero(kept != ref)
@@ -474,9 +474,9 @@ def test_refit_screen_skips_svd_when_well_conditioned(rng, monkeypatch):
 
 
 def test_refit_screen_sends_near_cutoff_to_svd(monkeypatch):
-    k, R = _screen_batches(np.random.default_rng(3))["graded q1=2"]
+    _, R = _screen_batches(np.random.default_rng(3))["graded q1=2"]
     rows = _count_svd_rows(monkeypatch)
-    kept, n_svd = _refit_full_rank(R, k)
+    kept, n_svd = _refit_full_rank(R)
     kappa = np.linalg.cond(R)
     near = (kappa > 1e9) & (kappa < 1e11)
     assert near.sum() > 20

@@ -41,6 +41,14 @@ def test_standardize_cpi_hand_values():
     assert std.scale == pytest.approx(np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("base", [np.nan, np.inf, -np.inf])
+def test_standardize_cpi_non_finite_base_rejected(base):
+    # a non-finite base would center every value at NaN or Inf and be
+    # reported as a zero-variance series
+    with pytest.raises(InvalidData, match="base"):
+        standardize_cpi(np.array([99.0, 101.0, 100.5]), base=base)
+
+
 def test_standardize_cpi_shift_invariance(rng):
     x = rng.standard_normal(40)
     x -= x.mean()

@@ -4,6 +4,7 @@ from scipy.signal import lfilter
 
 from surrocast import (
     InsufficientSample,
+    InvalidData,
     PenaltyUndefined,
     corrected_aic,
     correlation_pursuit,
@@ -120,6 +121,15 @@ def test_pursuit_pure_noise_with_strict_threshold():
         res = correlation_pursuit(y, x, q_max=4, min_decrease=2.0)
         short += len(res.chosen) <= 1
     assert short >= 80
+
+
+@pytest.mark.parametrize("min_decrease", [np.nan, np.inf, -np.inf])
+def test_pursuit_non_finite_threshold_rejected(rng, min_decrease):
+    # NaN and +Inf would accept no candidate and -Inf every one
+    y = lfilter([1.0], [1.0, -0.5], rng.standard_normal(80))
+    x = rng.standard_normal((80, 3))
+    with pytest.raises(InvalidData, match="min_decrease"):
+        correlation_pursuit(y, x, q_max=2, min_decrease=min_decrease)
 
 
 def test_pursuit_recovers_active_pair_first():

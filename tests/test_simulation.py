@@ -328,6 +328,14 @@ def test_experiment_grid_rejects_invalid_field(field, value):
         _small_grid(**{field: value})
 
 
+def test_experiment_grid_checks_bootstrap_replicates_up_front():
+    # rejected when the grid is built, not in the first (possibly worker) rep
+    with pytest.raises(InvalidData, match="B >= 100"):
+        _small_grid(B=50, include_boot=True)
+    _small_grid(B=50, include_boot=False)
+    _small_grid(B=50, include_boot=True, include_intervals=False)
+
+
 def _load_tracing(monkeypatch):
     """perfbench/tracing.py, loaded without writing bytecode beside it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -370,9 +378,8 @@ def test_experiment_rep_ignores_holdout_rows(variant, monkeypatch):
     # and nothing else
     H = 8
     grid = _small_grid(variant=variant, include_boot=True)
-    spec = benchmark_dgp(
-        0.2, T=grid.total_months,
-        error_kind="student-t" if variant == "student-t" else "gaussian")
+    spec = benchmark_dgp(0.2, T=grid.total_months,
+                         error_kind=simulation._VARIANTS[variant][0])
     task = (grid, spec, 1, 0.2, H, 0)
     clean = simulation._run_rep(task)
 
@@ -391,6 +398,37 @@ def test_experiment_rep_ignores_holdout_rows(variant, monkeypatch):
     assert not np.array_equal(clean["truth"], dirty["truth"])
     for key in clean.keys() - {"truth"}:
         assert np.array_equal(clean[key], dirty[key]), key
+
+
+def test_variant_order_is_fixed():
+    # the index of a variant is hashed into every repetition's seed
+    assert simulation.VARIANTS == ("base", "omitted", "overfit", "student-t")
+
+
+@pytest.mark.parametrize("variant,x_width,p,error_kind", [
+    ("base", 2, 2, "gaussian"),
+    ("omitted", 1, 1, "gaussian"),
+    ("overfit", 4, 2, "gaussian"),
+    ("student-t", 2, 2, "student-t"),
+])
+def test_experiment_applies_variant_row(variant, x_width, p, error_kind,
+                                        monkeypatch):
+    seen = {"x": [], "p": [], "kind": []}
+
+    def wrap(name, record):
+        inner = getattr(simulation, name)
+
+        def wrapped(*args, **kw):
+            record(*args, **kw)
+            return inner(*args, **kw)
+        monkeypatch.setattr(simulation, name, wrapped)
+
+    wrap("fit_surrogate", lambda sp, x, q2: seen["x"].append(x.shape[1]))
+    wrap("fit_joint_step2", lambda mp, *a: seen["p"].append(mp.p))
+    wrap("benchmark_dgp", lambda rho, **kw: seen["kind"].append(kw["error_kind"]))
+    run_experiment(_small_grid(variant=variant, include_intervals=False),
+                   Q=2, seed=0)
+    assert seen == {"x": [x_width] * 2, "p": [p] * 2, "kind": [error_kind]}
 
 
 def test_spec_compares_and_hashes_by_identity():

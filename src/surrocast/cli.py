@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -368,9 +369,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_numbers(argv: list[str]) -> list[str]:
+    """Write ``--flag value`` as ``--flag=value`` when every ','/';' piece of
+    value is a number: argparse takes a value such as -1e3 or -inf, which
+    is not plain negative decimal digits, for an option."""
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and _is_numeric(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _is_numeric(text: str) -> bool:
+    try:
+        for piece in re.split("[,;]", text):
+            float(piece)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (SurrocastError, OSError) as err:

@@ -216,13 +216,6 @@ def fit_joint_step2(
     (withheld or augmented columns); fit_joint covers the standard case.
     """
     check_aligned(mp, sp)
-    return _joint_step2(mp, sp, sf, q1)
-
-
-def _joint_step2(
-    mp: MonthlyPanel, sp: SurrogatePanel, sf: SurrogateFit, q1: int
-) -> JointFit:
-    """fit_joint_step2 on panels already known to cover the same months."""
     q2 = sf.q2
     if q1 < 1:
         raise InvalidData("q1 must be >= 1")
@@ -251,7 +244,7 @@ def fit_joint(
     """Two-step fit: surrogate VARX first, then the surrogate-augmented ARX."""
     check_aligned(mp, sp)
     sf = fit_surrogate(sp, mp.x, q2)
-    return _joint_step2(mp, sp, sf, q1), sf
+    return fit_joint_step2(mp, sp, sf, q1), sf
 
 
 def fit_arx(

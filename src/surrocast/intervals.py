@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -99,74 +100,21 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.B < 100:
             raise InvalidData("bootstrap needs B >= 100 replicates")
+        if self.seed < 0:
+            raise InvalidData(f"bootstrap seed must be >= 0, got {self.seed}")
         if self.quantile_rule not in ("ceil", "linear"):
             raise InvalidData(f"unknown quantile_rule {self.quantile_rule!r}")
 
 
-# Rational approximations of Cephes ndtri (Moshier), leading coefficient
-# first. Each Q carries the implicit leading 1 of Cephes' p1evl.
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-             -5.66762857469070293439e1, 1.39312609387279679503e1,
-             -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
-             8.63602421390890590575e1, -2.25462687854119370527e2,
-             2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-             5.71628192246421288162e1, 4.40805073893200834700e1,
-             1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-             -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
-             4.13172038254672030440e1, 1.50425385692907503408e1,
-             2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-             3.93881025292474443415e0, 1.33303460815807542389e0,
-             2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6,
-             6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
-             1.37702099489081330271e0, 2.16236993594496635890e-1,
-             1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
+def _z(alpha: float) -> float:
+    """|z_{alpha/2}|, the standard normal quantile of 1 - alpha/2.
 
-
-def _polevl(x: float, coefs: tuple) -> float:
-    acc = coefs[0]
-    for c in coefs[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _ndtri(p: float) -> float:
-    """Standard normal quantile of p in [0, 1], the Cephes ndtri that
-    scipy.special wraps.
-
-    Evaluated in the same order of float operations, so it returns the same
-    double as scipy.special.ndtri (and scipy.stats.norm.ppf) for every p.
-    Three branches: a rational function of (p - 1/2)^2 in the centre, and
-    for a tail probability y < exp(-2) a correction to x = sqrt(-2 log y)
-    by a rational function of 1/x, one for x < 8 and one beyond.
+    Taken from the lower tail: 1 - alpha/2 rounds to 1.0 for alpha below
+    about 1e-16, where inv_cdf raises. An alpha/2 that underflows to zero
+    gives an unbounded interval.
     """
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    upper = p > 1.0 - _EXP_M2
-    y = 1.0 - p if upper else p
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * 2.50662827463100050242  # sqrt(2 pi)
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    P, Q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x0 - z * _polevl(z, P) / _polevl(z, Q)
-    return x if upper else -x
+    p = alpha / 2.0
+    return -NormalDist().inv_cdf(p) if p > 0.0 else math.inf
 
 
 def _psi_weights(alpha_hat: np.ndarray, H: int) -> np.ndarray:
@@ -207,8 +155,7 @@ def bj_interval(forecast: ForecastResult, fit, alpha: float) -> IntervalResult:
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidData("alpha must lie in (0, 1)")
-    z = abs(_ndtri(alpha / 2.0))
-    half = z * _psi_weights(fit.alpha_hat, forecast.horizon) * fit.sigma_e_hat
+    half = _z(alpha) * _psi_weights(fit.alpha_hat, forecast.horizon) * fit.sigma_e_hat
     return IntervalResult(
         lower=forecast.point - half,
         upper=forecast.point + half,
@@ -316,7 +263,7 @@ def bj_interval_estimated(
     R = np.linalg.qr(X, mode="r")
     u = np.linalg.solve(R.T, grad.T)  # R'u = g, so u'u = g'(X'X)^{-1}g
     var = s2 * (_psi_weights(jf.alpha_hat, H)**2 + np.sum(u**2, axis=0))
-    half = abs(_ndtri(alpha / 2.0)) * np.sqrt(var)
+    half = _z(alpha) * np.sqrt(var)
     return IntervalResult(
         lower=point - half,
         upper=point + half,

@@ -416,7 +416,10 @@ class SimulationReport:
 
 
 def _rep_seeds(seed: int, variant: str, rho: float, H: int, rep: int):
-    entropy = (seed, VARIANTS.index(variant), int(round(rho * 1e6)), H, rep)
+    # SeedSequence takes no negative entropy; the wrap leaves every rho >= 0
+    # with the stream it always had
+    rho_key = int(round(rho * 1e6)) % 2**64
+    entropy = (seed, VARIANTS.index(variant), rho_key, H, rep)
     return np.random.SeedSequence(entropy).spawn(3)
 
 
@@ -479,6 +482,8 @@ def run_experiment(grid: ExperimentGrid, Q: int, seed: int) -> SimulationReport:
     """
     if Q < 1:
         raise InvalidData("Q must be >= 1")
+    if seed < 0:
+        raise InvalidData(f"seed must be >= 0, got {seed}")
     error_kind = _VARIANTS[grid.variant][0]
     specs = {rho: benchmark_dgp(rho, T=grid.total_months, error_kind=error_kind,
                                 x_scale=grid.x_scale)

@@ -233,6 +233,16 @@ def test_interval_boot_seeded_rerun_identical(workspace):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_interval_boot_negative_seed_is_data_error(workspace, capsys):
+    fit = _fitted(workspace)
+    capsys.readouterr()
+    out = workspace["dir"] / "never.csv"
+    assert _interval(workspace, fit, out, "--method", "boot", "--B", "100",
+                     "--seed", "-1") == 3
+    assert _one_error_code(capsys) == "InvalidData"
+    assert not out.exists()
+
+
 def test_interval_boot_history_longer_than_fit(workspace, capsys):
     # fit on the first 30 months, then pass all 34 as the history
     short = {}
@@ -316,6 +326,27 @@ def test_simulate_seeded_rerun_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_negative_seed_is_data_error(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    rc = main(["simulate", "--rho-grid", "0.2", "--H-grid", "8", "--Q", "1",
+               "--B", "100", "--seed", "-1", "--out", str(out)])
+    assert rc == 3
+    assert _one_error_code(capsys) == "InvalidData"
+    assert not out.exists()
+
+
+def test_simulate_negative_rho_rerun_identical(tmp_path):
+    # rho in (-1/3, 0) is a valid equicorrelated process; -1e-1 is also a
+    # value argparse would otherwise read as an option
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["simulate", "--rho-grid", "-1e-1,0.2", "--H-grid", "8", "--Q", "2",
+            "--seed", "3", "--skip-boot"]
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert {r[1] for r in _read_rows(a)[1:]} == {"-0.1", "0.2"}
+
+
 def test_simulate_variant_flag(tmp_path):
     out = tmp_path / "omit.csv"
     rc = main(["simulate", "--rho-grid", "0.2", "--H-grid", "8", "--Q", "2",
@@ -385,6 +416,15 @@ def test_malformed_numeric_flag_is_usage_error(argv, flag, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_negative_infinity_reaches_the_converter(capsys):
+    # -inf is joined to its flag, so the finite check rejects it, not
+    # argparse's "expected one argument"
+    with pytest.raises(SystemExit) as exc:
+        main(["efficiency", "--rho", "-inf"])
+    assert exc.value.code == 2
+    assert "argument --rho: expected a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value,field", [("--x-scale", "nan", "x_scale"),
@@ -474,6 +514,15 @@ def test_standardize_cpi_mode(tmp_path, capsys):
     assert params["scale"] == pytest.approx(np.sqrt(2))
     values = [float(r[1]) for r in _read_rows(out)[1:]]
     np.testing.assert_allclose(values, [-0.7071, 0.7071], atol=5e-5)
+
+
+def test_standardize_base_with_negative_exponent(tmp_path, capsys):
+    src = tmp_path / "raw.csv"
+    _write_two_col(src, [99.0, 101.0])
+    rc = main(["standardize", "--input", str(src), "--base", "-1e3",
+               "--out", str(tmp_path / "std.csv")])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out.strip())["offset"] == -1000.0
 
 
 def test_standardize_z_mode(tmp_path, capsys):
@@ -701,14 +750,18 @@ def test_usage_error_exit_code():
 
 
 # ---------------------------------------------------------------------------
-# start-up: no part of the runtime loads scipy
+# start-up: the runtime loads nothing but the standard library and numpy
 # ---------------------------------------------------------------------------
 
-_SCIPY_FREE = """
+_OUTSIDE_MODULES = """
 import json, sys
+at_start = set(sys.modules)  # __main__ and what the site hooks loaded
 import surrocast, surrocast.cli
+# numpy.random's Cython extensions register cython_runtime and _cython_<version>
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "surrocast", "cython_runtime"}
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m not in at_start
+                  and m.split(".")[0] not in ALLOWED and not m.startswith("_cython_"))
 seen = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
     assert surrocast.cli.main(argv) == 0, argv
@@ -719,8 +772,9 @@ print(json.dumps(seen))
 
 def test_data_commands_do_not_import_scipy(workspace):
     # importing scipy.stats cost about 1.2 s of every command's start-up;
-    # the package, the data commands and the simulator must not load any
-    # part of scipy, which only the tests use as an oracle
+    # the package, the data commands and the simulator must load no module
+    # outside the standard library, numpy and surrocast (scipy is only the
+    # tests' oracle)
     ws, d = workspace, workspace["dir"]
     _write_daily(d / "daily.csv", [[f"2021-01-{k:02d}", repr(k / 31)]
                                    for k in range(1, 32)])
@@ -742,7 +796,8 @@ def test_data_commands_do_not_import_scipy(workspace):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", _OUTSIDE_MODULES,
+                           json.dumps(commands)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -10,12 +10,14 @@ lags, the covariates, and d_t:
 
     y_t = sum_l alpha_l y_{t-l} + z_t'theta + x_t'delta + gamma'd_t + e_t,
 
-over t = q1+1..T. Both solves share one orthogonal-factorization kernel.
+over t = q1+1..T. Both solves share one orthogonal-factorization kernel,
+_solve, and one rank rule, _full_rank_r. Every fit also takes a batch of
+panels, their leading axes a batch axis as in np.linalg, and then solves
+every member on its own stacked QR.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,39 +44,131 @@ __all__ = [
 # Relative singular-value cutoff below which a design is treated as singular.
 RANK_TOL = 1e-10
 
+# Largest computed kappa_F that _full_rank_r accepts without an SVD: a factor
+# 100 below the 1 / RANK_TOL that _full_rank allows.
+_SCREEN_KAPPA = 1e-2 / RANK_TOL
+
 
 def _full_rank(sv: np.ndarray) -> np.bool_ | np.ndarray:
-    """The rank rule of every least-squares solve: singular values sv, in
-    descending order along the last axis, pass when s_max > 0 and
-    s_min > RANK_TOL * s_max."""
+    """The rank rule on singular values sv, in descending order along the
+    last axis: they pass when s_max > 0 and s_min > RANK_TOL * s_max."""
     return (sv[..., 0] > 0.0) & (sv[..., -1] > RANK_TOL * sv[..., 0])
+
+
+def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve R x = rhs for upper-triangular R (..., m, m) and rhs (..., m, r).
+
+    The leading axes broadcast, so one R can serve a batch of right-hand
+    sides.
+    """
+    m = R.shape[-1]
+    x = np.empty(np.broadcast_shapes(R.shape[:-2], rhs.shape[:-2])
+                 + rhs.shape[-2:])
+    for i in range(m - 1, -1, -1):
+        tail = np.einsum("...j,...jr->...r", R[..., i, i + 1:],
+                         x[..., i + 1:, :])
+        x[..., i, :] = (rhs[..., i, :] - tail) / R[..., i, i, None]
+    return x
+
+
+def _full_rank_r(R: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank rule of every least-squares solve, applied to R factors.
+
+    R is (..., m, m) upper triangular, the R factor of each design of a
+    batch. Returns the mask of designs whose singular values pass _full_rank
+    and the number of them whose singular values had to be computed.
+
+    Most designs are decided by a screen on kappa_F = ||R||_F ||R^-1||_F,
+    with X = R^-1 from one back substitution on the identity. A design
+    passes the screen when both squared norms are normal numbers and the
+    computed kappa_F is at most _SCREEN_KAPPA = 1e8. Every other one (a zero
+    or non-finite pivot, anything near the cutoff) gets _full_rank(svd(R)),
+    so the mask is the SVD rule's for every design.
+
+    Why a passing design passes the SVD rule (u = 2^-53; Golub & Van Loan,
+    Matrix Computations, sec. 2.3 and 8.6; Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 8):
+    - s_max <= ||R||_F and 1/s_min <= ||R^-1||_F, so kappa_2 <= kappa_F.
+    - Back substitution gives |R X^ - I| <= gamma_m |R| |X^| for the
+      computed X^, column by column, so R^-1 = X^ (I + E)^-1 with
+      ||E||_2 <= gamma_m ||R||_F ||X^||_F. The true kappa_F thus exceeds the
+      computed one by a factor of at most 1 / (1 - gamma_m 1e8), times the
+      rounding of the norms (gamma_{m^2}): 1 + 1e-5 for any m below 1000.
+      Normal squares keep underflow out.
+    - R comes from a Householder QR (_triangularize) or from the modified
+      Gram-Schmidt (MGS) sweep of intervals._batched_refit. Either R is the
+      exact R factor of a design within p(n, m) u ||A|| of the design A
+      (Bjorck & Paige 1992, "Loss and recapture of orthogonality in the
+      modified Gram-Schmidt algorithm", SIAM J. Matrix Anal. Appl. 13, for
+      MGS); the loss of orthogonality of an MGS Q does not enter. So the
+      rule on R is the rule on the design, up to that backward error.
+    - LAPACK's singular values are within p(m) u s_max of the exact ones,
+      so the computed s_min / s_max is at least
+      (1e-8 / (1 + 1e-5) - p(m) u) / (1 + p(m) u), above RANK_TOL = 1e-10
+      for any p(m) up to 10^5. The factor 100 is that slack, with room.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        X = _back_substitute(R, np.eye(R.shape[-1]))
+        r2 = np.einsum("...ij,...ij->...", R, R)
+        x2 = np.einsum("...ij,...ij->...", X, X)
+        tiny = np.finfo(float).tiny
+        screened = (r2 >= tiny) & (x2 >= tiny) & (r2 * x2 <= _SCREEN_KAPPA**2)
+    kept = np.array(screened)
+    rest = ~kept
+    if rest.any():
+        kept[rest] = _full_rank(np.linalg.svd(R[rest], compute_uv=False))
+    return kept, int(rest.sum())
+
+
+def _triangularize(aug: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """R and Q'rhs of design = Q R, for aug = [design | rhs] of shape
+    (..., n, m + r), from one Householder QR of aug: its first m columns
+    are factored exactly as design alone, and the reflectors are applied to
+    rhs rather than formed into Q. Raises RankDeficient, listing the
+    near-collinear columns of the first failing design, when an R factor
+    fails the rank rule (_full_rank_r)."""
+    Rr = np.linalg.qr(aug, mode="r")
+    R = Rr[..., :m, :m]
+    kept, _ = _full_rank_r(R)
+    if not kept.all():
+        raise _rank_deficient(aug[np.unravel_index(np.argmin(kept), kept.shape)][:, :m])
+    return R, Rr[..., :m, m:]
+
+
+def _solve(aug: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (..., m, r) and residuals (..., n, r) of the least-squares
+    fit of the last r columns of aug on its first m: _triangularize, then
+    back substitution on R (never the normal equations), and the residuals
+    formed as rhs - design @ coef. Each design of a batch is solved on its
+    own, so its results do not depend on the rest of the batch."""
+    coef = _back_substitute(*_triangularize(aug, m))
+    return coef, aug[..., m:] - aug[..., :m] @ coef
 
 
 def ols_solve(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     """Least-squares coefficients minimizing ||response - design @ coef||_F.
 
-    Solved through an orthogonal factorization (never the normal equations).
-    Raises RankDeficient, listing the near-collinear columns, when the
-    singular values fail _full_rank.
+    design is (n, m), or (..., n, m) with leading batch axes as in
+    np.linalg; response is (..., n) for one right-hand side per design or
+    (..., n, r). Solved by _solve on [design | response]. Raises
+    InsufficientSample when n < m and RankDeficient, listing the
+    near-collinear columns, when a design fails the rank rule.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
-    n, m = design.shape
+    n, m = design.shape[-2:]
     if n < m:
         raise InsufficientSample(f"{n} rows cannot identify {m} coefficients")
-    # gelsd, under lstsq, treats s_i <= RANK_TOL * s_1 as zero: its rank is
-    # below m exactly when _full_rank fails
-    coef, _, rank, sv = np.linalg.lstsq(design, response, rcond=RANK_TOL)
-    if not _full_rank(sv):
-        raise RankDeficient(
-            f"design is rank deficient (rank {rank} of {m})",
-            columns=_collinear_columns(design),
-        )
-    return coef
+    vector = response.ndim == design.ndim - 1
+    rhs = response[..., None] if vector else response
+    coef = _solve(np.concatenate([design, rhs], axis=-1), m)[0]
+    return coef[..., 0] if vector else coef
 
 
-def _collinear_columns(design: np.ndarray) -> tuple[int, ...]:
-    """Columns with large loadings on the near-null singular directions."""
+def _rank_deficient(design: np.ndarray) -> RankDeficient:
+    """The error for one (n, m) design that fails the rank rule: its rank,
+    and the columns with large loadings on its near-null singular
+    directions."""
     _, sv, vt = np.linalg.svd(design, full_matrices=False)
     cutoff = RANK_TOL * sv[0] if sv[0] > 0 else np.inf
     cols: set[int] = set()
@@ -82,7 +176,11 @@ def _collinear_columns(design: np.ndarray) -> tuple[int, ...]:
         if s < cutoff:
             load = np.abs(vt[i])
             cols.update(np.nonzero(load > 0.1 * load.max())[0].tolist())
-    return tuple(sorted(cols))
+    return RankDeficient(
+        f"design is rank deficient (rank {int(np.sum(sv > cutoff))} of "
+        f"{design.shape[1]})",
+        columns=tuple(sorted(cols)),
+    )
 
 
 def companion_matrix(alpha: np.ndarray) -> np.ndarray:
@@ -109,6 +207,8 @@ class SurrogateFit:
     A_hat:     q2 lag matrices, shape (q2, K, K).
     B_hat:     exogenous coefficients, shape (K, p).
     residuals: shape (T - q2, K), row t is ys_t minus the fitted value.
+
+    A batched fit has the batch axes in front of every array.
     """
 
     A_hat: np.ndarray
@@ -118,7 +218,7 @@ class SurrogateFit:
 
     @property
     def K(self) -> int:
-        return self.A_hat.shape[1]
+        return self.A_hat.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -127,7 +227,8 @@ class JointFit:
 
     sigma_e_hat is the residual standard deviation with denominator T - q1;
     d_hat holds the surrogate innovation regressor for t = q2+1..T (only the
-    last T - q1 rows enter the fit).
+    last T - q1 rows enter the fit). A batched fit has the batch axes in
+    front of every array, and sigma_e_hat is an array of that shape.
     """
 
     alpha_hat: np.ndarray
@@ -143,7 +244,8 @@ class JointFit:
 
 @dataclass(frozen=True)
 class ArxFit:
-    """Plain ARX fit (no surrogate term), used by the benchmark models."""
+    """Plain ARX fit (no surrogate term), used by the benchmark models;
+    batched as JointFit."""
 
     alpha_hat: np.ndarray
     theta_hat: np.ndarray
@@ -154,56 +256,75 @@ class ArxFit:
 
 
 def _design(series: np.ndarray, q: int, blocks=()) -> np.ndarray:
-    """ARX design: lag rows [s_{t-1}, ..., s_{t-q}] for t = q..len(series)-1,
-    followed by the last len(series) - q rows of each (rows, width) block.
+    """ARX design: lag rows [s_{t-1}, ..., s_{t-q}] for t = q..T-1, followed
+    by the last T - q rows of each (..., rows, width) block.
 
-    Every block ends at the same month as series, so a block that starts
-    later (d_hat, from month q2) lines up without slicing.
+    series is (..., T, k), months on its second-to-last axis; a 1-D series
+    is one column. Leading axes are a batch and broadcast across series and
+    blocks. Every block ends at the same month as series, so a block that
+    starts later (d_hat, from month q2) lines up without slicing.
     """
-    n = len(series) - q
-    lags = [series[q - l: len(series) - l].reshape(n, -1) for l in range(1, q + 1)]
-    return np.hstack(lags + [block[len(block) - n:] for block in blocks])
-
-
-def _solve(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ols_solve's coefficients and the residuals response - design @ coef."""
-    coef = ols_solve(design, response)
-    return coef, response - design @ coef
+    if series.ndim == 1:
+        series = series[:, None]
+    T = series.shape[-2]
+    n = T - q
+    parts = [series[..., q - l:T - l, :] for l in range(1, q + 1)]
+    parts += [block[..., block.shape[-2] - n:, :] for block in blocks]
+    batch = np.broadcast_shapes(*(part.shape[:-2] for part in parts))
+    return np.concatenate(
+        [np.broadcast_to(part, batch + part.shape[-2:]) for part in parts], axis=-1)
 
 
 def _fit(series: np.ndarray, q: int, blocks=()) -> tuple[np.ndarray, np.ndarray]:
-    """_solve of series[q:] on _design(series, q, blocks); InsufficientSample
-    when the T - q rows are fewer than the coefficients."""
-    T = len(series)
-    m = q * math.prod(series.shape[1:]) + sum(b.shape[1] for b in blocks)
+    """The least-squares fit of series[..., q:, :] on _design(series, q,
+    blocks), laid out with the response as its last block.
+
+    series is (..., T, k); returns coefficients (..., m, k) and residuals
+    (..., T - q, k). InsufficientSample when the T - q rows are fewer than
+    the m coefficients.
+    """
+    T = series.shape[-2]
+    m = q * series.shape[-1] + sum(b.shape[-1] for b in blocks)
     if T - q < m:
         raise InsufficientSample(
             f"fit needs T - q >= {m} rows, one per coefficient (T={T}, q={q})"
         )
-    return _solve(_design(series, q, blocks), series[q:])
+    return _solve(_design(series, q, (*blocks, series)), m)
+
+
+def _sigma(residuals: np.ndarray, dof: int) -> float | np.ndarray:
+    """sqrt(RSS / dof) along the last axis: a float for one series."""
+    sigma = np.sqrt(np.sum(residuals**2, axis=-1) / dof)
+    return float(sigma) if sigma.ndim == 0 else sigma
 
 
 def fit_surrogate(sp: SurrogatePanel, x: np.ndarray, q2: int) -> SurrogateFit:
-    """Row-wise least squares for the surrogate VARX over t = q2+1..T."""
+    """Row-wise least squares for the surrogate VARX over t = q2+1..T.
+
+    A batched panel (leading axes on ys, and on x) gives a batched fit.
+    """
     if q2 < 1:
         raise InvalidData("q2 must be >= 1")
-    T, K = sp.ys.shape
-    x = np.asarray(x, dtype=float).reshape(T, -1)
+    K = sp.K
+    x = np.asarray(x, dtype=float).reshape(sp.ys.shape[:-1] + (-1,))
     coef, residuals = _fit(sp.ys, q2, (x,))
-    A_hat = np.stack([coef[l * K:(l + 1) * K].T for l in range(q2)])
-    B_hat = coef[K * q2:].T.reshape(K, x.shape[1])
+    A_hat = np.stack([np.swapaxes(coef[..., l * K:(l + 1) * K, :], -1, -2)
+                      for l in range(q2)], axis=-3)
+    B_hat = np.swapaxes(coef[..., K * q2:, :], -1, -2)
     return SurrogateFit(A_hat=A_hat, B_hat=B_hat, residuals=residuals, q2=q2)
 
 
 def d_residual_matrix(ys: np.ndarray, A_hat: np.ndarray, q2: int) -> np.ndarray:
     """Surrogate innovations ys_t - sum_l A_hat_l ys_{t-l} for t = q2+1..T.
 
-    The exogenous part B x_t is deliberately not removed: the regressor feeds
+    ys is (..., T, K) and A_hat (..., q2, K, K), leading axes a batch. The
+    exogenous part B x_t is deliberately not removed: the regressor feeds
     the joint model exactly as the lag-adjusted surrogate value.
     """
-    out = ys[q2:].copy()
+    T = ys.shape[-2]
+    out = ys[..., q2:, :].copy()
     for l in range(1, q2 + 1):
-        out -= ys[q2 - l: len(ys) - l] @ A_hat[l - 1].T
+        out -= ys[..., q2 - l:T - l, :] @ np.swapaxes(A_hat[..., l - 1, :, :], -1, -2)
     return out
 
 
@@ -214,6 +335,7 @@ def fit_joint_step2(
 
     Useful when the surrogate design differs from the target covariates
     (withheld or augmented columns); fit_joint covers the standard case.
+    Batched panels and surrogate fit give a batched fit.
     """
     check_aligned(mp, sp)
     q2 = sf.q2
@@ -223,14 +345,14 @@ def fit_joint_step2(
         raise InvalidData(f"q2={q2} must not exceed q1={q1}")
     d, p = mp.d, mp.p
     d_hat = d_residual_matrix(sp.ys, sf.A_hat, q2)
-    coef, residuals = _fit(mp.y, q1, (mp.z, mp.x, d_hat))
-    sigma_e = float(np.sqrt(np.sum(residuals**2) / (mp.T - q1)))
+    coef, residuals = _fit(mp.y[..., None], q1, (mp.z, mp.x, d_hat))
+    coef, residuals = coef[..., 0], residuals[..., 0]
     return JointFit(
-        alpha_hat=coef[:q1],
-        theta_hat=coef[q1:q1 + d],
-        delta_hat=coef[q1 + d:q1 + d + p],
-        gamma_hat=coef[q1 + d + p:],
-        sigma_e_hat=sigma_e,
+        alpha_hat=coef[..., :q1],
+        theta_hat=coef[..., q1:q1 + d],
+        delta_hat=coef[..., q1 + d:q1 + d + p],
+        gamma_hat=coef[..., q1 + d + p:],
+        sigma_e_hat=_sigma(residuals, mp.T - q1),
         residuals=residuals,
         d_hat=d_hat,
         q1=q1,
@@ -253,21 +375,24 @@ def fit_arx(
     z: np.ndarray | None = None,
     x: np.ndarray | None = None,
 ) -> ArxFit:
-    """Least-squares ARX fit on the target alone (benchmark models)."""
+    """Least-squares ARX fit on the target alone (benchmark models).
+
+    y is (T,), or (..., T) for a batch of series with z and x (..., T, .).
+    """
     y = np.asarray(y, dtype=float)
-    T = y.shape[0]
-    z = np.zeros((T, 0)) if z is None else np.asarray(z, dtype=float).reshape(T, -1)
-    x = np.zeros((T, 0)) if x is None else np.asarray(x, dtype=float).reshape(T, -1)
+    T = y.shape[-1]
+    z, x = (np.zeros(y.shape + (0,)) if a is None
+            else np.asarray(a, dtype=float).reshape(y.shape + (-1,)) for a in (z, x))
     if q1 < 1:
         raise InvalidData("q1 must be >= 1")
-    d = z.shape[1]
-    coef, residuals = _fit(y, q1, (z, x))
-    sigma_e = float(np.sqrt(np.sum(residuals**2) / (T - q1)))
+    d = z.shape[-1]
+    coef, residuals = _fit(y[..., None], q1, (z, x))
+    coef, residuals = coef[..., 0], residuals[..., 0]
     return ArxFit(
-        alpha_hat=coef[:q1],
-        theta_hat=coef[q1:q1 + d],
-        beta_hat=coef[q1 + d:],
-        sigma_e_hat=sigma_e,
+        alpha_hat=coef[..., :q1],
+        theta_hat=coef[..., q1:q1 + d],
+        beta_hat=coef[..., q1 + d:],
+        sigma_e_hat=_sigma(residuals, T - q1),
         residuals=residuals,
         q1=q1,
     )

@@ -2,7 +2,9 @@
 
 All autoregressive forecasts use the rolling recursion: the h-step value is
 computed from earlier forecasts, with observed history substituted for every
-index at or before the forecast origin.
+index at or before the forecast origin. Every forecast also takes a batched
+fit with its batched history, leading axes a batch as in np.linalg, and then
+returns one row of forecasts per member.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ class FutureExogenous:
     """Covariate paths for months T+1..T+H.
 
     ys_future is only consulted by the joint model; pass an empty (H, 0)
-    array when forecasting covariate-free benchmarks.
+    array when forecasting covariate-free benchmarks. A batch of paths puts
+    the batch axes in front: (..., H, width).
     """
 
     z_future: np.ndarray
@@ -53,22 +56,27 @@ class FutureExogenous:
             if arr.ndim == 1:
                 arr = arr.reshape(len(arr), -1) if arr.size else arr.reshape(0, 0)
             object.__setattr__(self, name, arr)
-        H = self.z_future.shape[0] or self.x_future.shape[0] or self.ys_future.shape[0]
+        H = (self.z_future.shape[-2] or self.x_future.shape[-2]
+             or self.ys_future.shape[-2])
         for name in ("z_future", "x_future", "ys_future"):
             arr = getattr(self, name)
-            if arr.shape[0] not in (0, H):
+            if arr.shape[-2] not in (0, H):
                 raise InvalidData("future covariate blocks must have equal row counts")
 
 
 @dataclass(frozen=True)
 class ForecastResult:
+    """Point forecasts of steps 1..horizon, shape (horizon,), or (...,
+    horizon) for a batch."""
+
     method: Method
     point: np.ndarray
     horizon: int
 
     def __post_init__(self):
         point = np.asarray(self.point, dtype=float)
-        if point.shape != (self.horizon,) or not np.all(np.isfinite(point)):
+        if (point.ndim < 1 or point.shape[-1] != self.horizon
+                or not np.all(np.isfinite(point))):
             raise InvalidData("forecast must be a finite vector of length H")
         object.__setattr__(self, "point", point)
 
@@ -83,32 +91,34 @@ def _future_rows(
 ) -> list[np.ndarray]:
     """Validated covariate rows of months T+1..T+H: z (d columns), x (p
     columns) and, given a surrogate fit and its history, the innovations
-    d_hat of the future surrogate rows. A block of width 0 is (H, 0)."""
+    d_hat of the future surrogate rows. A block of width 0 is (H, 0); the
+    others keep the batch axes of fut."""
     names = ("z_future", "x_future", "ys_future")
     rows = []
     for name, width in zip(names, (d, p) if sf is None else (d, p, sf.K)):
         arr = getattr(fut, name)
-        if width and (arr.shape[0] < H or arr.shape[1] != width):
+        if width and (arr.shape[-2] < H or arr.shape[-1] != width):
             raise MissingExogenous(
                 f"{name}: need {H} rows x {width} columns, got {arr.shape}"
             )
-        rows.append(arr[:H] if width else np.zeros((H, 0)))
+        rows.append(arr[..., :H, :] if width else np.zeros((H, 0)))
     if sf is not None:
         if sp.T < sf.q2:
             raise MissingExogenous(
                 f"surrogate history must supply at least q2={sf.q2} months of lags"
             )
-        ys_all = np.vstack([sp.ys[-sf.q2:], rows[2]])
+        ys_all = np.concatenate([sp.ys[..., sp.T - sf.q2:, :], rows[2]], axis=-2)
         rows[2] = d_residual_matrix(ys_all, sf.A_hat, sf.q2)
     return rows
 
 
 def _driver(blocks, coefs) -> np.ndarray:
     """Covariate driver block_1 @ coef_1 + block_2 @ coef_2 + ..., summed
-    left to right."""
-    driver = blocks[0] @ coefs[0]
+    left to right. Blocks are (..., H, width) and coefficients (..., width);
+    their leading axes broadcast."""
+    driver = (blocks[0] @ coefs[0][..., None])[..., 0]
     for block, coef in zip(blocks[1:], coefs[1:]):
-        driver = driver + block @ coef
+        driver = driver + (block @ coef[..., None])[..., 0]
     return driver
 
 
@@ -175,7 +185,7 @@ def forecast_joint(
     if H < 1:
         raise InvalidData("H must be >= 1")
     check_aligned(mp, sp)
-    rows = _future_rows(fut, H, len(jf.theta_hat), len(jf.delta_hat), sf, sp)
+    rows = _future_rows(fut, H, jf.theta_hat.shape[-1], jf.delta_hat.shape[-1], sf, sp)
     driver = _driver(rows, (jf.theta_hat, jf.delta_hat, jf.gamma_hat))
     point = _ar_recursion(jf.alpha_hat, mp.y, driver)
     return ForecastResult(method=Method.JOINT, point=point, horizon=H)
@@ -195,7 +205,7 @@ def forecast_arx(
     """
     if H < 1:
         raise InvalidData("H must be >= 1")
-    d, p = len(fit.theta_hat), len(fit.beta_hat)
+    d, p = fit.theta_hat.shape[-1], fit.beta_hat.shape[-1]
     if fut is None:
         fut = FutureExogenous(np.zeros((H, 0)), np.zeros((H, 0)), np.zeros((H, 0)))
     driver = _driver(_future_rows(fut, H, d, p), (fit.theta_hat, fit.beta_hat))
@@ -205,18 +215,20 @@ def forecast_arx(
 
 
 def forecast_rw(y: np.ndarray, H: int) -> ForecastResult:
-    """Random walk: every horizon repeats the last observation."""
+    """Random walk: every horizon repeats the last observation of y (..., T)."""
     y = np.asarray(y, dtype=float)
-    if y.size < 1 or H < 1:
+    if y.ndim < 1 or y.shape[-1] < 1 or H < 1:
         raise InsufficientSample("random walk needs at least one observation")
-    return ForecastResult(method=Method.RW, point=np.full(H, y[-1]), horizon=H)
+    return ForecastResult(method=Method.RW, point=np.repeat(y[..., -1:], H, axis=-1),
+                          horizon=H)
 
 
 def forecast_ave(y: np.ndarray, H: int) -> ForecastResult:
-    """Historical average: the h-step value is the mean of the last h points."""
+    """Historical average: the h-step value is the mean of the last h points
+    of y (..., T)."""
     y = np.asarray(y, dtype=float)
-    if y.size < H:
+    if y.ndim < 1 or y.shape[-1] < H:
         raise InsufficientSample(f"historical-average forecast needs T >= H={H}")
-    tail = y[::-1][:H]
-    point = np.cumsum(tail) / np.arange(1, H + 1)
+    tail = y[..., ::-1][..., :H]
+    point = np.cumsum(tail, axis=-1) / np.arange(1, H + 1)
     return ForecastResult(method=Method.AVE, point=point, horizon=H)

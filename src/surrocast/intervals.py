@@ -26,11 +26,11 @@ from .errors import (
     PanelMismatch,
 )
 from .estimation import (
-    RANK_TOL,
     JointFit,
     SurrogateFit,
+    _back_substitute,
     _design,
-    _full_rank,
+    _full_rank_r,
     d_residual_matrix,
 )
 from .forecasting import (
@@ -42,7 +42,7 @@ from .forecasting import (
     _future_rows,
     forecast_joint,
 )
-from .panels import MonthlyPanel, SurrogatePanel, check_aligned
+from .panels import MonthlyPanel, SurrogatePanel, _require_int, check_aligned
 
 __all__ = [
     "IntervalResult",
@@ -98,6 +98,8 @@ class BootstrapConfig:
     quantile_rule: str = "ceil"
 
     def __post_init__(self):
+        _require_int("B", self.B)
+        _require_int("seed", self.seed)
         if self.B < 100:
             raise InvalidData("bootstrap needs B >= 100 replicates")
         if self.seed < 0:
@@ -122,15 +124,16 @@ def _psi_weights(alpha_hat: np.ndarray, H: int) -> np.ndarray:
 
     psi_r, the (1,1) entry of the r-th companion power, is the impulse
     response of the AR recursion: one roll from a zero history with a unit
-    driver at the first step (Lutkepohl 2005, sec. 2.2).
+    driver at the first step (Lutkepohl 2005, sec. 2.2). alpha_hat (..., q1)
+    with leading batch axes gives weights (..., H).
     """
     alpha_hat = np.atleast_1d(np.asarray(alpha_hat, dtype=float))
-    impulse = np.zeros(H)
-    impulse[:1] = 1.0
-    psi = _ar_recursion(alpha_hat, np.zeros(alpha_hat.shape[0]), impulse)
+    impulse = np.zeros(alpha_hat.shape[:-1] + (H,))
+    impulse[..., :1] = 1.0
+    psi = _ar_recursion(alpha_hat, np.zeros(alpha_hat.shape[-1]), impulse)
     # float_power squares with C pow, as a float64 scalar's ** does; the
     # square that psi**2 takes rounds differently about once in 1000 values
-    return np.sqrt(np.cumsum(np.float_power(psi, 2)))
+    return np.sqrt(np.cumsum(np.float_power(psi, 2), axis=-1))
 
 
 def companion_weight(alpha_hat: np.ndarray, h: int) -> float:
@@ -145,7 +148,8 @@ def bj_interval(forecast: ForecastResult, fit, alpha: float) -> IntervalResult:
 
     ``fit`` is any fitted model exposing alpha_hat and sigma_e_hat (the joint
     fit or an ARX benchmark fit). Half-width at step h is
-    |z_{alpha/2}| * companion_weight(h) * sigma_e_hat.
+    |z_{alpha/2}| * companion_weight(h) * sigma_e_hat. A batched fit and its
+    batched forecasts give one row of bounds per member.
 
     This is the asymptotic plug-in form: it treats the estimated coefficients
     as the true ones and sigma_e_hat divides by T - q1. Both omissions shrink
@@ -155,7 +159,8 @@ def bj_interval(forecast: ForecastResult, fit, alpha: float) -> IntervalResult:
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidData("alpha must lie in (0, 1)")
-    half = _z(alpha) * _psi_weights(fit.alpha_hat, forecast.horizon) * fit.sigma_e_hat
+    half = (_z(alpha) * _psi_weights(fit.alpha_hat, forecast.horizon)
+            * np.asarray(fit.sigma_e_hat)[..., None])
     return IntervalResult(
         lower=forecast.point - half,
         upper=forecast.point + half,
@@ -286,76 +291,6 @@ def _empirical_quantile(sorted_vals: np.ndarray, q, rule: str) -> np.ndarray:
     return np.quantile(sorted_vals, q, axis=0)
 
 
-def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve R x = rhs for upper-triangular R (..., m, m) and rhs (..., m, r).
-
-    The leading axes broadcast, so one R can serve a batch of right-hand
-    sides.
-    """
-    m = R.shape[-1]
-    x = np.empty(np.broadcast_shapes(R.shape[:-2], rhs.shape[:-2])
-                 + rhs.shape[-2:])
-    for i in range(m - 1, -1, -1):
-        tail = np.einsum("...j,...jr->...r", R[..., i, i + 1:],
-                         x[..., i + 1:, :])
-        x[..., i, :] = (rhs[..., i, :] - tail) / R[..., i, i, None]
-    return x
-
-
-# Largest computed kappa_F that _refit_full_rank accepts without an SVD: a
-# factor 100 below the 1 / RANK_TOL that _full_rank allows.
-_SCREEN_KAPPA = 1e-2 / RANK_TOL
-
-
-def _refit_full_rank(R: np.ndarray) -> tuple[np.ndarray, int]:
-    """_full_rank of the singular values of every refit R factor.
-
-    R is (B, m, m) upper triangular, one replicate's R factor per entry.
-    Returns the (B,) mask and the number of replicates whose singular values
-    had to be computed.
-
-    Most replicates are decided by a screen on kappa_F = ||R||_F ||R^-1||_F,
-    with X = R^-1 from one back substitution on the identity. A replicate
-    passes the screen when both squared norms are normal numbers and the
-    computed kappa_F is at most _SCREEN_KAPPA = 1e8. Every other one (a zero
-    or non-finite pivot, anything near the cutoff) gets _full_rank(svd(R)),
-    so the mask is the SVD rule's for every replicate.
-
-    Why a passing replicate passes the SVD rule (u = 2^-53; Golub & Van
-    Loan, Matrix Computations, sec. 2.3 and 8.6; Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 8):
-    - s_max <= ||R||_F and 1/s_min <= ||R^-1||_F, so kappa_2 <= kappa_F.
-    - Back substitution gives |R X^ - I| <= gamma_m |R| |X^| for the
-      computed X^, column by column, so R^-1 = X^ (I + E)^-1 with
-      ||E||_2 <= gamma_m ||R||_F ||X^||_F. The true kappa_F thus exceeds the
-      computed one by a factor of at most 1 / (1 - gamma_m 1e8), times the
-      rounding of the norms (gamma_{m^2}): 1 + 1e-5 for any m below 1000.
-      Normal squares keep underflow out.
-    - R itself comes from _batched_refit's modified Gram-Schmidt (MGS)
-      sweep. The R that MGS computes is the exact R factor of a design
-      within p(n, m) u ||A|| of the refit's design A (Bjorck & Paige 1992,
-      "Loss and recapture of orthogonality in the modified Gram-Schmidt
-      algorithm", SIAM J. Matrix Anal. Appl. 13), the bound a Householder
-      QR meets; the loss of orthogonality of its Q does not enter. So the
-      rule on R is the rule on the design, up to that backward error.
-    - LAPACK's singular values are within p(m) u s_max of the exact ones,
-      so the computed s_min / s_max is at least
-      (1e-8 / (1 + 1e-5) - p(m) u) / (1 + p(m) u), above RANK_TOL = 1e-10
-      for any p(m) up to 10^5. The factor 100 is that slack, with room.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        X = _back_substitute(R, np.eye(R.shape[-1]))
-        r2 = np.einsum("bij,bij->b", R, R)
-        x2 = np.einsum("bij,bij->b", X, X)
-        tiny = np.finfo(float).tiny
-        screened = (r2 >= tiny) & (x2 >= tiny) & (r2 * x2 <= _SCREEN_KAPPA**2)
-    kept = screened.copy()
-    rest = np.flatnonzero(~screened)
-    if rest.size:
-        kept[rest] = _full_rank(np.linalg.svd(R[rest], compute_uv=False))
-    return kept, int(rest.size)
-
-
 def _batched_refit(
     fixed: np.ndarray, lags, response: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -379,18 +314,17 @@ def _batched_refit(
 
     is the R factor of [F, L] = [Q_F, Q_L] R, so its singular values are the
     full design's. The R that MGS computes is backward stable although its
-    Q_L may lose orthogonality (see _refit_full_rank), and MGS on [L, r]
+    Q_L may lose orthogonality (see _full_rank_r), and MGS on [L, r]
     gives Q_L' r as the same backward-stable least-squares solve. A pivot
     that is zero or not finite is set to zero with its column, leaving R
     finite and singular, so the replicate goes to the SVD and is dropped.
 
-    A replicate is kept when the singular values of R pass _full_rank, the
-    rule ols_solve applies to one design; _refit_full_rank decides that from
-    a kappa_F screen on R and computes singular values only near the
-    cutoff. Back-substitution on R gives a kept replicate's lag coefficients
-    first, then the fixed ones. Every step treats each replicate's columns
-    on their own, so a replicate's result does not depend on the others in
-    the batch.
+    A replicate is kept when R passes _full_rank_r, the rank rule of every
+    least-squares solve, which decides from a kappa_F screen on R and
+    computes singular values only near the cutoff. Back-substitution on R
+    gives a kept replicate's lag coefficients first, then the fixed ones.
+    Every step treats each replicate's columns on their own, so a
+    replicate's result does not depend on the others in the batch.
 
     Returns (coef, kept, n_svd): coef is (B, q1 + k) in [lags, fixed] column
     order, NaN on the rows of dropped replicates; kept is a (B,) bool mask;
@@ -422,7 +356,7 @@ def _batched_refit(
     # minor page faults, against none with the buffer freed first
     del col, part, scratch
     R = Rr[:, :m].transpose(2, 0, 1)
-    kept, n_svd = _refit_full_rank(R)
+    kept, n_svd = _full_rank_r(R)
     # a dropped replicate's singular R may divide by zero; its row is NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         solution = _back_substitute(R, Rr[:, m].T[..., None])[..., 0]  # [fixed, lags]
@@ -461,14 +395,14 @@ def boot_interval(
     recursion, and both endpoints are read off the sorted (kept, H) error
     matrix in one call.
 
-    Drop rule: a replicate whose refit design fails _full_rank is dropped,
-    the rule ols_solve applies to one design, applied to the assembled R
-    factor of the partialled refit, which has the full design's singular
-    values. _refit_full_rank keeps a replicate without computing them when
-    kappa_F = ||R||_F ||R^-1||_F, from one back substitution on R, is far
-    below the cutoff; it computes them for the rest, so the kept set is the
-    SVD rule's (the argument, which rests on the backward stability of the
-    Gram-Schmidt R, is stated there). The number dropped, and the number
+    Drop rule: a replicate whose refit design fails _full_rank_r, the rank
+    rule of every least-squares solve, is dropped. It is applied to the
+    assembled R factor of the partialled refit, which has the full design's
+    singular values. _full_rank_r keeps a replicate without computing them
+    when kappa_F = ||R||_F ||R^-1||_F, from one back substitution on R, is
+    far below the cutoff; it computes them for the rest, so the kept set is
+    the SVD rule's (the argument, which rests on the backward stability of
+    the Gram-Schmidt R, is stated there). The number dropped, and the number
     that needed the singular values, are logged at DEBUG on the
     surrocast.intervals logger; more than 5% of them dropped raises
     BootstrapUnstable, and so does a rank-deficient covariate block, which

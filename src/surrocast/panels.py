@@ -78,6 +78,12 @@ def _check_consecutive(times: tuple[str, ...]) -> None:
             )
 
 
+def _require_int(name: str, value) -> None:
+    """InvalidData unless value is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidData(f"{name} must be an integer, got {value!r}")
+
+
 def _require_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise InvalidData(f"{name} contains NaN or Inf")
@@ -91,6 +97,9 @@ class MonthlyPanel:
     y:     target value per month, shape (T,).
     z:     macro covariates, shape (T, d); d may be 0.
     x:     embedding covariates, shape (T, p); p may be 0.
+
+    A batch of panels over the same months puts the batch axes in front:
+    y (..., T), z (..., T, d) and x (..., T, p).
     """
 
     times: tuple[str, ...]
@@ -110,9 +119,9 @@ class MonthlyPanel:
             z = z.reshape(T, -1) if z.size else np.zeros((T, 0))
         if x.ndim == 1:
             x = x.reshape(T, -1) if x.size else np.zeros((T, 0))
-        if y.shape != (T,):
+        if y.ndim < 1 or y.shape[-1] != T:
             raise InvalidData(f"y must have shape ({T},), got {y.shape}")
-        if z.shape[0] != T or x.shape[0] != T:
+        if z.shape[:-1] != y.shape or x.shape[:-1] != y.shape:
             raise InvalidData("z and x must have one row per month")
         for name, arr in (("y", y), ("z", z), ("x", x)):
             _require_finite(name, arr)
@@ -126,16 +135,16 @@ class MonthlyPanel:
 
     @property
     def d(self) -> int:
-        return self.z.shape[1]
+        return self.z.shape[-1]
 
     @property
     def p(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
     def slice(self, start: int, stop: int) -> "MonthlyPanel":
         return MonthlyPanel(
-            self.times[start:stop], self.y[start:stop],
-            self.z[start:stop], self.x[start:stop],
+            self.times[start:stop], self.y[..., start:stop],
+            self.z[..., start:stop, :], self.x[..., start:stop, :],
         )
 
 
@@ -143,7 +152,8 @@ class MonthlyPanel:
 class SurrogatePanel:
     """K surrogate observations per month, aligned with a MonthlyPanel.
 
-    ys: shape (T, K); row t holds the per-block averages for month t.
+    ys: shape (T, K); row t holds the per-block averages for month t. A batch
+    of panels puts the batch axes in front: (..., T, K).
     """
 
     times: tuple[str, ...]
@@ -155,9 +165,9 @@ class SurrogatePanel:
             raise InvalidData("surrogate panel must contain at least one month")
         _check_consecutive(self.times)
         ys = np.asarray(self.ys, dtype=float)
-        if ys.ndim != 2 or ys.shape[0] != T:
+        if ys.ndim < 2 or ys.shape[-2] != T:
             raise InvalidData(f"ys must be a (T, K) matrix with T={T}, got {ys.shape}")
-        if ys.shape[1] < 1:
+        if ys.shape[-1] < 1:
             raise InvalidData(f"ys needs at least one column, got shape {ys.shape}")
         _require_finite("ys", ys)
         ys.setflags(write=False)
@@ -169,10 +179,10 @@ class SurrogatePanel:
 
     @property
     def K(self) -> int:
-        return self.ys.shape[1]
+        return self.ys.shape[-1]
 
     def slice(self, start: int, stop: int) -> "SurrogatePanel":
-        return SurrogatePanel(self.times[start:stop], self.ys[start:stop])
+        return SurrogatePanel(self.times[start:stop], self.ys[..., start:stop, :])
 
 
 def check_aligned(mp: MonthlyPanel, sp: SurrogatePanel) -> None:
@@ -209,7 +219,9 @@ class DailyIndex:
 class StandardizedSeries:
     """A standardized series together with the transform that produced it.
 
-    values = (raw - offset) / scale, so raw = values * scale + offset.
+    values = (raw - offset) / scale, so raw = values * scale + offset. A
+    batch of series (..., n) has one scale per series, an array of the batch
+    shape.
     """
 
     values: np.ndarray
@@ -218,26 +230,29 @@ class StandardizedSeries:
 
     def inverse(self, values: np.ndarray | None = None) -> np.ndarray:
         v = self.values if values is None else np.asarray(values, dtype=float)
-        return v * self.scale + self.offset
+        return v * np.asarray(self.scale)[..., None] + self.offset
 
 
 def _train_window(values: np.ndarray, train_size: int | None) -> np.ndarray:
-    """The first ``train_size`` values (all when None), which the spread is
-    estimated on. InvalidData unless 1 <= train_size <= len(values)."""
+    """The first ``train_size`` values along the last axis (all when None),
+    which the spread is estimated on. InvalidData unless
+    1 <= train_size <= the series length."""
     window = values
+    n = values.shape[-1]
     if train_size is not None:
-        if not 1 <= train_size <= len(values):
+        if not 1 <= train_size <= n:
             raise InvalidData(
-                f"train_size must lie in 1..{len(values)}, got {train_size}")
-        window = values[:train_size]
-    if window.size < 2:
+                f"train_size must lie in 1..{n}, got {train_size}")
+        window = values[..., :train_size]
+    if window.shape[-1] < 2:
         raise DegenerateSeries("need at least 2 observations to estimate a spread")
     return window
 
 
-def _window_sd(window: np.ndarray) -> float:
-    sd = float(np.std(window, ddof=1))
-    if sd == 0.0 or not math.isfinite(sd):
+def _window_sd(window: np.ndarray) -> np.ndarray:
+    """Sample sd (ddof=1) along the last axis, one per series."""
+    sd = np.std(window, ddof=1, axis=-1)
+    if np.any(sd == 0.0) or not np.all(np.isfinite(sd)):
         raise DegenerateSeries("series has zero sample variance; cannot standardize")
     return sd
 
@@ -249,7 +264,9 @@ def standardize_cpi(
 
     ``train_size`` restricts the sd estimate to the first ``train_size``
     observations so out-of-sample pipelines avoid lookahead; by default the
-    whole provided series is the estimation window.
+    whole provided series is the estimation window. A batch of series
+    (..., n) is standardized series by series along the last axis; its
+    scale is then an array of the batch shape.
     """
     raw = np.asarray(raw, dtype=float)
     _require_finite("series", raw)
@@ -257,7 +274,8 @@ def standardize_cpi(
         raise InvalidData(f"base must be finite, got {base}")
     centered = raw - base
     sd = _window_sd(_train_window(centered, train_size))
-    return StandardizedSeries(values=centered / sd, offset=float(base), scale=sd)
+    return StandardizedSeries(values=centered / sd[..., None], offset=float(base),
+                              scale=float(sd) if sd.ndim == 0 else sd)
 
 
 def standardize_z(raw: np.ndarray, train_size: int | None = None) -> StandardizedSeries:
@@ -266,7 +284,7 @@ def standardize_z(raw: np.ndarray, train_size: int | None = None) -> Standardize
     _require_finite("series", raw)
     window = _train_window(raw, train_size)
     mean = float(np.mean(window))
-    sd = _window_sd(window - mean)
+    sd = float(_window_sd(window - mean))
     return StandardizedSeries(values=(raw - mean) / sd, offset=mean, scale=sd)
 
 

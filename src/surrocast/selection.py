@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSample, InvalidData, PenaltyUndefined, RankDeficient
-from .estimation import _design, _solve, fit_arx
+from .estimation import _back_substitute, _design, _triangularize, fit_arx
 
 __all__ = [
     "corrected_aic",
@@ -29,6 +29,14 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+def _criterion(rss, t1: int, m: int):
+    """corrected_aic from the residual sum of squares rss of t1 residuals
+    (a float, or an array of them)."""
+    if t1 <= m + 2:
+        raise PenaltyUndefined(f"penalty needs T1 > m + 2 (T1={t1}, m={m})")
+    return t1 * np.log(rss / t1 + 1.0) + 2.0 * (m + 1) * (m + 2) / (t1 - m - 2)
+
+
 def corrected_aic(residuals: np.ndarray, m: int) -> float:
     """Small-sample information criterion for a model with m added features.
 
@@ -37,33 +45,43 @@ def corrected_aic(residuals: np.ndarray, m: int) -> float:
     residual-free fits.
     """
     residuals = np.asarray(residuals, dtype=float)
-    t1 = residuals.shape[0]
-    if t1 <= m + 2:
-        raise PenaltyUndefined(f"penalty needs T1 > m + 2 (T1={t1}, m={m})")
-    rss = float(np.sum(residuals**2))
-    return t1 * np.log(rss / t1 + 1.0) + 2.0 * (m + 1) * (m + 2) / (t1 - m - 2)
+    return _criterion(float(np.sum(residuals**2)), residuals.shape[0], m)
 
 
-def select_ar_order(y: np.ndarray, q_max: int) -> int:
+def select_ar_order(y: np.ndarray, q_max: int):
     """Smallest corrected-AIC lag order among AR(1)..AR(q_max).
 
     All candidate orders are scored on the common sample that leaves room
     for q_max lags, so the criterion values are comparable; ties break
-    toward the smaller order.
+    toward the smaller order. One QR of the q_max lag block L serves every
+    order: the leading q columns of its R factor and of Q'y give the AR(q)
+    coefficients by back substitution, and each order's residuals are then
+    formed explicitly as y - L[:, :q] coef. R passes the rank rule exactly
+    when every leading block of columns does, up to rounding, as their
+    singular values interlace.
+
+    y is (T,), giving an int, or (..., T), giving an int array of the
+    orders of a batch of series.
     """
     y = np.asarray(y, dtype=float)
     if q_max < 1:
         raise InvalidData("q_max must be >= 1")
-    T = y.shape[0]
+    T = y.shape[-1]
     if T <= q_max + 2:
         raise InsufficientSample(f"need T > q_max + 2 (T={T}, q_max={q_max})")
-    lags = _design(y, q_max)
-    best_q, best_aic = 1, np.inf
+    aug = _design(y[..., None], q_max, (y[..., None],))  # [lags | y]
+    lags, response = aug[..., :q_max], aug[..., q_max:]
+    R, Qty = _triangularize(aug, q_max)
+    best_q = np.ones(y.shape[:-1], dtype=int)
+    best_aic = np.full(y.shape[:-1], np.inf)
     for q in range(1, q_max + 1):
-        aic = corrected_aic(_solve(lags[:, :q], y[q_max:])[1], q)
-        if aic < best_aic:
-            best_q, best_aic = q, aic
-    return best_q
+        coef = _back_substitute(R[..., :q, :q], Qty[..., :q, :])
+        resid = (response - lags[..., :q] @ coef)[..., 0]
+        aic = _criterion(np.sum(resid**2, axis=-1), resid.shape[-1], q)
+        better = aic < best_aic
+        best_q = np.where(better, q, best_q)
+        best_aic = np.where(better, aic, best_aic)
+    return int(best_q) if best_q.ndim == 0 else best_q
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ ceil(log2 n) matrix products for n months.
 
 The harness repeats the full pipeline (generate, hold out the last H months,
 standardize on the training window, fit, forecast, score) over a (variant,
-correlation, horizon) grid with per-repetition RNG streams, so reports are
-bit-identical for a fixed seed regardless of worker count.
+correlation, horizon) grid with per-repetition RNG streams. Each cell runs
+as one batch of its repetitions through the batched forms of the same
+public functions, and a repetition's outputs do not depend on the batch, so
+reports are bit-identical for a fixed seed regardless of worker count.
 
 The embedding covariates are synthetic stand-ins: two smooth AR(1) columns
 whose stationary spread (default 6.0) is calibrated so the covariate part
@@ -20,7 +22,7 @@ metrics are insensitive to that scale; absolute interval lengths are not.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,8 +46,8 @@ from .forecasting import (
     forecast_rw,
 )
 from .intervals import BootstrapConfig, bj_interval, boot_interval
-from .panels import (MonthlyPanel, SurrogatePanel, _write_csv, month_range,
-                     standardize_cpi)
+from .panels import (MonthlyPanel, SurrogatePanel, _require_int, _write_csv,
+                     month_range, standardize_cpi)
 from .selection import select_ar_order
 
 __all__ = [
@@ -84,20 +86,25 @@ _T_DF = 10.0
 def _linear_recursion(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Rows s_t = M s_{t-1} + W_t of a linear recursion from s_{-1} = 0.
 
-    Recursive doubling: after the pass with shift k, row t holds
-    sum_{j<2k} M^j W_{t-j}, so ceil(log2 n) matrix products cover all n
-    rows. The product on the right is a new array, so reading rows of s
-    that the same statement updates is safe.
+    W is (..., n, state), months on its second-to-last axis; leading axes
+    are a batch of recursions that share M. Recursive doubling: after the
+    pass with shift k, row t holds sum_{j<2k} M^j W_{t-j}, so ceil(log2 n)
+    matrix products cover all n rows. The product on the right is a new
+    array, so reading rows of s that the same statement updates is safe.
+    Each member's product is its own (n - k, state) matrix product, the
+    product a one-series call makes, so every member gets the bits of its
+    own call.
 
     Entries of M^(2^k) that decay below the smallest normal double are set
     to zero: their terms are smaller than any rounding of s, and subnormal
     operands slow a matrix product about eightfold.
     """
     s = np.array(W, dtype=float)
+    n = s.shape[-2]
     P = M
     shift = 1
-    while shift < len(s):
-        s[shift:] += s[:-shift] @ P.T
+    while shift < n:
+        s[..., shift:, :] += s[..., :n - shift, :] @ P.T
         P = P @ P
         P[np.abs(P) < np.finfo(float).tiny] = 0.0
         shift *= 2
@@ -118,14 +125,14 @@ class Ar1Spec:
         if self.n_cols < 0 or self.scale < 0:
             raise InvalidData("n_cols and scale must be nonnegative")
 
-    def _innovations(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        innov = rng.standard_normal((n, self.n_cols))
-        innov *= self.scale * np.sqrt(1.0 - self.phi**2)
-        return innov
+    @property
+    def _innovation_sd(self) -> float:
+        return self.scale * np.sqrt(1.0 - self.phi**2)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return _linear_recursion(self.phi * np.eye(self.n_cols),
-                                 self._innovations(rng, n))
+        innov = rng.standard_normal((n, self.n_cols))
+        innov *= self._innovation_sd
+        return _linear_recursion(self.phi * np.eye(self.n_cols), innov)
 
 
 def equicorrelated(dim: int, rho: float) -> np.ndarray:
@@ -230,40 +237,76 @@ class DgpSpec:
 class SimTruth:
     """Innovations retained from a simulated draw (post burn-in)."""
 
-    eps: np.ndarray  # (T, 1+K); column 0 target, 1..K surrogate
+    eps: np.ndarray  # (T, 1+K) or (batch, T, 1+K); column 0 target, 1..K surrogate
     spec: DgpSpec
 
 
-def _draw_innovations(spec: DgpSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    normals = rng.standard_normal((n, 1 + spec.K)) @ spec._chol.T
-    if spec.error_kind == "gaussian":
-        return normals
-    mix = np.sqrt(_T_DF / rng.chisquare(_T_DF, size=n))
-    return normals * mix[:, None]
+# Members drawn together. The arrays of a group hold the burn-in months too
+# (260 of a 60-month draw); five members keep each under 80 KB, which keeps
+# the peak resident memory of a 50-member cell within 1 MB of one member's,
+# and a larger group is no faster.
+_DRAW_GROUP = 5
+
+
+def _draw_states(spec: DgpSpec, seeds: list) -> tuple[np.ndarray, np.ndarray]:
+    """Innovations (members, n, 1+K) and states (members, n, state) of every
+    month, burn-in included, one member per seed."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    n = spec.burn_in + spec.T
+    Q, K, p = len(rngs), spec.K, spec.x_gen.n_cols
+    student = spec.error_kind == "student-t"
+    # each stream draws the normals, the t mixing variables, then the x
+    # innovations, in that order
+    normals, u = np.empty((Q, n, 1 + K)), np.empty((Q, n, p))
+    chi2 = np.empty((Q, n))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=normals[i])
+        if student:
+            chi2[i] = rng.chisquare(_T_DF, size=n)
+        rng.standard_normal(out=u[i])
+    # a t(df) draw is a normal draw times sqrt(df / chi2(df))
+    eps = normals @ spec._chol.T
+    if student:
+        eps *= np.sqrt(_T_DF / chi2)[..., None]
+    u *= spec.x_gen._innovation_sd
+
+    y_col = p + K * spec.q2
+    W = np.zeros((Q, n, len(spec._transition)))
+    W[..., :p] = u
+    W[..., p:p + K] = u @ spec.B_S.T + eps[..., 1:]
+    W[..., y_col] = u @ spec.beta + eps[..., 0]
+    return eps, _linear_recursion(spec._transition, W)
 
 
 def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel, SimTruth]:
     """Draw one panel pair of length spec.T from the joint process, seeded
-    by anything np.random.default_rng accepts."""
-    rng = np.random.default_rng(seed)
-    n = spec.burn_in + spec.T
-    eps = _draw_innovations(spec, rng, n)
-    u = spec.x_gen._innovations(rng, n)
+    by anything np.random.default_rng accepts.
 
-    p, K = u.shape[1], spec.K
+    A list of SeedSequences draws a batch, one member per seed: panels with
+    y (batch, T), x (batch, T, p) and ys (batch, T, K). Member i is drawn
+    from its own stream exactly as a one-series call with seed[i] draws.
+    """
+    batch = (isinstance(seed, list) and len(seed) > 0
+             and all(isinstance(s, np.random.SeedSequence) for s in seed))
+    seeds = seed if batch else [seed]
+    Q, T, b = len(seeds), spec.T, spec.burn_in
+    K, p = spec.K, spec.x_gen.n_cols
     y_col = p + K * spec.q2
-    W = np.zeros((n, len(spec._transition)))
-    W[:, :p] = u
-    W[:, p:p + K] = u @ spec.B_S.T + eps[:, 1:]
-    W[:, y_col] = u @ spec.beta + eps[:, 0]
-    s = _linear_recursion(spec._transition, W)
-
-    b = spec.burn_in
-    times = month_range("2019-01", spec.T)
-    mp = MonthlyPanel(times=times, y=s[b:, y_col], z=np.zeros((spec.T, 0)),
-                      x=s[b:, :p])
-    sp = SurrogatePanel(times=times, ys=s[b:, p:p + K])
-    return mp, sp, SimTruth(eps=eps[b:], spec=spec)
+    eps = np.empty((Q, T, 1 + K))
+    states = np.empty((Q, T, p + K + 1))  # x, ys, then y, per member
+    for start in range(0, Q, _DRAW_GROUP):
+        group = slice(start, start + _DRAW_GROUP)
+        eps_g, s = _draw_states(spec, seeds[group])
+        eps[group] = eps_g[:, b:]
+        states[group, :, :p + K] = s[:, b:, :p + K]
+        states[group, :, -1] = s[:, b:, y_col]
+    if not batch:
+        eps, states = eps[0], states[0]
+    times = month_range("2019-01", T)
+    mp = MonthlyPanel(times=times, y=states[..., -1],
+                      z=np.zeros(states.shape[:-1] + (0,)), x=states[..., :p])
+    sp = SurrogatePanel(times=times, ys=states[..., p:p + K])
+    return mp, sp, SimTruth(eps=eps, spec=spec)
 
 
 def benchmark_dgp(
@@ -374,6 +417,10 @@ class ExperimentGrid:
             raise InvalidData(f"variant must be one of {VARIANTS}")
         if not self.rhos or not self.horizons:
             raise InvalidData("rho and horizon grids must be non-empty")
+        for h in self.horizons:
+            _require_int("horizons", h)
+        for name in ("total_months", "B", "workers"):
+            _require_int(name, getattr(self, name))
         if not np.isfinite(self.rhos).all():
             raise InvalidData(f"rho values must be finite, got {self.rhos}")
         if any(h < 1 or h >= self.total_months for h in self.horizons):
@@ -415,61 +462,92 @@ class SimulationReport:
                     for r in self.rows))
 
 
-def _rep_seeds(seed: int, variant: str, rho: float, H: int, rep: int):
+def _rep_seed(seed: int, variant: str, rho: float, H: int, rep: int,
+              child: int) -> np.random.SeedSequence:
+    """Stream ``child`` of a repetition: 0 draws the process, 1 the overfit
+    noise columns, 2 seeds the bootstrap.
+
+    It is SeedSequence(entropy).spawn(3)[child], built alone: a spawned
+    child is the SeedSequence of the same entropy with spawn_key (child,).
+    """
     # SeedSequence takes no negative entropy; the wrap leaves every rho >= 0
     # with the stream it always had
     rho_key = int(round(rho * 1e6)) % 2**64
     entropy = (seed, VARIANTS.index(variant), rho_key, H, rep)
-    return np.random.SeedSequence(entropy).spawn(3)
+    return np.random.SeedSequence(entropy, spawn_key=(child,))
 
 
-def _run_rep(task: tuple) -> dict:
-    grid, spec, seed, rho, H, rep = task
+def _member(obj, i: int):
+    """Member i of a batched panel, fit or future block."""
+    return type(obj)(**{f.name: (v[i] if isinstance(v, np.ndarray) else v)
+                        for f in fields(obj) for v in [getattr(obj, f.name)]})
+
+
+def _run_reps(task: tuple) -> dict:
+    """Repetitions ``reps`` of one (rho, H) cell, run as one batch.
+
+    Every repetition draws from its own streams (_rep_seed) and every solve
+    treats each member on its own, so a repetition's outputs do not depend
+    on the batch it runs in. Returns (len(reps), H) arrays: "truth", the
+    point forecasts "JOINT", "AR", "RW" and "AVE", and (lower, upper) pairs
+    of the intervals the grid includes.
+    """
+    grid, spec, seed, rho, H, reps = task
     _, withheld, n_noise = _VARIANTS[grid.variant]
-    dgp_ss, noise_ss, boot_ss = _rep_seeds(seed, grid.variant, rho, H, rep)
-    mp, sp, _ = generate(spec, dgp_ss)
+
+    def streams(child):
+        return [_rep_seed(seed, grid.variant, rho, H, rep, child) for rep in reps]
+
+    mp, sp = generate(spec, streams(0))[:2]
     T_train = grid.total_months - H
     y = standardize_cpi(mp.y, base=0.0, train_size=T_train).values
-    x = mp.x[:, :mp.p - withheld]
-    mp_tr = MonthlyPanel(mp.times[:T_train], y[:T_train], mp.z[:T_train],
-                         x[:T_train])
+    x = mp.x[..., :mp.p - withheld]
+    mp_tr = MonthlyPanel(mp.times[:T_train], y[:, :T_train], mp.z[:, :T_train],
+                         x[:, :T_train])
     sp_tr = sp.slice(0, T_train)
 
     x_sur = mp_tr.x
     if n_noise:
-        noise = np.random.default_rng(noise_ss).standard_normal((T_train, n_noise))
-        x_sur = np.hstack([x_sur, noise])
+        noise = np.stack([np.random.default_rng(ss).standard_normal((T_train, n_noise))
+                          for ss in streams(1)])
+        x_sur = np.concatenate([x_sur, noise], axis=-1)
     sf = fit_surrogate(sp_tr, x_sur, 1)
     jf = fit_joint_step2(mp_tr, sp_tr, sf, 2)
     y_train = mp_tr.y
-    ar = fit_arx(y_train, select_ar_order(y_train, 4))
-
-    fut = FutureExogenous(mp.z[T_train:], x[T_train:], sp.ys[T_train:])
+    fut = FutureExogenous(mp.z[:, T_train:], x[:, T_train:], sp.ys[:, T_train:])
 
     fc_joint = forecast_joint(jf, sf, mp_tr, sp_tr, fut, H)
-    fc_ar = forecast_arx(ar, y_train, None, H)
-    fc_rw = forecast_rw(y_train, H)
-    fc_ave = forecast_ave(y_train, H)
-
     out = {
-        "truth": y[T_train:],
+        "truth": y[:, T_train:],
         "JOINT": fc_joint.point,
-        "AR": fc_ar.point,
-        "RW": fc_rw.point,
-        "AVE": fc_ave.point,
+        "AR": np.empty((len(reps), H)),
+        "RW": forecast_rw(y_train, H).point,
+        "AVE": forecast_ave(y_train, H).point,
     }
     if grid.include_intervals:
-        iv_ar = bj_interval(fc_ar, ar, grid.alpha)
         iv_bj = bj_interval(fc_joint, jf, grid.alpha)
-        out["AR_BJ"] = (iv_ar.lower, iv_ar.upper)
+        out["AR_BJ"] = (np.empty((len(reps), H)), np.empty((len(reps), H)))
         out["JOINT_BJ"] = (iv_bj.lower, iv_bj.upper)
-        if grid.include_boot:
+    # the AR baseline, fitted once per group of repetitions of one order
+    orders = select_ar_order(y_train, 4)
+    for q in sorted(set(orders.tolist())):
+        group = orders == q
+        ar = fit_arx(y_train[group], q)
+        fc_ar = forecast_arx(ar, y_train[group], None, H)
+        out["AR"][group] = fc_ar.point
+        if grid.include_intervals:
+            iv_ar = bj_interval(fc_ar, ar, grid.alpha)
+            out["AR_BJ"][0][group] = iv_ar.lower
+            out["AR_BJ"][1][group] = iv_ar.upper
+    if grid.include_intervals and grid.include_boot:
+        bounds = []
+        for i, ss in enumerate(streams(2)):
             cfg = BootstrapConfig(
-                B=grid.B,
-                seed=int(boot_ss.generate_state(1, dtype=np.uint64)[0]),
-            )
-            iv_bt = boot_interval(jf, sf, mp_tr, sp_tr, fut, H, cfg, grid.alpha)
-            out["JOINT_BOOT"] = (iv_bt.lower, iv_bt.upper)
+                B=grid.B, seed=int(ss.generate_state(1, dtype=np.uint64)[0]))
+            member = (_member(obj, i) for obj in (jf, sf, mp_tr, sp_tr, fut))
+            iv_bt = boot_interval(*member, H, cfg, grid.alpha)
+            bounds.append((iv_bt.lower, iv_bt.upper))
+        out["JOINT_BOOT"] = tuple(np.stack(b) for b in zip(*bounds))
     return out
 
 
@@ -480,6 +558,8 @@ def run_experiment(grid: ExperimentGrid, Q: int, seed: int) -> SimulationReport:
     derived from the cell coordinates and aggregation order is fixed, so any
     worker count produces an identical report.
     """
+    _require_int("Q", Q)
+    _require_int("seed", seed)
     if Q < 1:
         raise InvalidData("Q must be >= 1")
     if seed < 0:
@@ -489,32 +569,40 @@ def run_experiment(grid: ExperimentGrid, Q: int, seed: int) -> SimulationReport:
                                 x_scale=grid.x_scale)
              for rho in grid.rhos}
     cells = [(rho, H) for rho in grid.rhos for H in grid.horizons]
-    tasks = [(grid, specs[rho], seed, rho, H, rep)
-             for rho, H in cells for rep in range(Q)]
+    # one batch per cell; a pool gets about four blocks of repetitions per
+    # worker, so that a small run is shared too
+    blocks = 1 if grid.workers == 1 else min(Q, -(-4 * grid.workers // len(cells)))
+    tasks = [(grid, specs[rho], seed, rho, H,
+              range(Q * b // blocks, Q * (b + 1) // blocks))
+             for rho, H in cells for b in range(blocks)]
     if grid.workers > 1:
-        # about four chunks per worker, so that a small run is shared too
         chunksize = -(-len(tasks) // (4 * grid.workers))
         with concurrent.futures.ProcessPoolExecutor(grid.workers) as pool:
-            outs = list(pool.map(_run_rep, tasks, chunksize=chunksize))
+            outs = list(pool.map(_run_reps, tasks, chunksize=chunksize))
     else:
-        outs = [_run_rep(task) for task in tasks]
+        outs = [_run_reps(task) for task in tasks]
 
-    # both loops keep task order, so cell c holds outs[c*Q:(c+1)*Q]
+    def joined(arrays):
+        # C order whatever the block count: the means below sum in memory
+        # order, and one block may come back in Fortran order
+        return np.ascontiguousarray(np.concatenate(arrays))
+
+    # both loops keep task order, so cell c holds outs[c*blocks:(c+1)*blocks]
     rows: list[ReportRow] = []
     for c, (rho, H) in enumerate(cells):
-        reps = outs[c * Q:(c + 1) * Q]
+        parts = outs[c * blocks:(c + 1) * blocks]
+        res = {key: (tuple(joined([part[key][j] for part in parts]) for j in range(2))
+                     if isinstance(value, tuple)
+                     else joined([part[key] for part in parts]))
+               for key, value in parts[0].items()}
         cell = (grid.variant, rho, H)
-        truth = np.stack([r["truth"] for r in reps])
-        base = np.stack([r["AR"] for r in reps])
+        truth, base = res["truth"], res["AR"]
         for method in ("RW", "AVE", "JOINT"):
-            fc = np.stack([r[method] for r in reps])
+            fc = res[method]
             rows.append(ReportRow(*cell, method, "rpmse", rpmse(fc, truth, base)))
             rows.append(ReportRow(*cell, method, "rsign", rsign(fc, truth, base)))
-        for name in (n for n in ("AR_BJ", "JOINT_BJ", "JOINT_BOOT")
-                     if n in reps[0]):
-            lo = np.stack([r[name][0] for r in reps])
-            hi = np.stack([r[name][1] for r in reps])
-            cov, length = coverage_length(lo, hi, truth)
+        for name in (n for n in ("AR_BJ", "JOINT_BJ", "JOINT_BOOT") if n in res):
+            cov, length = coverage_length(*res[name], truth)
             rows.append(ReportRow(*cell, name, "coverage", cov))
             rows.append(ReportRow(*cell, name, "length", length))
     return SimulationReport(rows=tuple(rows), Q=Q)

@@ -33,7 +33,7 @@ from surrocast import (
     standardize_cpi,
 )
 from surrocast.cli import main
-from surrocast.simulation import _rep_seeds
+from surrocast.simulation import _rep_seed
 from scipy.signal import lfilter
 
 SEED = 20260810
@@ -76,7 +76,7 @@ def _closed_form_coverages(rho: float, Q: int = 500, H: int = 8,
     T = total_months - H
     plug, est, truth = [], [], []
     for rep in range(Q):
-        dgp_ss, _, _ = _rep_seeds(SEED, "base", rho, H, rep)
+        dgp_ss = _rep_seed(SEED, "base", rho, H, rep, 0)
         mp, sp, _ = generate(benchmark_dgp(rho, T=total_months), dgp_ss)
         std = standardize_cpi(mp.y, base=0.0, train_size=T)
         mp = MonthlyPanel(mp.times, std.values, mp.z, mp.x)

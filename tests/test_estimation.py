@@ -51,6 +51,30 @@ def test_ols_more_columns_than_rows():
         ols_solve(np.ones((2, 3)), np.ones(2))
 
 
+def test_ols_batch_member_is_its_own_solve(rng):
+    # a stacked solve treats each design on its own: same bits as alone,
+    # for one right-hand side per design and for several
+    design = rng.standard_normal((9, 50, 7))
+    for response in (rng.standard_normal((9, 50)), rng.standard_normal((9, 50, 3))):
+        coef = ols_solve(design, response)
+        assert coef.shape == (9, 7) + response.shape[2:]
+        for i in range(9):
+            assert coef[i].tobytes() == ols_solve(design[i], response[i]).tobytes()
+        ref = np.linalg.lstsq(design[0], response[0], rcond=None)[0]
+        np.testing.assert_allclose(coef[0], ref, rtol=1e-12, atol=1e-13)
+
+
+def test_ols_batch_rank_deficient_member(rng):
+    design = rng.standard_normal((5, 20, 3))
+    design[2, :, 2] = design[2, :, 0]
+    with pytest.raises(RankDeficient) as many:
+        ols_solve(design, rng.standard_normal((5, 20)))
+    with pytest.raises(RankDeficient) as one:
+        ols_solve(design[2], rng.standard_normal(20))
+    assert many.value.columns == one.value.columns == (0, 2)
+    assert "rank 2 of 3" in str(many.value)
+
+
 # ---------------------------------------------------------------------------
 # _design: byte-for-byte the designs the fits used to stack by hand
 # ---------------------------------------------------------------------------

@@ -28,14 +28,14 @@ from surrocast import (
     forecast_joint,
     generate,
 )
-from surrocast.estimation import RANK_TOL, _design, _full_rank, d_residual_matrix
+from surrocast.estimation import (RANK_TOL, _design, _full_rank, _full_rank_r,
+                                  d_residual_matrix)
 from surrocast.forecasting import _ar_recursion, _future_rows
 from surrocast.intervals import (
     _batched_refit,
     _empirical_quantile,
     _joint_forecast_gradient,
     _psi_weights,
-    _refit_full_rank,
     _z,
 )
 
@@ -222,8 +222,16 @@ def test_boot_rejects_tiny_b():
         BootstrapConfig(B=50, seed=0)
 
 
+@pytest.mark.parametrize("kw", [{"B": 500.5}, {"B": 500.0}, {"seed": 1.5},
+                                {"seed": True}])
+def test_boot_config_rejects_non_integer(kw):
+    with pytest.raises(InvalidData, match="integer"):
+        BootstrapConfig(**kw)
+
+
 def _lstsq_keeps(design, response):
-    """ols_solve's rank rule on one design; the coefficients when it keeps."""
+    """The SVD rank rule (gelsd's, through lstsq) on one design; the
+    coefficients when it keeps."""
     coef, _, rank, sv = np.linalg.lstsq(design, response, rcond=RANK_TOL)
     if rank < design.shape[1] or sv[0] <= 0.0 or sv[-1] < RANK_TOL * sv[0]:
         return None
@@ -446,7 +454,7 @@ def _screen_batches(rng):
 def test_refit_screen_matches_svd_rule(rng):
     spread = []
     for name, (_, R) in _screen_batches(rng).items():
-        kept, n_svd = _refit_full_rank(R)
+        kept, n_svd = _full_rank_r(R)
         sv = np.linalg.svd(R, compute_uv=False)
         ref = _full_rank(sv)
         bad = np.flatnonzero(kept != ref)
@@ -485,7 +493,7 @@ def test_refit_screen_skips_svd_when_well_conditioned(rng, monkeypatch):
 def test_refit_screen_sends_near_cutoff_to_svd(monkeypatch):
     _, R = _screen_batches(np.random.default_rng(3))["graded q1=2"]
     rows = _count_svd_rows(monkeypatch)
-    kept, n_svd = _refit_full_rank(R)
+    kept, n_svd = _full_rank_r(R)
     kappa = np.linalg.cond(R)
     near = (kappa > 1e9) & (kappa < 1e11)
     assert near.sum() > 20

@@ -9,8 +9,10 @@ from surrocast import (
     corrected_aic,
     correlation_pursuit,
     fit_arx,
+    ols_solve,
     select_ar_order,
 )
+from surrocast.estimation import _design
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +81,61 @@ def test_order_selection_qmax_one():
 def test_order_selection_needs_sample():
     with pytest.raises(InsufficientSample):
         select_ar_order(np.zeros(6), 4)
+
+
+def _four_solve_scores(y, q_max):
+    """corrected_aic of AR(1)..AR(q_max) on the common sample, one solve
+    per order: the rule select_ar_order replaced with one QR."""
+    lags, response = _design(y, q_max), y[q_max:]
+    return [corrected_aic(response - lags[:, :q] @ ols_solve(lags[:, :q], response), q)
+            for q in range(1, q_max + 1)]
+
+
+def _near_tie(rng, T, q_max):
+    """Two AR(2) series whose two best orders score within about 1e-11: the
+    lag-2 coefficient, kept inside the stationary range, is bisected to
+    where the four-solve choice switches."""
+    def choice(e, phi2):
+        y = lfilter([1.0], [1.0, -0.5, -phi2], e)
+        return int(np.argmin(_four_solve_scores(y, q_max))) + 1
+
+    lo, hi = -0.45, 0.45
+    e = rng.standard_normal(T)
+    while choice(e, lo) == choice(e, hi):  # no switch on this draw
+        e = rng.standard_normal(T)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if choice(e, mid) == choice(e, lo) else (lo, mid)
+    return [lfilter([1.0], [1.0, -0.5, -phi2], e) for phi2 in (lo, hi)]
+
+
+def test_one_qr_order_matches_four_solves():
+    # 200 series: 100 random AR(2) series of several lengths and q_max, and
+    # 50 near-tie pairs, where the best two orders score within 1e-8
+    rng = np.random.default_rng(71)
+    cases = []
+    for k in range(100):
+        T, q_max = int(rng.integers(10, 120)), int(rng.integers(1, 5))
+        a1, a2 = rng.uniform(-0.6, 0.6, size=2)
+        cases.append((lfilter([1.0], [1.0, -a1, -a2], rng.standard_normal(T)), q_max))
+    for k in range(50):
+        cases += [(y, 4) for y in _near_tie(rng, 52, 4)]
+    # both rules compute the same scores up to rounding (about 1e-14 here),
+    # so only orders within 1e-11 of the best may trade places
+    gaps, exact = [], 0
+    for y, q_max in cases:
+        scores = np.array(_four_solve_scores(y, q_max))
+        want = int(np.argmin(scores)) + 1  # the first minimum: smaller order
+        got = select_ar_order(y, q_max)
+        assert scores[got - 1] <= scores.min() + 1e-11, (got, want, scores)
+        exact += got == want
+        gaps.append(np.sort(scores)[1] - scores.min() if q_max > 1 else np.inf)
+    assert np.sum(np.array(gaps) < 1e-8) >= 100
+    assert exact >= 195
+    # a batch of series gets every member's own order
+    batch = np.stack([y for y, q_max in cases[-100:]])
+    assert select_ar_order(batch, 4).tolist() == [
+        select_ar_order(y, 4) for y in batch]
 
 
 # ---------------------------------------------------------------------------

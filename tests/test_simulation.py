@@ -9,19 +9,35 @@ import pytest
 from surrocast import (
     Ar1Spec,
     BaselineDegenerate,
+    BootstrapConfig,
     DgpSpec,
     ExperimentGrid,
+    FutureExogenous,
     InvalidCovariance,
     InvalidData,
     MonthlyPanel,
     NonStationarySpec,
+    RankDeficient,
+    SurrogatePanel,
     benchmark_dgp,
+    bj_interval,
+    boot_interval,
     coverage_length,
     equicorrelated,
+    fit_arx,
+    fit_joint,
+    fit_joint_step2,
+    fit_surrogate,
+    forecast_arx,
+    forecast_ave,
+    forecast_joint,
+    forecast_rw,
     generate,
     rpmse,
     rsign,
     run_experiment,
+    select_ar_order,
+    standardize_cpi,
 )
 from surrocast import simulation
 from surrocast.estimation import companion_matrix
@@ -275,29 +291,49 @@ def test_experiment_worker_count_invariant(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class _InProcessPool:
+    """ProcessPoolExecutor stand-in that maps in this process and records
+    the number of chunks of every map."""
+
+    chunks: list = []
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize):
+        tasks = list(tasks)
+        self.chunks.append(-(-len(tasks) // chunksize))
+        return map(fn, tasks)
+
+
 def test_experiment_spreads_small_runs_over_workers(monkeypatch):
-    # every worker must get at least one chunk of a 10-task run
-    chunks = []
-
-    class Pool:
-        def __init__(self, workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize):
-            chunks.append(-(-len(tasks) // chunksize))
-            return map(fn, tasks)
-
+    # every worker must get at least one chunk of a 10-repetition run
     monkeypatch.setattr(simulation.concurrent.futures, "ProcessPoolExecutor",
-                        Pool)
+                        _InProcessPool)
     for workers in (2, 3):
         run_experiment(_small_grid(workers=workers), Q=10, seed=0)
-        assert chunks[-1] >= workers
+        assert _InProcessPool.chunks[-1] >= workers
+
+
+def test_report_independent_of_block_split(monkeypatch):
+    # a pool splits each cell into blocks of repetitions (here of 1 and 2);
+    # the report must equal that of one batch per cell to the last bit,
+    # which needs each aggregated array in one memory order
+    monkeypatch.setattr(simulation.concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    for seed in (20260810, 1, 2, 3):
+        grid = _small_grid(rhos=(0.1, 0.2))
+        one = run_experiment(grid, Q=4, seed=seed)
+        for workers in (2, 3):
+            split = run_experiment(_small_grid(rhos=(0.1, 0.2), workers=workers),
+                                   Q=4, seed=seed)
+            assert split.rows == one.rows, (seed, workers)
 
 
 def test_experiment_builds_one_spec_per_rho(monkeypatch):
@@ -380,19 +416,19 @@ def test_experiment_rep_ignores_holdout_rows(variant, monkeypatch):
     grid = _small_grid(variant=variant, include_boot=True)
     spec = benchmark_dgp(0.2, T=grid.total_months,
                          error_kind=simulation._VARIANTS[variant][0])
-    task = (grid, spec, 1, 0.2, H, 0)
-    clean = simulation._run_rep(task)
+    task = (grid, spec, 1, 0.2, H, range(3))
+    clean = simulation._run_reps(task)
 
     draw = simulation.generate
 
     def poisoned(spec, seed):
         mp, sp, truth = draw(spec, seed)
         y = mp.y.copy()
-        y[-H:] = 1e6
+        y[..., -H:] = 1e6
         return MonthlyPanel(mp.times, y, mp.z, mp.x), sp, truth
 
     monkeypatch.setattr(simulation, "generate", poisoned)
-    dirty = simulation._run_rep(task)
+    dirty = simulation._run_reps(task)
     assert clean.keys() == dirty.keys()
     assert "JOINT_BOOT" in clean
     assert not np.array_equal(clean["truth"], dirty["truth"])
@@ -423,12 +459,13 @@ def test_experiment_applies_variant_row(variant, x_width, p, error_kind,
             return inner(*args, **kw)
         monkeypatch.setattr(simulation, name, wrapped)
 
-    wrap("fit_surrogate", lambda sp, x, q2: seen["x"].append(x.shape[1]))
-    wrap("fit_joint_step2", lambda mp, *a: seen["p"].append(mp.p))
+    # one batched call per cell: (repetitions, width) of each
+    wrap("fit_surrogate", lambda sp, x, q2: seen["x"].append((len(x), x.shape[-1])))
+    wrap("fit_joint_step2", lambda mp, *a: seen["p"].append((len(mp.y), mp.p)))
     wrap("benchmark_dgp", lambda rho, **kw: seen["kind"].append(kw["error_kind"]))
     run_experiment(_small_grid(variant=variant, include_intervals=False),
                    Q=2, seed=0)
-    assert seen == {"x": [x_width] * 2, "p": [p] * 2, "kind": [error_kind]}
+    assert seen == {"x": [(2, x_width)], "p": [(2, p)], "kind": [error_kind]}
 
 
 def test_spec_compares_and_hashes_by_identity():
@@ -460,3 +497,160 @@ def test_report_csv_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "variant,rho,H,method,metric,value"
     assert all(line.startswith("base,0.2,8,") for line in lines[1:])
+
+
+# ---------------------------------------------------------------------------
+# the per-cell batch against one-series calls
+# ---------------------------------------------------------------------------
+
+def test_rep_seed_is_the_spawned_child():
+    # a child built alone is the child spawn(3) returns: same stream
+    for entropy in [(0, 0, 100000, 8, 0), (20260810, 3, 400000, 15, 499),
+                    (7, 1, 2**64 - 5, 1, 12)]:
+        spawned = np.random.SeedSequence(entropy).spawn(3)
+        seed, variant, rho_key, H, rep = entropy
+        rho = rho_key / 1e6 if rho_key < 2**63 else (rho_key - 2**64) / 1e6
+        for child in range(3):
+            alone = simulation._rep_seed(seed, simulation.VARIANTS[variant], rho,
+                                         H, rep, child)
+            assert alone.entropy == spawned[child].entropy
+            assert np.array_equal(alone.generate_state(8),
+                                  spawned[child].generate_state(8))
+
+
+def test_generate_batch_member_is_its_one_series_draw():
+    for error_kind in ("gaussian", "student-t"):
+        spec = benchmark_dgp(0.3, T=60, error_kind=error_kind)
+        seeds = [np.random.SeedSequence((5, i)) for i in range(9)]
+        mp, sp, truth = generate(spec, seeds)
+        assert mp.y.shape == (9, 60) and mp.x.shape == (9, 60, 2)
+        assert sp.ys.shape == (9, 60, 3) and truth.eps.shape == (9, 60, 4)
+        for i, ss in enumerate(seeds):
+            mp1, sp1, truth1 = generate(spec, ss)
+            assert mp1.y.tobytes() == mp.y[i].tobytes()
+            assert mp1.x.tobytes() == mp.x[i].tobytes()
+            assert sp1.ys.tobytes() == sp.ys[i].tobytes()
+            assert truth1.eps.tobytes() == truth.eps[i].tobytes()
+
+
+def _oracle_rep(grid, spec, seed, rho, H, rep):
+    """One repetition through one-series public calls: the harness before
+    it ran a cell as one batch."""
+    _, withheld, n_noise = simulation._VARIANTS[grid.variant]
+    dgp_ss, noise_ss, boot_ss = (
+        simulation._rep_seed(seed, grid.variant, rho, H, rep, child)
+        for child in range(3))
+    mp, sp, _ = generate(spec, dgp_ss)
+    T_train = grid.total_months - H
+    y = standardize_cpi(mp.y, base=0.0, train_size=T_train).values
+    x = mp.x[:, :mp.p - withheld]
+    mp_tr = MonthlyPanel(mp.times[:T_train], y[:T_train], mp.z[:T_train],
+                         x[:T_train])
+    sp_tr = sp.slice(0, T_train)
+    x_sur = mp_tr.x
+    if n_noise:
+        noise = np.random.default_rng(noise_ss).standard_normal((T_train, n_noise))
+        x_sur = np.hstack([x_sur, noise])
+    sf = fit_surrogate(sp_tr, x_sur, 1)
+    jf = fit_joint_step2(mp_tr, sp_tr, sf, 2)
+    y_train = mp_tr.y
+    ar = fit_arx(y_train, select_ar_order(y_train, 4))
+    fut = FutureExogenous(mp.z[T_train:], x[T_train:], sp.ys[T_train:])
+    fc_joint = forecast_joint(jf, sf, mp_tr, sp_tr, fut, H)
+    fc_ar = forecast_arx(ar, y_train, None, H)
+    out = {"truth": y[T_train:], "JOINT": fc_joint.point, "AR": fc_ar.point,
+           "RW": forecast_rw(y_train, H).point,
+           "AVE": forecast_ave(y_train, H).point}
+    if grid.include_intervals:
+        iv_ar = bj_interval(fc_ar, ar, grid.alpha)
+        iv_bj = bj_interval(fc_joint, jf, grid.alpha)
+        out["AR_BJ"] = (iv_ar.lower, iv_ar.upper)
+        out["JOINT_BJ"] = (iv_bj.lower, iv_bj.upper)
+        if grid.include_boot:
+            cfg = BootstrapConfig(
+                B=grid.B, seed=int(boot_ss.generate_state(1, dtype=np.uint64)[0]))
+            iv_bt = boot_interval(jf, sf, mp_tr, sp_tr, fut, H, cfg, grid.alpha)
+            out["JOINT_BOOT"] = (iv_bt.lower, iv_bt.upper)
+    return out
+
+
+def _cell_task(variant, include_boot, reps, rho=0.3, H=8, seed=11):
+    grid = _small_grid(variant=variant, include_boot=include_boot)
+    spec = benchmark_dgp(rho, T=grid.total_months,
+                         error_kind=simulation._VARIANTS[variant][0])
+    return grid, spec, seed, rho, H, reps
+
+
+def _arrays(out):
+    """(name, array) of every output, interval bounds one by one."""
+    for key, value in sorted(out.items()):
+        for j, arr in enumerate(value if isinstance(value, tuple) else (value,)):
+            yield f"{key}[{j}]", arr
+
+
+@pytest.mark.parametrize("include_boot", [False, True])
+@pytest.mark.parametrize("variant", simulation.VARIANTS)
+def test_batched_cell_matches_one_series_oracle(variant, include_boot):
+    # the batch runs the same kernels as one-series calls; every output
+    # must agree within 1e-12, scaled by max(1, |oracle|)
+    task = _cell_task(variant, include_boot, range(12))
+    batch = simulation._run_reps(task)
+    assert ("JOINT_BOOT" in batch) == include_boot
+    for i, rep in enumerate(task[-1]):
+        oracle = _oracle_rep(*task[:-1], rep)
+        assert oracle.keys() == batch.keys()
+        for (name, got), (_, want) in zip(_arrays(batch), _arrays(oracle)):
+            assert got.shape == (12, 8), name
+            scale = np.maximum(1.0, np.abs(want))
+            assert np.all(np.abs(got[i] - want) <= 1e-12 * scale), (name, rep)
+
+
+@pytest.mark.parametrize("variant", simulation.VARIANTS)
+def test_rep_outputs_independent_of_batch(variant):
+    # a repetition has the same bits in a batch of 50, of 7 and alone, so
+    # reports do not depend on how a cell is split among workers
+    whole = simulation._run_reps(_cell_task(variant, True, range(50)))
+    for reps in (range(7), range(20, 27), range(49, 50)):
+        part = simulation._run_reps(_cell_task(variant, True, reps))
+        for (name, got), (_, want) in zip(_arrays(part), _arrays(whole)):
+            assert got.tobytes() == want[reps.start:reps.stop].tobytes(), (name, reps)
+
+
+def test_rank_deficient_member_raises_as_alone():
+    spec = benchmark_dgp(0.2, T=60)
+    mp, sp, _ = generate(spec, [np.random.SeedSequence((4, i)) for i in range(6)])
+    x = mp.x.copy()
+    x[3, :, 1] = -2.0 * x[3, :, 0]  # member 3's covariates are collinear
+    batch = MonthlyPanel(mp.times, mp.y, mp.z, x)
+    alone = simulation._member(batch, 3)
+    with pytest.raises(RankDeficient) as one:
+        fit_joint(alone, simulation._member(sp, 3), 2, 1)
+    with pytest.raises(RankDeficient) as many:
+        fit_joint(batch, sp, 2, 1)
+    assert str(many.value) == str(one.value)
+    assert many.value.columns == one.value.columns != ()
+    # the AR order rule: a flat member makes the lag block singular
+    y = mp.y.copy()
+    y[2] = 0.0
+    for series in (y, y[2]):
+        with pytest.raises(RankDeficient):
+            select_ar_order(series, 4)
+    # the members before it fit
+    fit_joint(MonthlyPanel(mp.times, mp.y[:3], mp.z[:3], x[:3]),
+              SurrogatePanel(sp.times, sp.ys[:3]), 2, 1)
+
+
+@pytest.mark.parametrize("kw", [
+    {"horizons": (8.0,)}, {"horizons": (8, 9.5)}, {"horizons": (True,)},
+    {"B": 500.5}, {"total_months": 60.0}, {"workers": 2.0},
+])
+def test_experiment_grid_rejects_non_integer_field(kw):
+    with pytest.raises(InvalidData, match="integer"):
+        ExperimentGrid(rhos=(0.2,), **kw)
+
+
+@pytest.mark.parametrize("Q, seed", [(2.0, 0), (2, 1.5), (2, "1")])
+def test_experiment_rejects_non_integer_count_or_seed(Q, seed):
+    with pytest.raises(InvalidData, match="integer"):
+        run_experiment(_small_grid(), Q=Q, seed=seed)
+    run_experiment(_small_grid(), Q=np.int64(2), seed=np.int64(1))

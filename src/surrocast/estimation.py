@@ -55,35 +55,49 @@ def _full_rank(sv: np.ndarray) -> np.bool_ | np.ndarray:
     return (sv[..., 0] > 0.0) & (sv[..., -1] > RANK_TOL * sv[..., 0])
 
 
-def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _back_substitute(R: np.ndarray, rhs: np.ndarray, out=None) -> np.ndarray:
     """Solve R x = rhs for upper-triangular R (..., m, m) and rhs (..., m, r).
 
     The leading axes broadcast, so one R can serve a batch of right-hand
-    sides.
+    sides. Row i is (rhs_i - R_i,i+1 x_i+1 - ... - R_i,m x_m) / R_ii, each
+    step one elementwise operation over the batch, so a system's solution
+    has the same bits whatever batch it is solved in. x is laid out in
+    memory as rhs is: a batch stored on the last axis (replicate-last, as
+    intervals._batched_refit stores it) runs along the inner loop. out, if
+    given, receives x and may be rhs itself: row i of rhs is read before
+    row i of x is written.
     """
     m = R.shape[-1]
-    x = np.empty(np.broadcast_shapes(R.shape[:-2], rhs.shape[:-2])
-                 + rhs.shape[-2:])
+    x = out if out is not None else np.empty_like(
+        rhs, shape=np.broadcast_shapes(R.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
     for i in range(m - 1, -1, -1):
-        tail = np.einsum("...j,...jr->...r", R[..., i, i + 1:],
-                         x[..., i + 1:, :])
-        x[..., i, :] = (rhs[..., i, :] - tail) / R[..., i, i, None]
+        xi = x[..., i, :]
+        xi[...] = rhs[..., i, :]
+        for j in range(i + 1, m):
+            xi -= R[..., i, j, None] * x[..., j, :]
+        xi /= R[..., i, i, None]
     return x
 
 
-def _full_rank_r(R: np.ndarray) -> tuple[np.ndarray, int]:
-    """The rank rule of every least-squares solve, applied to R factors.
+def _full_rank_r(R: np.ndarray, rhs: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rank rule of every least-squares solve, applied to R factors,
+    and the solve itself.
 
     R is (..., m, m) upper triangular, the R factor of each design of a
-    batch. Returns the mask of designs whose singular values pass _full_rank
-    and the number of them whose singular values had to be computed.
+    batch, and rhs (..., m, r) holds its rotated right-hand sides Q'b.
+    Returns (kept, checked, x): the mask of designs whose singular values
+    pass _full_rank, the mask of those whose singular values had to be
+    computed, and x = R^-1 rhs. One back substitution on [I | rhs] gives
+    both X = R^-1 and x; it runs in the memory layout of rhs, so a batch
+    stored replicate-last is solved along its inner axis. x is not finite
+    for a singular R; the caller drops or rejects that design.
 
-    Most designs are decided by a screen on kappa_F = ||R||_F ||R^-1||_F,
-    with X = R^-1 from one back substitution on the identity. A design
-    passes the screen when both squared norms are normal numbers and the
-    computed kappa_F is at most _SCREEN_KAPPA = 1e8. Every other one (a zero
-    or non-finite pivot, anything near the cutoff) gets _full_rank(svd(R)),
-    so the mask is the SVD rule's for every design.
+    Most designs are decided by a screen on kappa_F = ||R||_F ||X||_F.
+    A design passes the screen when both squared norms are normal numbers
+    and the computed kappa_F is at most _SCREEN_KAPPA = 1e8. Every other one
+    (a zero or non-finite pivot, anything near the cutoff) gets
+    _full_rank(svd(R)), so the mask is the SVD rule's for every design.
 
     Why a passing design passes the SVD rule (u = 2^-53; Golub & Van Loan,
     Matrix Computations, sec. 2.3 and 8.6; Higham, Accuracy and Stability
@@ -94,7 +108,9 @@ def _full_rank_r(R: np.ndarray) -> tuple[np.ndarray, int]:
       ||E||_2 <= gamma_m ||R||_F ||X^||_F. The true kappa_F thus exceeds the
       computed one by a factor of at most 1 / (1 - gamma_m 1e8), times the
       rounding of the norms (gamma_{m^2}): 1 + 1e-5 for any m below 1000.
-      Normal squares keep underflow out.
+      Normal squares keep underflow out. Each column of [I | rhs] is its
+      own back substitution, so the columns of rhs that ride along change
+      nothing in X^.
     - R comes from a Householder QR (_triangularize) or from the modified
       Gram-Schmidt (MGS) sweep of intervals._batched_refit. Either R is the
       exact R factor of a design within p(n, m) u ||A|| of the design A
@@ -107,41 +123,48 @@ def _full_rank_r(R: np.ndarray) -> tuple[np.ndarray, int]:
       (1e-8 / (1 + 1e-5) - p(m) u) / (1 + p(m) u), above RANK_TOL = 1e-10
       for any p(m) up to 10^5. The factor 100 is that slack, with room.
     """
+    m = R.shape[-1]
+    system = np.empty_like(rhs, shape=rhs.shape[:-1] + (m + rhs.shape[-1],))
+    system[..., :m] = np.eye(m)
+    system[..., m:] = rhs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        X = _back_substitute(R, np.eye(R.shape[-1]))
+        solution = _back_substitute(R, system, out=system)
+        X = solution[..., :m]
         r2 = np.einsum("...ij,...ij->...", R, R)
         x2 = np.einsum("...ij,...ij->...", X, X)
         tiny = np.finfo(float).tiny
         screened = (r2 >= tiny) & (x2 >= tiny) & (r2 * x2 <= _SCREEN_KAPPA**2)
     kept = np.array(screened)
-    rest = ~kept
-    if rest.any():
-        kept[rest] = _full_rank(np.linalg.svd(R[rest], compute_uv=False))
-    return kept, int(rest.sum())
+    checked = ~kept
+    if checked.any():
+        kept[checked] = _full_rank(np.linalg.svd(R[checked], compute_uv=False))
+    return kept, checked, solution[..., m:]
 
 
-def _triangularize(aug: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """R and Q'rhs of design = Q R, for aug = [design | rhs] of shape
-    (..., n, m + r), from one Householder QR of aug: its first m columns
-    are factored exactly as design alone, and the reflectors are applied to
-    rhs rather than formed into Q. Raises RankDeficient, listing the
-    near-collinear columns of the first failing design, when an R factor
-    fails the rank rule (_full_rank_r)."""
+def _triangularize(aug: np.ndarray, m: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R, Q'rhs and the least-squares coefficients R^-1 Q'rhs of design =
+    Q R, for aug = [design | rhs] of shape (..., n, m + r), from one
+    Householder QR of aug: its first m columns are factored exactly as
+    design alone, and the reflectors are applied to rhs rather than formed
+    into Q. Raises RankDeficient, listing the near-collinear columns of the
+    first failing design, when an R factor fails the rank rule
+    (_full_rank_r, whose back substitution also gives the coefficients)."""
     Rr = np.linalg.qr(aug, mode="r")
-    R = Rr[..., :m, :m]
-    kept, _ = _full_rank_r(R)
+    R, Qty = Rr[..., :m, :m], Rr[..., :m, m:]
+    kept, _, coef = _full_rank_r(R, Qty)
     if not kept.all():
         raise _rank_deficient(aug[np.unravel_index(np.argmin(kept), kept.shape)][:, :m])
-    return R, Rr[..., :m, m:]
+    return R, Qty, coef
 
 
 def _solve(aug: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (..., m, r) and residuals (..., n, r) of the least-squares
-    fit of the last r columns of aug on its first m: _triangularize, then
-    back substitution on R (never the normal equations), and the residuals
+    fit of the last r columns of aug on its first m: _triangularize, which
+    back-substitutes on R (never the normal equations), and the residuals
     formed as rhs - design @ coef. Each design of a batch is solved on its
     own, so its results do not depend on the rest of the batch."""
-    coef = _back_substitute(*_triangularize(aug, m))
+    coef = _triangularize(aug, m)[2]
     return coef, aug[..., m:] - aug[..., :m] @ coef
 
 

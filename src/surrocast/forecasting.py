@@ -128,11 +128,13 @@ def _ar_roll(alpha: np.ndarray, buf: np.ndarray) -> None:
     buf[t] is month t of every series. Its first q1 months are the history;
     each later month holds that month's driver on entry and
     sum_l alpha_l buf[t-l] + driver on return. alpha has the lags on its
-    last axis, shape (q1,) shared by every series or (batch, q1) per series.
-    The lag sum accumulates left to right from l = 1 before the driver is
-    added, the order of a sequential dot product.
+    last axis; its other axes broadcast against a month of buf: shape (q1,)
+    is shared by every series, (batch, q1) gives one row per series of a
+    (months, batch) buffer, and (G, 1, q1) one row per group of a
+    (months, G, B) buffer. The lag sum accumulates left to right from l = 1
+    before the driver is added, the order of a sequential dot product.
     """
-    lag_coef = alpha.T
+    lag_coef = np.moveaxis(alpha, -1, 0)
     q1 = lag_coef.shape[0]
     for t in range(q1, buf.shape[0]):
         acc = 0.0
@@ -147,9 +149,9 @@ def _ar_recursion(
     """Roll y_{T+h} = sum_l alpha_l y_{T+h-l} + driver_h forward H steps.
 
     The last axis of each argument runs over lags, history months and steps.
-    A leading axis of driver is a batch axis: one call then rolls a batch of
+    Leading axes of driver are batch axes: one call then rolls a batch of
     series forward together, with alpha and history of shape (q1,) shared by
-    all of them or (batch, .) per series. The steps are those of _ar_roll,
+    all of them or (..., .) per series. The steps are those of _ar_roll,
     so a 1-D call returns what the scalar loop would. A history shorter than
     q1 raises InsufficientSample.
     """
@@ -161,10 +163,10 @@ def _ar_recursion(
             f"history of {history.shape[-1]} months is shorter than q1={q1}")
     buf = np.empty((q1 + H,) + driver.shape[:-1])
     tail = history[..., history.shape[-1] - q1:]
-    buf[:q1] = np.broadcast_to(tail, driver.shape[:-1] + (q1,)).T
-    buf[q1:] = driver.T
+    buf[:q1] = np.moveaxis(np.broadcast_to(tail, driver.shape[:-1] + (q1,)), -1, 0)
+    buf[q1:] = np.moveaxis(driver, -1, 0)
     _ar_roll(alpha, buf)
-    return buf[q1:].T
+    return np.moveaxis(buf[q1:], 0, -1)
 
 
 def forecast_joint(

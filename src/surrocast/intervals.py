@@ -28,7 +28,6 @@ from .errors import (
 from .estimation import (
     JointFit,
     SurrogateFit,
-    _back_substitute,
     _design,
     _full_rank_r,
     d_residual_matrix,
@@ -90,22 +89,32 @@ class BootstrapConfig:
     """Residual-bootstrap settings.
 
     quantile_rule 'ceil' takes the order statistic with 1-based index
-    ceil(B*q); 'linear' interpolates.
+    ceil(B*q); 'linear' interpolates. seed is a non-negative int, used by
+    every member of a batched call, or a tuple of them, one per member.
     """
 
     B: int = 500
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
     quantile_rule: str = "ceil"
 
     def __post_init__(self):
         _require_int("B", self.B)
-        _require_int("seed", self.seed)
+        for seed in self.seed if isinstance(self.seed, tuple) else (self.seed,):
+            _require_int("seed", seed)
+            if seed < 0:
+                raise InvalidData(f"bootstrap seed must be >= 0, got {seed}")
         if self.B < 100:
             raise InvalidData("bootstrap needs B >= 100 replicates")
-        if self.seed < 0:
-            raise InvalidData(f"bootstrap seed must be >= 0, got {self.seed}")
         if self.quantile_rule not in ("ceil", "linear"):
             raise InvalidData(f"unknown quantile_rule {self.quantile_rule!r}")
+
+
+def _member_name(batch: tuple, i: int) -> str:
+    """' (member i)' naming flat member i of a batch of that shape; '' for
+    one series."""
+    if not batch:
+        return ""
+    return f" (member {', '.join(map(str, np.unravel_index(i, batch)))})"
 
 
 def _z(alpha: float) -> float:
@@ -172,29 +181,41 @@ def bj_interval(forecast: ForecastResult, fit, alpha: float) -> IntervalResult:
 def _fitted_design(
     jf: JointFit, sf: SurrogateFit, mp: MonthlyPanel, sp: SurrogatePanel
 ) -> np.ndarray:
-    """Step-two design X of the fitted sample, rebuilt from the panels.
+    """Step-two design X (..., T - q1, m) of the fitted sample, rebuilt from
+    the panels; a batched fit and its batched panels give one per member.
 
     Raises PanelMismatch unless mp and sp are the panels the fit was
-    estimated on: they must cover the same months, give T - q1 rows and the
-    fit's covariate and surrogate widths, and y[q1:] - X beta_hat must
-    reproduce the fit residuals.
+    estimated on: they must cover the same months, share the fit's batch
+    shape, give T - q1 rows and the fit's covariate and surrogate widths,
+    and each member's y[q1:] - X beta_hat must reproduce its fit residuals
+    to 1e-8 times 1 + max|y| of that member. The message names the first
+    member that fails.
     """
     check_aligned(mp, sp)
     q1 = jf.q1
-    if (mp.T - q1 != jf.residuals.shape[0] or mp.d != len(jf.theta_hat)
-            or mp.p != len(jf.delta_hat) or sp.K != sf.K):
+    batch = jf.residuals.shape[:-1]
+    if not (mp.y.shape[:-1] == sp.ys.shape[:-2] == sf.A_hat.shape[:-3] == batch):
+        raise PanelMismatch(
+            f"batch shapes differ: panels {mp.y.shape[:-1]} and {sp.ys.shape[:-2]}, "
+            f"fits {batch} and {sf.A_hat.shape[:-3]}")
+    if (mp.T - q1 != jf.residuals.shape[-1] or mp.d != jf.theta_hat.shape[-1]
+            or mp.p != jf.delta_hat.shape[-1] or sp.K != sf.K):
         raise PanelMismatch(
             f"history of {mp.T} months (d={mp.d}, p={mp.p}, K={sp.K}) does not "
-            f"match the fitted sample ({jf.residuals.shape[0]} residuals after "
-            f"q1={q1} lags, d={len(jf.theta_hat)}, p={len(jf.delta_hat)}, K={sf.K})"
+            f"match the fitted sample ({jf.residuals.shape[-1]} residuals after "
+            f"q1={q1} lags, d={jf.theta_hat.shape[-1]}, "
+            f"p={jf.delta_hat.shape[-1]}, K={sf.K})"
         )
-    X = _design(mp.y, q1, (mp.z, mp.x, d_residual_matrix(sp.ys, sf.A_hat, sf.q2)))
+    X = _design(mp.y[..., None], q1,
+                (mp.z, mp.x, d_residual_matrix(sp.ys, sf.A_hat, sf.q2)))
     coef = np.concatenate([jf.alpha_hat, jf.theta_hat, jf.delta_hat,
-                           jf.gamma_hat])
-    resid = mp.y[q1:] - X @ coef
-    scale = 1.0 + float(np.max(np.abs(mp.y)))
-    if not np.allclose(resid, jf.residuals, rtol=0.0, atol=1e-8 * scale):
-        raise PanelMismatch("panels do not reproduce the fit residuals")
+                           jf.gamma_hat], axis=-1)
+    resid = mp.y[..., q1:] - (X @ coef[..., None])[..., 0]
+    atol = 1e-8 * (1.0 + np.max(np.abs(mp.y), axis=-1, keepdims=True))
+    close = np.isclose(resid, jf.residuals, rtol=0.0, atol=atol).all(axis=-1)
+    if not close.all():
+        raise PanelMismatch("panels do not reproduce the fit residuals"
+                            + _member_name(batch, int(np.argmin(close))))
     return X
 
 
@@ -293,22 +314,28 @@ def _empirical_quantile(sorted_vals: np.ndarray, q, rule: str) -> np.ndarray:
 
 def _batched_refit(
     fixed: np.ndarray, lags, response: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares refits of every replicate's response on [its lag
-    columns, fixed].
+    columns, its member's fixed block].
 
-    Replicates run along the last axis. fixed is the (n, k) block shared by
-    all of them; lags is a sequence of q1 (n, B) arrays, lags[l][:, b] being
-    the lag-(l+1) column of replicate b (row slices of one time-major series
-    serve as they are); response is (n, B).
+    Replicates run along the last two axes, (G, B): G members of B
+    replicates each. fixed is (G, n, k), the block that the B replicates of
+    a member share; lags is a sequence of q1 (n, G, B) arrays, lags[l][:, g,
+    b] being the lag-(l+1) column of replicate b of member g (row slices of
+    one time-major (months, G, B) series serve as they are); response is
+    (n, G, B), and is overwritten.
 
-    Frisch-Waugh-Lovell partialling: one QR F = Q_F R_F of the fixed block;
-    Q_F' of every lag column and response is one (k, n) @ (n, B) product,
-    written into R, and what Q_F leaves of each goes into one work buffer.
-    Modified Gram-Schmidt (MGS) across the batch then orthogonalises the
-    partialled lag columns in place, the response carried along as a last
-    column: an O(q1^2) sequence of vector operations on (n, B) arrays that
-    gives R_L and Q_L' r. The assembled
+    Frisch-Waugh-Lovell partialling: one QR F = Q_F R_F of each member's
+    fixed block; Q_F' of every lag column and of the response is one
+    (k, n) @ (n, B) product per member, and what Q_F leaves of each lag
+    column goes into one work buffer, of the response into the response
+    itself. Modified Gram-Schmidt (MGS) across the batch then
+    orthogonalises the partialled lag columns in place, the response
+    carried along as a last column: an O(q1^2) sequence of vector
+    operations on (n, G B) arrays that gives R_L and Q_L' r. Only then,
+    with the work buffer freed, is the replicate-last [R | Q'r] array of
+    shape (m, m + 1, G B) assembled, so the buffer and that array are
+    never held at once. The assembled
 
         R = [[R_F, Q_F' L], [0, R_L]]
 
@@ -320,49 +347,60 @@ def _batched_refit(
     finite and singular, so the replicate goes to the SVD and is dropped.
 
     A replicate is kept when R passes _full_rank_r, the rank rule of every
-    least-squares solve, which decides from a kappa_F screen on R and
-    computes singular values only near the cutoff. Back-substitution on R
-    gives a kept replicate's lag coefficients first, then the fixed ones.
-    Every step treats each replicate's columns on their own, so a
-    replicate's result does not depend on the others in the batch.
+    least-squares solve. Its one back substitution of [I | Q'r], run in the
+    replicate-last layout of the array above, gives both the kappa_F screen
+    and the coefficients; singular values are computed only near the
+    cutoff. Every step treats each replicate's columns on their own, so a
+    replicate's result does not depend on the others in the batch or on
+    how many members share it.
 
-    Returns (coef, kept, n_svd): coef is (B, q1 + k) in [lags, fixed] column
-    order, NaN on the rows of dropped replicates; kept is a (B,) bool mask;
-    n_svd counts the replicates whose singular values were computed.
+    Returns (coef, kept, checked): coef is (m, G, B), the fixed
+    coefficients in its first k rows and the lag ones in the last q1, NaN
+    in the columns of dropped replicates; kept and checked are (G, B) masks
+    of the replicates kept and of those whose singular values were
+    computed.
     """
-    q1, (n, B), k = len(lags), response.shape, fixed.shape[1]
-    m = k + q1
+    q1, (n, G, B), k = len(lags), response.shape, fixed.shape[-1]
+    m, N = k + q1, G * B
     Q_F, R_F = np.linalg.qr(fixed)
-    Rr = np.zeros((m, m + 1, B))        # [R | Q' r], one replicate per column
-    Rr[:k, :k] = R_F[:, :, None]
-    # the partialled lag columns and response, then one scratch column
-    part = np.empty((q1 + 2, n, B))
-    scratch = part[q1 + 1]
+    # the blocks of [R | Q'r] that differ between replicates: Q_F' of every
+    # lag column and of the response, then R_L and Q_L' r from MGS
+    top = np.empty((k, q1 + 1, G, B))
+    low = np.zeros((q1, q1 + 1, N))
+    # the partialled lag columns, then one scratch column, which takes the
+    # response's projection before it is subtracted in place
+    part = np.empty((q1 + 1, n, G, B))
     for j, col in enumerate((*lags, response)):
-        proj = np.matmul(Q_F.T, col, out=Rr[:k, k + j])
-        np.subtract(col, np.matmul(Q_F, proj, out=part[j]), out=part[j])
+        proj = np.matmul(Q_F.mT, col.transpose(1, 0, 2),
+                         out=top[:, j].transpose(1, 0, 2))
+        fit = part[min(j, q1)]
+        np.matmul(Q_F, proj, out=fit.transpose(1, 0, 2))
+        np.subtract(col, fit, out=fit if j < q1 else col)
+    cols = [*part[:q1].reshape(q1, n, N), response.reshape(n, N)]
+    scratch = part[q1].reshape(n, N)
 
     for i in range(q1):
-        col = part[i]
+        col = cols[i]
         pivot = np.sqrt(np.einsum("tb,tb->b", col, col))
         ok = np.isfinite(pivot) & (pivot > 0.0)
-        Rr[k + i, k + i] = np.where(ok, pivot, 0.0)
-        col *= np.divide(1.0, pivot, out=np.zeros(B), where=ok)
+        low[i, i] = np.where(ok, pivot, 0.0)
+        col *= np.divide(1.0, pivot, out=np.zeros(N), where=ok)
         for j in range(i + 1, q1 + 1):
-            r = np.einsum("tb,tb->b", col, part[j], out=Rr[k + i, k + j])
-            part[j] -= np.multiply(col, r, out=scratch)
-    # free the spent work buffer (col and scratch are views of it) before the
-    # screen allocates R^-1: with both live, a B = 500 call took about 330
-    # minor page faults, against none with the buffer freed first
-    del col, part, scratch
-    R = Rr[:, :m].transpose(2, 0, 1)
-    kept, n_svd = _full_rank_r(R)
-    # a dropped replicate's singular R may divide by zero; its row is NaN
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        solution = _back_substitute(R, Rr[:, m].T[..., None])[..., 0]  # [fixed, lags]
-    coef = np.concatenate([solution[:, k:], solution[:, :k]], axis=1)
-    coef[~kept] = np.nan
-    return coef, kept, n_svd
+            r = np.einsum("tb,tb->b", col, cols[j], out=low[i, j])
+            cols[j] -= np.multiply(col, r, out=scratch)
+    # free the spent work buffer (col, fit and scratch are views of it)
+    # before [R | Q'r] is assembled and back-substituted
+    del col, cols, fit, part, scratch
+    Rr = np.zeros((m, m + 1, G, B))        # replicates last
+    Rr[:k, :k] = np.moveaxis(R_F, 0, -1)[..., None]
+    Rr[:k, k:] = top
+    Rr = Rr.reshape(m, m + 1, N)
+    Rr[k:, k:] = low
+    kept, checked, solution = _full_rank_r(Rr[:, :m].transpose(2, 0, 1),
+                                           Rr[:, m:].transpose(2, 0, 1))
+    coef = solution[..., 0].T              # (m, N), [fixed, lags] rows
+    coef[:, ~kept] = np.nan
+    return coef.reshape(m, G, B), kept.reshape(G, B), checked.reshape(G, B)
 
 
 def boot_interval(
@@ -384,80 +422,109 @@ def boot_interval(
     error at each horizon. Interval endpoints add the empirical alpha/2 and
     1-alpha/2 error quantiles to the original point forecast.
 
-    All B replicates live in one time-major (T + H, B) array: the drawn
-    residuals fill it and the AR recursion rebuilds it in place, so the lag
-    windows and the response of every refit are row slices of it. Only the
-    q1 lag columns change from one replicate to the next; the (z, x, d_hat)
-    block is the same in all of them, so it is factored once and partialled
-    out (Frisch-Waugh-Lovell), and modified Gram-Schmidt across the batch
-    finishes every refit (_batched_refit). The H-step forecasts of all
-    replicates are then rolled forward together by the batched AR
-    recursion, and both endpoints are read off the sorted (kept, H) error
-    matrix in one call.
+    A batched fit with its batched panels and future blocks (leading batch
+    axes, as in forecast_joint) gives one row of bounds per member. Each
+    member draws from its own seed: cfg.seed is one int that every member
+    uses, or a tuple of one per member, in the batch's C order; a tuple of
+    another length raises InvalidData. Member i's bounds are those of a
+    one-series call with its seed. One series is a batch of one.
+
+    All G members' B replicates live in one time-major (T + H, G, B) array:
+    the drawn residuals fill it and the AR recursion rebuilds it in place,
+    so the lag windows and the response of every refit are row slices of
+    it. Only the q1 lag columns change from one replicate to the next; a
+    member's (z, x, d_hat) block is the same in all its replicates, so it is
+    factored once and partialled out (Frisch-Waugh-Lovell), and modified
+    Gram-Schmidt across the whole batch finishes every refit, its kappa_F
+    screen and its coefficients coming from one back substitution
+    (_batched_refit). The H-step forecasts of all replicates are then
+    rolled forward together by the same AR recursion, and both endpoints of
+    a member are read off its sorted (kept, H) error matrix in one call.
 
     Drop rule: a replicate whose refit design fails _full_rank_r, the rank
     rule of every least-squares solve, is dropped. It is applied to the
     assembled R factor of the partialled refit, which has the full design's
     singular values. _full_rank_r keeps a replicate without computing them
-    when kappa_F = ||R||_F ||R^-1||_F, from one back substitution on R, is
+    when kappa_F = ||R||_F ||R^-1||_F, from its back substitution on R, is
     far below the cutoff; it computes them for the rest, so the kept set is
     the SVD rule's (the argument, which rests on the backward stability of
-    the Gram-Schmidt R, is stated there). The number dropped, and the number
-    that needed the singular values, are logged at DEBUG on the
-    surrocast.intervals logger; more than 5% of them dropped raises
-    BootstrapUnstable, and so does a rank-deficient covariate block, which
-    drops every replicate.
+    the Gram-Schmidt R, is stated there). The number each member dropped,
+    and the number that needed the singular values, are logged at DEBUG on
+    the surrocast.intervals logger; a member that dropped more than 5% of
+    its replicates raises BootstrapUnstable naming it, and so does a
+    rank-deficient covariate block, which drops every replicate.
 
     mp and sp must be the panels the fit was estimated on; _fitted_design
-    raises PanelMismatch otherwise.
+    raises PanelMismatch, naming the first failing member, otherwise.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidData("alpha must lie in (0, 1)")
-    q1, d, p = jf.q1, mp.d, mp.p
-    fixed = _fitted_design(jf, sf, mp, sp)[:, q1:]  # the (z, x, d_hat) block
+    q1, d, p, T, B = jf.q1, mp.d, mp.p, mp.T, cfg.B
+    batch = jf.residuals.shape[:-1]
+    G = math.prod(batch)
+    seeds = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,) * G
+    if len(seeds) != G:
+        raise InvalidData(f"{len(seeds)} bootstrap seeds for a batch of {G} members")
+    X = _fitted_design(jf, sf, mp, sp)
     point = forecast_joint(jf, sf, mp, sp, fut, H).point  # validates fut
-    T = mp.T
-    n_resid = T - q1
-
-    resid = jf.residuals
-    centered = resid - resid.mean()
+    n, k = X.shape[-2], X.shape[-1] - q1
 
     # Covariate contribution per month (zero until the first fitted month).
     coefs = (jf.theta_hat, jf.delta_hat, jf.gamma_hat)
     fut_rows = _future_rows(fut, H, d, p, sf, sp)
     n_total = T + H
-    driver = np.zeros(n_total)
-    driver[q1:T] = _driver(np.split(fixed, [d, d + p], axis=1), coefs)
-    driver[T:] = _driver(fut_rows, coefs)
+    driver = np.zeros(batch + (n_total,))
+    driver[..., q1:T] = _driver(np.split(X[..., q1:], [d, d + p], axis=-1), coefs)
+    driver[..., T:] = _driver(fut_rows, coefs)
 
-    B = cfg.B
-    rng = np.random.default_rng(cfg.seed)
-    # Months 1..T+H of every replicate, time-major: Y[t] holds month t + 1 of
-    # all B. The indices are drawn replicate by replicate, as they always
-    # were, so every replicate keeps its residuals; the gathered residuals
-    # fill Y and the recursion rebuilds it in place.
-    Y = centered[rng.integers(0, n_resid, size=(B, n_total)).T]
-    Y[q1:] += driver[q1:, None]
-    _ar_roll(jf.alpha_hat, Y)
+    resid = jf.residuals.reshape(G, n)
+    centered = resid - resid.mean(axis=-1, keepdims=True)
+    # Months 1..T+H of every replicate, time-major: Y[t, g] holds month t + 1
+    # of member g's B replicates. Each member's indices are drawn replicate
+    # by replicate from its own seed, as a one-series call draws them; the
+    # gathered residuals fill Y and the recursion rebuilds it in place.
+    Y = np.empty((n_total, G, B))
+    for g, seed in enumerate(seeds):
+        Y[:, g] = centered[g][np.random.default_rng(seed).integers(
+            0, n, size=(B, n_total)).T]
+    Y[q1:] += driver.reshape(G, n_total).T[q1:, :, None]
+    _ar_roll(jf.alpha_hat.reshape(G, 1, q1), Y)
 
-    coef, kept, n_svd = _batched_refit(
-        fixed, [Y[q1 - l: T - l] for l in range(1, q1 + 1)], Y[q1:T])
+    # each replicate's forecast path starts from its last q1 months, copied
+    # before _batched_refit overwrites the response rows of Y
+    paths = np.empty((q1 + H, G, B))
+    paths[:q1] = Y[T - q1:T]
+    coef, kept, checked = _batched_refit(
+        X[..., q1:].reshape(G, n, k),
+        [Y[q1 - l: T - l] for l in range(1, q1 + 1)], Y[q1:T])
 
-    n_failed = B - int(kept.sum())
-    logger.debug("boot_interval: %d of %d bootstrap replicates dropped; "
-                 "%d needed the SVD rank check", n_failed, B, n_svd)
-    if n_failed > 0.05 * B:
+    n_failed = B - kept.sum(axis=1)
+    logger.debug("boot_interval: %s of %d bootstrap replicates dropped; "
+                 "%s needed the SVD rank check",
+                 ", ".join(map(str, n_failed.tolist())), B,
+                 ", ".join(map(str, checked.sum(axis=1).tolist())))
+    unstable = np.flatnonzero(n_failed > 0.05 * B)
+    if unstable.size:
+        g = int(unstable[0])
         raise BootstrapUnstable(
-            f"{n_failed} of {B} bootstrap replicates failed to refit"
-        )
+            f"{n_failed[g]} of {B} bootstrap replicates failed to refit"
+            + _member_name(batch, g))
 
-    coef = coef[kept]
-    fut_cov = np.hstack(fut_rows)
-    paths = _ar_recursion(coef[:, :q1], Y[T - q1:T, kept].T,
-                          coef[:, q1:] @ fut_cov.T)
-    errors = np.sort(Y[T:, kept].T - paths, axis=0)
-    lower, upper = point + _empirical_quantile(
-        errors, (alpha / 2.0, 1.0 - alpha / 2.0), cfg.quantile_rule)
+    # then the covariate driver of months T+1..T+H from each replicate's own
+    # coefficients, rolled forward by its own lag coefficients
+    fut_cov = np.concatenate(
+        [np.broadcast_to(rows, batch + rows.shape[-2:]) for rows in fut_rows],
+        axis=-1).reshape(G, H, k)
+    np.matmul(fut_cov, coef[:k].transpose(1, 0, 2),
+              out=paths[q1:].transpose(1, 0, 2))
+    _ar_roll(coef[k:].reshape(q1, G * B).T, paths.reshape(q1 + H, G * B))
+    errors = Y[T:] - paths[q1:]
+    bounds = np.empty((2, G, H))
+    for g, member_point in enumerate(point.reshape(G, H)):
+        member_errors = np.sort(errors[:, g, kept[g]], axis=-1).T
+        bounds[:, g] = member_point + _empirical_quantile(
+            member_errors, (alpha / 2.0, 1.0 - alpha / 2.0), cfg.quantile_rule)
+    lower, upper = bounds.reshape((2,) + batch + (H,))
     return IntervalResult(lower=lower, upper=upper, alpha=alpha, kind="boot")
 
 

@@ -38,6 +38,7 @@ from surrocast.intervals import (
     _psi_weights,
     _z,
 )
+from surrocast.simulation import _member
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +224,18 @@ def test_boot_rejects_tiny_b():
 
 
 @pytest.mark.parametrize("kw", [{"B": 500.5}, {"B": 500.0}, {"seed": 1.5},
-                                {"seed": True}])
+                                {"seed": True}, {"seed": (3, 1.5)},
+                                {"seed": (3, True)}, {"seed": [3, 4]}])
 def test_boot_config_rejects_non_integer(kw):
     with pytest.raises(InvalidData, match="integer"):
         BootstrapConfig(**kw)
+
+
+def test_boot_config_seed_tuple():
+    assert BootstrapConfig(seed=(0, 7, np.int64(2**40))).seed == (0, 7, 2**40)
+    for seed in (-1, (4, -1)):
+        with pytest.raises(InvalidData, match=">= 0"):
+            BootstrapConfig(seed=seed)
 
 
 def _lstsq_keeps(design, response):
@@ -329,6 +338,25 @@ def test_boot_matches_per_replicate_lstsq(q1, rule, H):
         assert np.all(np.abs(iv.upper - upper) <= bound)
 
 
+def _refit(fixed, lags, response):
+    """_batched_refit of one member, fixed (n, k), lags q1 (n, B) columns
+    and response (n, B), which it leaves as they are, as (coef, kept,
+    number checked by SVD) with coef (B, q1 + k) in lstsq's [lags, fixed]
+    column order."""
+    k = fixed.shape[1]
+    coef, kept, checked = _batched_refit(
+        fixed[None], [lag[:, None] for lag in lags], response[:, None].copy())
+    coef = coef[:, 0].T
+    return (np.concatenate([coef[:, k:], coef[:, :k]], axis=1), kept[0],
+            int(checked.sum()))
+
+
+def _rank_rule(R):
+    """_full_rank_r on R alone: (kept, number checked by SVD)."""
+    kept, checked, _ = _full_rank_r(R, np.zeros(R.shape[:-1] + (0,)))
+    return kept, int(checked.sum())
+
+
 def _rank_rule_batch(rng):
     """(fixed, lags, response) of 40 replicates, lags (B, q1, n) and
     response (B, n) replicate-major; replicates 3, 17, 29 and 35 are rank
@@ -348,7 +376,7 @@ def _rank_rule_batch(rng):
 def test_batched_refit_rank_rule_matches_lstsq(rng):
     fixed, lags, response = _rank_rule_batch(rng)
     B = len(lags)
-    coef, kept, _ = _batched_refit(fixed, lags.transpose(1, 2, 0), response.T)
+    coef, kept, _ = _refit(fixed, lags.transpose(1, 2, 0), response.T)
     for b in range(B):
         ref = _lstsq_keeps(np.hstack([lags[b].T, fixed]), response[b])
         assert kept[b] == (ref is not None), b
@@ -370,7 +398,7 @@ def test_batched_refit_replicate_independent_of_batch(rng):
 
     def refit(Y):
         lags = [Y[q1 - l:q1 - l + n] for l in range(1, q1 + 1)]
-        return _batched_refit(fixed, lags, Y[q1:])
+        return _refit(fixed, lags, Y[q1:])
 
     coef, kept, _ = refit(Y)
     assert np.flatnonzero(~kept).tolist() == [40, 77]
@@ -454,7 +482,7 @@ def _screen_batches(rng):
 def test_refit_screen_matches_svd_rule(rng):
     spread = []
     for name, (_, R) in _screen_batches(rng).items():
-        kept, n_svd = _full_rank_r(R)
+        kept, n_svd = _rank_rule(R)
         sv = np.linalg.svd(R, compute_uv=False)
         ref = _full_rank(sv)
         bad = np.flatnonzero(kept != ref)
@@ -486,14 +514,14 @@ def test_refit_screen_skips_svd_when_well_conditioned(rng, monkeypatch):
     fixed = rng.normal(size=(n, k))
     lags = rng.normal(size=(B, q1, n)).transpose(1, 2, 0)
     response = rng.normal(size=(B, n)).T
-    coef, kept, n_svd = _batched_refit(fixed, lags, response)
+    coef, kept, n_svd = _refit(fixed, lags, response)
     assert kept.all() and n_svd == 0 and rows == []
 
 
 def test_refit_screen_sends_near_cutoff_to_svd(monkeypatch):
     _, R = _screen_batches(np.random.default_rng(3))["graded q1=2"]
     rows = _count_svd_rows(monkeypatch)
-    kept, n_svd = _full_rank_r(R)
+    kept, n_svd = _rank_rule(R)
     kappa = np.linalg.cond(R)
     near = (kappa > 1e9) & (kappa < 1e11)
     assert near.sum() > 20
@@ -550,7 +578,7 @@ def test_refit_zero_pivot_warns_nothing(rng, caplog):
             with pytest.raises(BootstrapUnstable, match="28 of 500"):
                 boot_interval(jf, sf, mp, sp, fut, 4,
                               BootstrapConfig(B=500, seed=8), 0.05)
-        _, kept, _ = _batched_refit(fixed, lags.transpose(1, 2, 0), response.T)
+        _, kept, _ = _refit(fixed, lags.transpose(1, 2, 0), response.T)
     assert "25 of 500 bootstrap replicates dropped" in caplog.text
     assert np.flatnonzero(~kept).tolist() == [3, 17, 29, 35]
 
@@ -575,6 +603,139 @@ def test_boot_rejects_panels_of_another_draw():
     with pytest.raises(PanelMismatch, match="reproduce the fit residuals"):
         boot_interval(jf, sf, mp_o.slice(0, mp.T), sp_o.slice(0, sp.T), fut,
                       4, BootstrapConfig(B=120), 0.05)
+
+
+# ---------------------------------------------------------------------------
+# boot_interval on a batch of members
+# ---------------------------------------------------------------------------
+
+def _fitted_batch(q1=2, members=4, H=8, rho=0.3, seed=17):
+    """Batched (jf, sf, mp, sp, fut) of independent draws: T = 60 - H
+    training months, q2 = 1."""
+    seeds = [np.random.SeedSequence((seed, i)) for i in range(members)]
+    mp, sp, _ = generate(benchmark_dgp(rho, T=60), seeds)
+    T = 60 - H
+    mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
+    jf, sf = fit_joint(mp_tr, sp_tr, q1, 1)
+    fut = FutureExogenous(mp.z[:, T:], mp.x[:, T:], sp.ys[:, T:])
+    return jf, sf, mp_tr, sp_tr, fut
+
+
+def _members(batch, i):
+    return [_member(obj, i) for obj in batch]
+
+
+@pytest.mark.parametrize("q1", [1, 2, 3])
+@pytest.mark.parametrize("rule", ["ceil", "linear"])
+@pytest.mark.parametrize("H", [1, 8])
+def test_boot_batch_matches_one_series_calls(q1, rule, H):
+    # one batched call gives each member the bounds of its own one-series
+    # call with its own seed
+    batch = _fitted_batch(q1=q1, H=H)
+    seeds = (11, 0, 2**63, 5)
+    iv = boot_interval(*batch, H, BootstrapConfig(B=300, seed=seeds,
+                                                  quantile_rule=rule), 0.05)
+    assert iv.lower.shape == iv.upper.shape == (4, H)
+    for i, seed in enumerate(seeds):
+        one = boot_interval(*_members(batch, i), H,
+                            BootstrapConfig(B=300, seed=seed, quantile_rule=rule),
+                            0.05)
+        for got, want in ((iv.lower[i], one.lower), (iv.upper[i], one.upper)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_boot_batch_member_independent_of_group():
+    # a member's bounds have the same bits whatever members share its call,
+    # and an int seed serves every member
+    batch = _fitted_batch(members=5)
+    cfg = BootstrapConfig(B=200, seed=(3, 1, 4, 1, 5))
+    whole = boot_interval(*batch, 4, cfg, 0.05)
+    for group in (slice(0, 2), slice(2, 5), slice(4, 5)):
+        part = boot_interval(*_members(batch, group), 4,
+                             BootstrapConfig(B=200, seed=cfg.seed[group]), 0.05)
+        assert part.lower.tobytes() == whole.lower[group].tobytes()
+        assert part.upper.tobytes() == whole.upper[group].tobytes()
+    same = boot_interval(*_members(batch, slice(1, 4, 2)), 4,
+                         BootstrapConfig(B=200, seed=1), 0.05)
+    assert same.upper.tobytes() == whole.upper[1::2].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
+def test_boot_two_batch_axes_match_flat(shape):
+    # leading axes (a, b) give the bounds of the flat batch of a * b
+    # members, seeds and members both taken in C order
+    members = shape[0] * shape[1]
+    batch = _fitted_batch(members=members)
+    cfg = BootstrapConfig(B=100, seed=tuple(range(members)))
+    flat = boot_interval(*batch, 4, cfg, 0.05)
+
+    def reshaped(obj):
+        return type(obj)(**{
+            f.name: (v.reshape(shape + v.shape[1:]) if isinstance(v, np.ndarray) else v)
+            for f in dataclasses.fields(obj) for v in [getattr(obj, f.name)]})
+
+    grid = boot_interval(*map(reshaped, batch), 4, cfg, 0.05)
+    assert grid.lower.shape == shape + (4,)
+    assert grid.lower.tobytes() == flat.lower.tobytes()
+    assert grid.upper.tobytes() == flat.upper.tobytes()
+
+
+def test_boot_batch_rejects_wrong_seed_count():
+    batch = _fitted_batch(members=3)
+    for seed in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(InvalidData, match="seeds for a batch of 3"):
+            boot_interval(*batch, 4, BootstrapConfig(B=100, seed=seed), 0.05)
+    with pytest.raises(InvalidData, match="seeds for a batch of 1"):
+        boot_interval(*_members(batch, 0), 4, BootstrapConfig(B=100, seed=(1, 2)),
+                      0.05)
+
+
+def test_boot_batch_residual_check_scales_per_member():
+    # member 0's series is 1e6 times larger; member 2's panel differs from
+    # its fitted one by 1e-4 in one month. Scaled by the largest |y| of the
+    # whole batch the tolerance would let member 2 through
+    jf, sf, mp, sp, fut = _fitted_batch(members=3)
+    y = mp.y.copy()
+    y[0] *= 1e6
+    mp = MonthlyPanel(mp.times, y, mp.z, mp.x)
+    jf = fit_joint(mp, sp, 2, 1)[0]
+    boot_interval(jf, sf, mp, sp, fut, 4, BootstrapConfig(B=100), 0.05)
+    y = y.copy()
+    y[2, 30] += 1e-4
+    shifted = MonthlyPanel(mp.times, y, mp.z, mp.x)
+    with pytest.raises(PanelMismatch, match=r"reproduce the fit residuals \(member 2\)"):
+        boot_interval(jf, sf, shifted, sp, fut, 4, BootstrapConfig(B=100), 0.05)
+    with pytest.raises(PanelMismatch, match=r"residuals$"):
+        boot_interval(*_members((jf, sf, shifted, sp, fut), 2), 4,
+                      BootstrapConfig(B=100), 0.05)
+
+
+def test_boot_batch_rejects_mismatched_batch_shapes():
+    jf, sf, mp, sp, fut = _fitted_batch(members=3)
+    with pytest.raises(PanelMismatch, match="batch shapes differ"):
+        boot_interval(jf, sf, _member(mp, slice(0, 2)), _member(sp, slice(0, 2)),
+                      fut, 4, BootstrapConfig(B=100), 0.05)
+
+
+def test_boot_batch_duplicated_covariate_names_member(caplog):
+    # the batched twin of test_boot_duplicated_covariate_unstable: only
+    # member 1's covariates are duplicated, and only it drops replicates
+    jf, sf, mp, sp, fut = _fitted_batch(members=3)
+    x = mp.x.copy()
+    x[1, :, 1] = x[1, :, 0]
+    dup = MonthlyPanel(mp.times, mp.y, mp.z, x)
+    X = _design(dup.y[1], jf.q1, (dup.z[1], dup.x[1], jf.d_hat[1]))
+    residuals = jf.residuals.copy()
+    residuals[1] = dup.y[1, jf.q1:] - X @ _joint_coef(_member(jf, 1))
+    jf = dataclasses.replace(jf, residuals=residuals)
+    with caplog.at_level(logging.DEBUG, logger="surrocast.intervals"):
+        with pytest.raises(BootstrapUnstable,
+                           match=r"120 of 120 bootstrap replicates failed to refit \(member 1\)"):
+            boot_interval(jf, sf, dup, sp, fut, 4, BootstrapConfig(B=120), 0.05)
+    assert "0, 120, 0 of 120 bootstrap replicates dropped" in caplog.text
+    for i in (0, 2):
+        boot_interval(*_members((jf, sf, dup, sp, fut), i), 4,
+                      BootstrapConfig(B=120), 0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -616,6 +616,27 @@ def test_rep_outputs_independent_of_batch(variant):
             assert got.tobytes() == want[reps.start:reps.stop].tobytes(), (name, reps)
 
 
+def test_report_independent_of_boot_group(monkeypatch):
+    # the bootstrap runs a cell's members in groups of _BOOT_GROUP replicate
+    # columns; groups of 1, 2 and 3 members must give the same report bits
+    grid = _small_grid(rhos=(0.1, 0.3), include_boot=True)
+    calls = []
+    boot = simulation.boot_interval
+
+    def counted(jf, *args):
+        calls.append(len(jf.residuals))
+        return boot(jf, *args)
+
+    monkeypatch.setattr(simulation, "boot_interval", counted)
+    reports = []
+    for members in (1, 2, 3):
+        monkeypatch.setattr(simulation, "_BOOT_GROUP", members * grid.B)
+        calls.clear()
+        reports.append(run_experiment(grid, Q=7, seed=13))
+        assert calls == 2 * ([members] * (7 // members) + [7 % members] * (7 % members > 0))
+    assert reports[0].rows == reports[1].rows == reports[2].rows
+
+
 def test_rank_deficient_member_raises_as_alone():
     spec = benchmark_dgp(0.2, T=60)
     mp, sp, _ = generate(spec, [np.random.SeedSequence((4, i)) for i in range(6)])

@@ -80,18 +80,19 @@ def _back_substitute(R: np.ndarray, rhs: np.ndarray, out=None) -> np.ndarray:
 
 
 def _full_rank_r(R: np.ndarray, rhs: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rank rule of every least-squares solve, applied to R factors,
     and the solve itself.
 
     R is (..., m, m) upper triangular, the R factor of each design of a
     batch, and rhs (..., m, r) holds its rotated right-hand sides Q'b.
-    Returns (kept, checked, x): the mask of designs whose singular values
-    pass _full_rank, the mask of those whose singular values had to be
-    computed, and x = R^-1 rhs. One back substitution on [I | rhs] gives
-    both X = R^-1 and x; it runs in the memory layout of rhs, so a batch
-    stored replicate-last is solved along its inner axis. x is not finite
-    for a singular R; the caller drops or rejects that design.
+    Returns (kept, checked, X, x): the mask of designs whose singular
+    values pass _full_rank, the mask of those whose singular values had to
+    be computed, X = R^-1 and x = R^-1 rhs. One back substitution on
+    [I | rhs] gives both, as views of one array; it runs in the memory
+    layout of rhs, so a batch stored replicate-last is solved along its
+    inner axis. X and x are not finite for a singular R; the caller drops
+    or rejects that design.
 
     Most designs are decided by a screen on kappa_F = ||R||_F ||X||_F.
     A design passes the screen when both squared norms are normal numbers
@@ -138,24 +139,25 @@ def _full_rank_r(R: np.ndarray, rhs: np.ndarray
     checked = ~kept
     if checked.any():
         kept[checked] = _full_rank(np.linalg.svd(R[checked], compute_uv=False))
-    return kept, checked, solution[..., m:]
+    return kept, checked, X, solution[..., m:]
 
 
 def _triangularize(aug: np.ndarray, m: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R, Q'rhs and the least-squares coefficients R^-1 Q'rhs of design =
-    Q R, for aug = [design | rhs] of shape (..., n, m + r), from one
-    Householder QR of aug: its first m columns are factored exactly as
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """R, Q'rhs, R^-1 and the least-squares coefficients R^-1 Q'rhs of
+    design = Q R, for aug = [design | rhs] of shape (..., n, m + r), from
+    one Householder QR of aug: its first m columns are factored exactly as
     design alone, and the reflectors are applied to rhs rather than formed
     into Q. Raises RankDeficient, listing the near-collinear columns of the
     first failing design, when an R factor fails the rank rule
-    (_full_rank_r, whose back substitution also gives the coefficients)."""
+    (_full_rank_r, whose back substitution also gives R^-1 and the
+    coefficients)."""
     Rr = np.linalg.qr(aug, mode="r")
     R, Qty = Rr[..., :m, :m], Rr[..., :m, m:]
-    kept, _, coef = _full_rank_r(R, Qty)
+    kept, _, R_inv, coef = _full_rank_r(R, Qty)
     if not kept.all():
         raise _rank_deficient(aug[np.unravel_index(np.argmin(kept), kept.shape)][:, :m])
-    return R, Qty, coef
+    return R, Qty, R_inv, coef
 
 
 def _solve(aug: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +166,7 @@ def _solve(aug: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     back-substitutes on R (never the normal equations), and the residuals
     formed as rhs - design @ coef. Each design of a batch is solved on its
     own, so its results do not depend on the rest of the batch."""
-    coef = _triangularize(aug, m)[2]
+    coef = _triangularize(aug, m)[3]
     return coef, aug[..., m:] - aug[..., :m] @ coef
 
 
@@ -428,17 +430,20 @@ def residual_pairs(jf: JointFit, sf: SurrogateFit) -> np.ndarray:
     surrogate contribution added back, i.e. y_t minus lags, z, and x terms);
     columns 1..K are the surrogate-model residuals for the same month. Their
     joint scatter exposes the error correlation the two-step fit exploits.
-    Suitable for CSV export and density plots.
+    Suitable for CSV export and density plots. A batched fit gives one
+    (T - q1, 1 + K) matrix per member.
     """
-    n_joint = jf.residuals.shape[0]
-    n_sur = sf.residuals.shape[0]
+    n_joint = jf.residuals.shape[-1]
+    n_sur = sf.residuals.shape[-2]
     if n_joint + jf.q1 != n_sur + sf.q2:
         raise PanelMismatch(
             "joint and surrogate fits do not come from panels of equal length"
         )
     offset = jf.q1 - sf.q2
-    target_resid = jf.residuals + jf.d_hat[offset:] @ jf.gamma_hat
-    return np.column_stack([target_resid, sf.residuals[offset:]])
+    target_resid = jf.residuals + (jf.d_hat[..., offset:, :]
+                                   @ jf.gamma_hat[..., None])[..., 0]
+    return np.concatenate([target_resid[..., None], sf.residuals[..., offset:, :]],
+                          axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +454,10 @@ FIT_SCHEMA = "surrocast-fit/1"
 
 
 def joint_fit_to_dict(jf: JointFit, sf: SurrogateFit) -> dict:
+    """The fit document of one series; a batched fit raises InvalidData."""
+    if jf.residuals.ndim != 1 or sf.residuals.ndim != 2:
+        raise InvalidData(f"{FIT_SCHEMA} holds one series, not a batch of "
+                          f"{jf.residuals.shape[:-1]} fits")
     return {
         "schema": FIT_SCHEMA,
         "q1": jf.q1,

@@ -30,6 +30,7 @@ from .estimation import (
     SurrogateFit,
     _design,
     _full_rank_r,
+    _triangularize,
     d_residual_matrix,
 )
 from .forecasting import (
@@ -145,11 +146,14 @@ def _psi_weights(alpha_hat: np.ndarray, H: int) -> np.ndarray:
     return np.sqrt(np.cumsum(np.float_power(psi, 2), axis=-1))
 
 
-def companion_weight(alpha_hat: np.ndarray, h: int) -> float:
-    """sqrt of the summed squared (1,1) entries of companion powers 0..h-1."""
+def companion_weight(alpha_hat: np.ndarray, h: int) -> float | np.ndarray:
+    """sqrt of the summed squared (1,1) entries of companion powers 0..h-1:
+    a float for one lag vector (q1,), an array of weights for lags (...,
+    q1) with leading batch axes."""
     if h < 1:
         raise InvalidData("h must be >= 1")
-    return float(_psi_weights(alpha_hat, h)[-1])
+    weight = _psi_weights(alpha_hat, h)[..., -1]
+    return float(weight) if weight.ndim == 0 else weight
 
 
 def bj_interval(forecast: ForecastResult, fit, alpha: float) -> IntervalResult:
@@ -227,7 +231,8 @@ def _joint_forecast_gradient(
     fut: FutureExogenous,
     H: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint point forecasts and their (H, m) gradient in the coefficients.
+    """Joint point forecasts (..., H) and their (..., H, m) gradient in the
+    coefficients, one of each per member of a batched fit.
 
     Row h-1 is d yhat_{T+h} / d(alpha, theta, delta, gamma). It follows the
     AR recursion g_h = sum_l alpha_l g_{h-l} + r_h from g = 0 before T+1,
@@ -235,12 +240,14 @@ def _joint_forecast_gradient(
     forecast lags (observed ones at or before T) in the alpha columns and
     the future (z, x, d_hat) row in the others.
     """
-    q1, d, p = jf.q1, len(jf.theta_hat), len(jf.delta_hat)
+    q1, d, p = jf.q1, jf.theta_hat.shape[-1], jf.delta_hat.shape[-1]
     point = forecast_joint(jf, sf, mp, sp, fut, H).point
-    path = np.concatenate([mp.y[-q1:], point])  # y_{T-q1+1..T}, then forecasts
-    rows = _design(path, q1, _future_rows(fut, H, d, p, sf, sp))
-    grad = _ar_recursion(jf.alpha_hat, np.zeros(q1), rows.T).T
-    return point, grad
+    # y_{T-q1+1..T}, then forecasts
+    path = np.concatenate([mp.y[..., -q1:], point], axis=-1)
+    rows = _design(path[..., None], q1, _future_rows(fut, H, d, p, sf, sp))
+    grad = _ar_recursion(jf.alpha_hat[..., None, :], np.zeros(q1),
+                         np.swapaxes(rows, -1, -2))
+    return point, np.swapaxes(grad, -1, -2)
 
 
 def bj_interval_estimated(
@@ -265,31 +272,37 @@ def bj_interval_estimated(
 
     and the interval is the point forecast +- |z_{alpha/2}| * sqrt(var_h).
     At h = 1 it is the textbook OLS prediction interval. g_h follows the AR
-    recursion of _joint_forecast_gradient. The quadratic form uses the R
-    factor of a QR of X, never the normal equations.
+    recursion of _joint_forecast_gradient. The quadratic form is
+    ||g_h' R^-1||^2, with R^-1 from the one least-squares kernel
+    (_triangularize), never the normal equations; a rebuilt design that
+    fails its rank rule raises RankDeficient.
+
+    A batched fit with its batched panels and future blocks (leading batch
+    axes, as in forecast_joint) gives one row of bounds per member, each
+    that of a one-series call.
 
     The error that the surrogate-step estimate A_hat puts into the future
     innovations d_hat is left out; it is second order, and the interval
     reaches its nominal coverage without it.
 
     mp and sp must be the panels the fit was estimated on; _fitted_design
-    raises PanelMismatch otherwise.
+    raises PanelMismatch, naming the first failing member, otherwise.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidData("alpha must lie in (0, 1)")
     X = _fitted_design(jf, sf, mp, sp)
-    n, m = X.shape
+    n, m = X.shape[-2:]
     if n <= m:
         raise InsufficientSample(
             f"{n} rows leave no residual degrees of freedom for {m} coefficients"
         )
-    s2 = float(jf.residuals @ jf.residuals) / (n - m)
+    s2 = np.sum(jf.residuals**2, axis=-1, keepdims=True) / (n - m)
 
     point, grad = _joint_forecast_gradient(jf, sf, mp, sp, fut, H)
-    R = np.linalg.qr(X, mode="r")
-    u = np.linalg.solve(R.T, grad.T)  # R'u = g, so u'u = g'(X'X)^{-1}g
-    var = s2 * (_psi_weights(jf.alpha_hat, H)**2 + np.sum(u**2, axis=0))
-    half = _z(alpha) * np.sqrt(var)
+    R_inv = _triangularize(X, m)[2]
+    # g'(X'X)^{-1}g = ||R^{-T} g||^2, the squared row norms of grad @ R^{-1}
+    quad = np.sum((grad @ R_inv)**2, axis=-1)
+    half = _z(alpha) * np.sqrt(s2 * (_psi_weights(jf.alpha_hat, H)**2 + quad))
     return IntervalResult(
         lower=point - half,
         upper=point + half,
@@ -396,8 +409,8 @@ def _batched_refit(
     Rr[:k, k:] = top
     Rr = Rr.reshape(m, m + 1, N)
     Rr[k:, k:] = low
-    kept, checked, solution = _full_rank_r(Rr[:, :m].transpose(2, 0, 1),
-                                           Rr[:, m:].transpose(2, 0, 1))
+    kept, checked, _, solution = _full_rank_r(Rr[:, :m].transpose(2, 0, 1),
+                                              Rr[:, m:].transpose(2, 0, 1))
     coef = solution[..., 0].T              # (m, N), [fixed, lags] rows
     coef[:, ~kept] = np.nan
     return coef.reshape(m, G, B), kept.reshape(G, B), checked.reshape(G, B)

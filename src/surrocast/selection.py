@@ -71,7 +71,7 @@ def select_ar_order(y: np.ndarray, q_max: int):
         raise InsufficientSample(f"need T > q_max + 2 (T={T}, q_max={q_max})")
     aug = _design(y[..., None], q_max, (y[..., None],))  # [lags | y]
     lags, response = aug[..., :q_max], aug[..., q_max:]
-    R, Qty, _ = _triangularize(aug, q_max)
+    R, Qty, _, _ = _triangularize(aug, q_max)
     best_q = np.ones(y.shape[:-1], dtype=int)
     best_aic = np.full(y.shape[:-1], np.inf)
     for q in range(1, q_max + 1):

@@ -1,9 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import surrocast
 from surrocast import (
     InsufficientSample,
     InvalidData,
+    PanelMismatch,
     RankDeficient,
     benchmark_dgp,
     companion_matrix,
@@ -19,7 +24,7 @@ from surrocast import (
     residual_pairs,
 )
 from surrocast.estimation import _design
-from surrocast.simulation import Ar1Spec, DgpSpec
+from surrocast.simulation import Ar1Spec, DgpSpec, _member
 
 from conftest import build_panels
 
@@ -331,9 +336,37 @@ def test_residual_pairs_correlated_dgp():
         assert abs(r) > 0.3
 
 
+def _batched_fit(q1, q2, members=3):
+    seeds = [np.random.SeedSequence((13, i)) for i in range(members)]
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=40), seeds)
+    return fit_joint(mp, sp, q1, q2)
+
+
+@pytest.mark.parametrize("q1, q2", [(2, 1), (2, 2), (4, 1)])
+def test_residual_pairs_batch_matches_one_series_calls(q1, q2):
+    jf, sf = _batched_fit(q1, q2)
+    pairs = residual_pairs(jf, sf)
+    assert pairs.shape == (3, 40 - q1, 4)
+    for i in range(3):
+        one = residual_pairs(_member(jf, i), _member(sf, i))
+        assert pairs[i].tobytes() == one.tobytes()
+
+
+def test_residual_pairs_rejects_fits_of_different_lengths():
+    jf = fit_joint(*generate(benchmark_dgp(0.3, T=40), 1)[:2], 2, 1)[0]
+    sf = fit_joint(*generate(benchmark_dgp(0.3, T=41), 1)[:2], 2, 1)[1]
+    with pytest.raises(PanelMismatch, match="equal length"):
+        residual_pairs(jf, sf)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+def test_fit_document_rejects_batched_fit():
+    with pytest.raises(InvalidData, match="one series"):
+        joint_fit_to_dict(*_batched_fit(2, 1))
+
 
 def test_fit_document_roundtrip():
     mp, sp, _ = generate(benchmark_dgp(0.2, T=80), 9)
@@ -387,3 +420,41 @@ def test_fit_document_malformed_rejected(edit):
 def test_fit_document_wrong_schema_rejected(doc):
     with pytest.raises(InvalidData, match="schema"):
         joint_fit_from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# one least-squares kernel
+# ---------------------------------------------------------------------------
+
+def _linalg_calls() -> dict[str, set[str]]:
+    """The np.linalg functions that each function of the package calls, by
+    qualified name (Class.method for a method)."""
+    calls: dict[str, set[str]] = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and ast.unparse(child.func.value) in ("np.linalg", "numpy.linalg")):
+                calls.setdefault(".".join(scope), set()).add(child.func.attr)
+            visit(child, scope)
+
+    for path in Path(surrocast.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return calls
+
+
+def test_factorizations_live_in_the_listed_functions():
+    # every least-squares step goes through _triangularize (one Householder
+    # QR) or the bootstrap's partialled refit, and every rank verdict through
+    # the SVD of _full_rank_r; a new factorization needs an entry here
+    assert _linalg_calls() == {
+        "_triangularize": {"qr"},
+        "_full_rank_r": {"svd"},
+        "_rank_deficient": {"svd"},
+        "_batched_refit": {"qr"},
+        "efficiency_gain": {"cholesky", "solve"},
+        "DgpSpec.__post_init__": {"cholesky", "eigvals"},
+    }

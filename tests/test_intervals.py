@@ -15,6 +15,7 @@ from surrocast import (
     InvalidData,
     MonthlyPanel,
     PanelMismatch,
+    RankDeficient,
     benchmark_dgp,
     bj_interval,
     bj_interval_estimated,
@@ -34,6 +35,7 @@ from surrocast.forecasting import _ar_recursion, _future_rows
 from surrocast.intervals import (
     _batched_refit,
     _empirical_quantile,
+    _fitted_design,
     _joint_forecast_gradient,
     _psi_weights,
     _z,
@@ -110,6 +112,16 @@ def test_psi_weights_match_power_loop(rng):
         else:
             np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0.0)
         assert companion_weight(alpha, H) == got[-1]
+
+
+def test_weight_batch_matches_one_series_calls(rng):
+    alpha = np.stack([_random_stationary_alpha(rng, 3)
+                      for _ in range(6)]).reshape(2, 3, 3)
+    got = companion_weight(alpha, 7)
+    assert got.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        one = companion_weight(alpha[i], 7)
+        assert isinstance(one, float) and got[i] == one
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +365,7 @@ def _refit(fixed, lags, response):
 
 def _rank_rule(R):
     """_full_rank_r on R alone: (kept, number checked by SVD)."""
-    kept, checked, _ = _full_rank_r(R, np.zeros(R.shape[:-1] + (0,)))
+    kept, checked, _, _ = _full_rank_r(R, np.zeros(R.shape[:-1] + (0,)))
     return kept, int(checked.sum())
 
 
@@ -717,9 +729,9 @@ def test_boot_batch_rejects_mismatched_batch_shapes():
                       fut, 4, BootstrapConfig(B=100), 0.05)
 
 
-def test_boot_batch_duplicated_covariate_names_member(caplog):
-    # the batched twin of test_boot_duplicated_covariate_unstable: only
-    # member 1's covariates are duplicated, and only it drops replicates
+def _duplicated_covariate_batch():
+    """A 3-member batch whose member 1 has its two x columns equal, with
+    that member's residuals rebuilt so that the panels reproduce them."""
     jf, sf, mp, sp, fut = _fitted_batch(members=3)
     x = mp.x.copy()
     x[1, :, 1] = x[1, :, 0]
@@ -727,7 +739,13 @@ def test_boot_batch_duplicated_covariate_names_member(caplog):
     X = _design(dup.y[1], jf.q1, (dup.z[1], dup.x[1], jf.d_hat[1]))
     residuals = jf.residuals.copy()
     residuals[1] = dup.y[1, jf.q1:] - X @ _joint_coef(_member(jf, 1))
-    jf = dataclasses.replace(jf, residuals=residuals)
+    return dataclasses.replace(jf, residuals=residuals), sf, dup, sp, fut
+
+
+def test_boot_batch_duplicated_covariate_names_member(caplog):
+    # the batched twin of test_boot_duplicated_covariate_unstable: only
+    # member 1's covariates are duplicated, and only it drops replicates
+    jf, sf, dup, sp, fut = _duplicated_covariate_batch()
     with caplog.at_level(logging.DEBUG, logger="surrocast.intervals"):
         with pytest.raises(BootstrapUnstable,
                            match=r"120 of 120 bootstrap replicates failed to refit \(member 1\)"):
@@ -844,6 +862,48 @@ def test_estimated_rejects_mispaired_panels():
         bj_interval_estimated(jf, sf, mp, sp_l, fut, 4, 0.05)
 
 
+def _former_estimated_interval(jf, sf, mp, sp, fut, H, alpha):
+    """The former one-series bj_interval_estimated: its own QR of X and a
+    triangular solve of R'u = g, so that u'u = g'(X'X)^{-1}g."""
+    X = _fitted_design(jf, sf, mp, sp)
+    n, m = X.shape
+    s2 = float(jf.residuals @ jf.residuals) / (n - m)
+    point, grad = _joint_forecast_gradient(jf, sf, mp, sp, fut, H)
+    u = np.linalg.solve(np.linalg.qr(X, mode="r").T, grad.T)
+    half = _z(alpha) * np.sqrt(
+        s2 * (_psi_weights(jf.alpha_hat, H)**2 + np.sum(u**2, axis=0)))
+    return point - half, point + half
+
+
+@pytest.mark.parametrize("q1", [1, 2, 4])
+@pytest.mark.parametrize("H", [1, 8])
+def test_estimated_batch_matches_one_series_calls(q1, H):
+    # a batched call gives each member the bits of its own one-series call,
+    # and those stay within 1e-12 of the former QR-and-solve form
+    batch = _fitted_batch(q1=q1, H=H)
+    iv = bj_interval_estimated(*batch, H, 0.05)
+    point, grad = _joint_forecast_gradient(*batch, H)
+    assert iv.lower.shape == (4, H) and grad.shape == (4, H, q1 + 5)
+    for i in range(4):
+        one = _members(batch, i)
+        iv_one = bj_interval_estimated(*one, H, 0.05)
+        point_one, grad_one = _joint_forecast_gradient(*one, H)
+        assert iv.lower[i].tobytes() == iv_one.lower.tobytes()
+        assert iv.upper[i].tobytes() == iv_one.upper.tobytes()
+        assert point[i].tobytes() == point_one.tobytes()
+        assert grad[i].tobytes() == grad_one.tobytes()
+        former = _former_estimated_interval(*one, H, 0.05)
+        for got, want in zip((iv_one.lower, iv_one.upper), former):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_estimated_rank_deficient_design_raises():
+    # the rebuilt design of member 1 fails the kernel's rank rule, as its
+    # fit would have
+    with pytest.raises(RankDeficient):
+        bj_interval_estimated(*_duplicated_covariate_batch(), 4, 0.05)
+
+
 def test_estimated_needs_residual_degrees_of_freedom():
     # T - q1 = 7 rows for 7 coefficients: the fit is exact, s^2 is undefined
     mp, sp, _ = generate(benchmark_dgp(0.3, T=12), 6)
@@ -859,23 +919,28 @@ def test_estimated_needs_residual_degrees_of_freedom():
 # ---------------------------------------------------------------------------
 
 def _per_h_coverage(interval_kind, T=200, Q=500, H=5, rho=0.2, B=500):
-    hits = np.zeros(H)
-    for rep in range(Q):
-        mp, sp, _ = generate(benchmark_dgp(rho, T=T + H), (31, rep))
-        mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
-        jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
-        fut = FutureExogenous(mp.z[T:], mp.x[T:], sp.ys[T:])
-        fc = forecast_joint(jf, sf, mp_tr, sp_tr, fut, H)
-        if interval_kind == "bj":
-            iv = bj_interval(fc, jf, 0.05)
-        elif interval_kind == "bj_estimated":
-            iv = bj_interval_estimated(jf, sf, mp_tr, sp_tr, fut, H, 0.05)
-        else:
-            cfg = BootstrapConfig(B=B, seed=rep)
-            iv = boot_interval(jf, sf, mp_tr, sp_tr, fut, H, cfg, 0.05)
-        y_test = mp.y[T:]
-        hits += (y_test >= iv.lower) & (y_test <= iv.upper)
-    return hits / Q
+    seeds = [np.random.SeedSequence((31, rep)) for rep in range(Q)]
+    mp, sp, _ = generate(benchmark_dgp(rho, T=T + H), seeds)
+    mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
+    jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
+    fut = FutureExogenous(mp.z[:, T:], mp.x[:, T:], sp.ys[:, T:])
+    if interval_kind == "bj":
+        iv = bj_interval(forecast_joint(jf, sf, mp_tr, sp_tr, fut, H), jf, 0.05)
+        bounds = (iv.lower, iv.upper)
+    elif interval_kind == "bj_estimated":
+        iv = bj_interval_estimated(jf, sf, mp_tr, sp_tr, fut, H, 0.05)
+        bounds = (iv.lower, iv.upper)
+    else:
+        # two members per call, each with its own seed, as the harness runs
+        # the bootstrap
+        ivs = [boot_interval(*_members((jf, sf, mp_tr, sp_tr, fut), slice(i, i + 2)),
+                             H, BootstrapConfig(B=B, seed=tuple(range(i, min(i + 2, Q)))),
+                             0.05)
+               for i in range(0, Q, 2)]
+        bounds = tuple(np.concatenate([getattr(iv, side) for iv in ivs])
+                       for side in ("lower", "upper"))
+    y_test = mp.y[:, T:]
+    return np.mean((y_test >= bounds[0]) & (y_test <= bounds[1]), axis=0)
 
 
 def test_bj_coverage_moderate_sample():

@@ -24,6 +24,7 @@ from .errors import (
     SurrocastError,
 )
 from .estimation import (
+    _fitted_design,
     fit_arx,
     fit_joint,
     joint_fit_from_dict,
@@ -37,7 +38,7 @@ from .forecasting import (
     forecast_joint,
     forecast_rw,
 )
-from .intervals import (BootstrapConfig, _fitted_design, bj_interval, boot_interval,
+from .intervals import (BootstrapConfig, bj_interval, boot_interval,
                         efficiency_gain)
 from .panels import (
     aggregate_daily,

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSample, InvalidData, PanelMismatch, RankDeficient
-from .panels import MonthlyPanel, SurrogatePanel, check_aligned
+from .errors import (InsufficientSample, InvalidData, MissingExogenous, PanelMismatch,
+                     RankDeficient)
+from .panels import MonthlyPanel, SurrogatePanel, _require_int, check_aligned
 
 __all__ = [
     "ols_solve",
@@ -47,6 +48,14 @@ RANK_TOL = 1e-10
 # Largest computed kappa_F that _full_rank_r accepts without an SVD: a factor
 # 100 below the 1 / RANK_TOL that _full_rank allows.
 _SCREEN_KAPPA = 1e-2 / RANK_TOL
+
+
+def _member_name(batch: tuple, i: int) -> str:
+    """' (member i)' naming flat member i of a batch of that shape; '' for
+    one series."""
+    if not batch:
+        return ""
+    return f" (member {', '.join(map(str, np.unravel_index(i, batch)))})"
 
 
 def _full_rank(sv: np.ndarray) -> np.bool_ | np.ndarray:
@@ -92,7 +101,9 @@ def _full_rank_r(R: np.ndarray, rhs: np.ndarray
     [I | rhs] gives both, as views of one array; it runs in the memory
     layout of rhs, so a batch stored replicate-last is solved along its
     inner axis. X and x are not finite for a singular R; the caller drops
-    or rejects that design.
+    or rejects that design. An R that is not finite (a design holding NaN
+    or Inf) raises InvalidData naming the first such member: it fails the
+    screen, so this is told apart from a singular R only on the SVD path.
 
     Most designs are decided by a screen on kappa_F = ||R||_F ||X||_F.
     A design passes the screen when both squared norms are normal numbers
@@ -138,7 +149,12 @@ def _full_rank_r(R: np.ndarray, rhs: np.ndarray
     kept = np.array(screened)
     checked = ~kept
     if checked.any():
-        kept[checked] = _full_rank(np.linalg.svd(R[checked], compute_uv=False))
+        R_checked = R[checked]
+        bad = ~np.isfinite(R_checked).all(axis=(-2, -1))
+        if bad.any():
+            raise InvalidData("design holds NaN or Inf" + _member_name(
+                checked.shape, np.flatnonzero(checked)[np.argmax(bad)]))
+        kept[checked] = _full_rank(np.linalg.svd(R_checked, compute_uv=False))
     return kept, checked, X, solution[..., m:]
 
 
@@ -151,7 +167,7 @@ def _triangularize(aug: np.ndarray, m: int
     into Q. Raises RankDeficient, listing the near-collinear columns of the
     first failing design, when an R factor fails the rank rule
     (_full_rank_r, whose back substitution also gives R^-1 and the
-    coefficients)."""
+    coefficients), and InvalidData when a design holds NaN or Inf."""
     Rr = np.linalg.qr(aug, mode="r")
     R, Qty = Rr[..., :m, :m], Rr[..., :m, m:]
     kept, _, R_inv, coef = _full_rank_r(R, Qty)
@@ -176,8 +192,9 @@ def ols_solve(design: np.ndarray, response: np.ndarray) -> np.ndarray:
     design is (n, m), or (..., n, m) with leading batch axes as in
     np.linalg; response is (..., n) for one right-hand side per design or
     (..., n, r). Solved by _solve on [design | response]. Raises
-    InsufficientSample when n < m and RankDeficient, listing the
-    near-collinear columns, when a design fails the rank rule.
+    InsufficientSample when n < m, RankDeficient, listing the
+    near-collinear columns, when a design fails the rank rule, and
+    InvalidData, naming the member, when a design holds NaN or Inf.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
@@ -280,6 +297,16 @@ class ArxFit:
     q1: int
 
 
+def _join(parts, axis: int = -1) -> np.ndarray:
+    """(..., rows, width) blocks joined along their columns (axis -1) or
+    their months (axis -2), leading batch axes broadcast across them; a
+    block that already has the joint batch shape is used as it is."""
+    batch = np.broadcast_shapes(*(part.shape[:-2] for part in parts))
+    return np.concatenate([part if part.shape[:-2] == batch
+                           else np.broadcast_to(part, batch + part.shape[-2:])
+                           for part in parts], axis=axis)
+
+
 def _design(series: np.ndarray, q: int, blocks=()) -> np.ndarray:
     """ARX design: lag rows [s_{t-1}, ..., s_{t-q}] for t = q..T-1, followed
     by the last T - q rows of each (..., rows, width) block.
@@ -294,10 +321,7 @@ def _design(series: np.ndarray, q: int, blocks=()) -> np.ndarray:
     T = series.shape[-2]
     n = T - q
     parts = [series[..., q - l:T - l, :] for l in range(1, q + 1)]
-    parts += [block[..., block.shape[-2] - n:, :] for block in blocks]
-    batch = np.broadcast_shapes(*(part.shape[:-2] for part in parts))
-    return np.concatenate(
-        [np.broadcast_to(part, batch + part.shape[-2:]) for part in parts], axis=-1)
+    return _join(parts + [block[..., block.shape[-2] - n:, :] for block in blocks])
 
 
 def _fit(series: np.ndarray, q: int, blocks=()) -> tuple[np.ndarray, np.ndarray]:
@@ -353,6 +377,73 @@ def d_residual_matrix(ys: np.ndarray, A_hat: np.ndarray, q2: int) -> np.ndarray:
     return out
 
 
+def _require_horizon(H) -> None:
+    """InvalidData unless the forecast horizon H is an integer >= 1."""
+    _require_int("H", H)
+    if H < 1:
+        raise InvalidData(f"H must be >= 1, got {H}")
+
+
+def _future_blocks(fut, H: int, widths) -> list[np.ndarray]:
+    """The rows of months T+1..T+H of fut's z_future, x_future and, given
+    a third width, ys_future: one block per width. H is checked first
+    (_require_horizon), then each block against its width. A block of
+    width 0 is (H, 0); the others keep the batch axes of fut. fut is a
+    forecasting.FutureExogenous, or None for no future rows."""
+    _require_horizon(H)
+    blocks = []
+    for name, width in zip(("z_future", "x_future", "ys_future"), widths):
+        arr = getattr(fut, name, np.zeros((0, 0)))
+        if width and (arr.shape[-2] < H or arr.shape[-1] != width):
+            raise MissingExogenous(
+                f"{name}: need {H} rows x {width} columns, got {arr.shape}"
+            )
+        blocks.append(arr[..., :H, :] if width else np.zeros((H, 0)))
+    return blocks
+
+
+def _joint_rows(mp: MonthlyPanel, sp: SurrogatePanel, sf: SurrogateFit,
+                first: int, fut=None, H: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The joint model's covariate rows [z | x | d_hat], (..., T - first +
+    H, d + p + K), for months first+1..T and, given future blocks fut, for
+    T+1..T+H; and d_hat, their last K columns, as its own array.
+
+    d_hat comes from one d_residual_matrix pass over the surrogate months
+    first-q2+1..T followed by fut's ys rows, so its lags straddle the
+    forecast origin on the observed panel. MissingExogenous when first < q2,
+    as the history then lacks the lags of month first+1, and when a future
+    block fails _future_blocks against the widths of mp and sf.
+    Leading batch axes broadcast across the panels, sf and fut.
+    """
+    q2 = sf.q2
+    future = None if fut is None else _future_blocks(fut, H, (mp.d, mp.p, sf.K))
+    if first < q2:
+        raise MissingExogenous(
+            f"surrogate history must supply at least q2={q2} months of lags"
+        )
+    blocks = (mp.z[..., first:, :], mp.x[..., first:, :], sp.ys[..., first - q2:, :])
+    if future is not None:
+        blocks = [_join(pair, axis=-2) for pair in zip(blocks, future)]
+    z, x, ys = blocks
+    d_hat = d_residual_matrix(ys, sf.A_hat, q2)
+    return _join((z, x, d_hat)), d_hat
+
+
+def _driver(rows: np.ndarray, fit) -> np.ndarray:
+    """Covariate driver rows @ coef, (..., months), of covariate rows
+    (..., months, width) and the covariate coefficients of a fit, joined in
+    the column order of its rows: (theta, delta, gamma) of a JointFit for
+    the [z | x | d_hat] of _joint_rows, (theta, beta) of an ArxFit for
+    [z | x]. Leading axes broadcast. PanelMismatch when the widths differ:
+    the panels have other covariates than the fit."""
+    blocks = ((fit.theta_hat, fit.delta_hat, fit.gamma_hat) if isinstance(fit, JointFit)
+              else (fit.theta_hat, fit.beta_hat))
+    coef = np.concatenate(blocks, axis=-1)
+    if rows.shape[-1] != coef.shape[-1]:
+        raise PanelMismatch(f"{rows.shape[-1]} covariates for a fit of {coef.shape[-1]}")
+    return (rows @ coef[..., None])[..., 0]
+
+
 def fit_joint_step2(
     mp: MonthlyPanel, sp: SurrogatePanel, sf: SurrogateFit, q1: int
 ) -> JointFit:
@@ -369,8 +460,8 @@ def fit_joint_step2(
     if q2 > q1:
         raise InvalidData(f"q2={q2} must not exceed q1={q1}")
     d, p = mp.d, mp.p
-    d_hat = d_residual_matrix(sp.ys, sf.A_hat, q2)
-    coef, residuals = _fit(mp.y[..., None], q1, (mp.z, mp.x, d_hat))
+    rows, d_hat = _joint_rows(mp, sp, sf, q2)
+    coef, residuals = _fit(mp.y[..., None], q1, (rows,))
     coef, residuals = coef[..., 0], residuals[..., 0]
     return JointFit(
         alpha_hat=coef[..., :q1],
@@ -383,6 +474,49 @@ def fit_joint_step2(
         q1=q1,
         q2=q2,
     )
+
+
+def _fitted_design(
+    jf: JointFit, sf: SurrogateFit, mp: MonthlyPanel, sp: SurrogatePanel,
+    fut=None, H: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step-two design X (..., T - q1, m) of the fitted sample, rebuilt from
+    the panels, and the covariate rows (..., T - q1 + H, m - q1) of months
+    q1+1..T and, given future blocks fut, T+1..T+H, from one _joint_rows
+    call; a batched fit and its batched panels give one of each per member.
+
+    Raises PanelMismatch unless mp and sp are the panels the fit was
+    estimated on: they must cover the same months, share the fit's batch
+    shape, give T - q1 rows and the fit's covariate and surrogate widths,
+    and each member's y[q1:] - X beta_hat must reproduce its fit residuals
+    to 1e-8 times 1 + max|y| of that member. The message names the first
+    member that fails.
+    """
+    check_aligned(mp, sp)
+    q1, n = jf.q1, mp.T - jf.q1
+    batch = jf.residuals.shape[:-1]
+    if not (mp.y.shape[:-1] == sp.ys.shape[:-2] == sf.A_hat.shape[:-3] == batch):
+        raise PanelMismatch(
+            f"batch shapes differ: panels {mp.y.shape[:-1]} and {sp.ys.shape[:-2]}, "
+            f"fits {batch} and {sf.A_hat.shape[:-3]}")
+    if (n != jf.residuals.shape[-1] or mp.d != jf.theta_hat.shape[-1]
+            or mp.p != jf.delta_hat.shape[-1] or sp.K != sf.K):
+        raise PanelMismatch(
+            f"history of {mp.T} months (d={mp.d}, p={mp.p}, K={sp.K}) does not "
+            f"match the fitted sample ({jf.residuals.shape[-1]} residuals after "
+            f"q1={q1} lags, d={jf.theta_hat.shape[-1]}, "
+            f"p={jf.delta_hat.shape[-1]}, K={sf.K})"
+        )
+    rows = _joint_rows(mp, sp, sf, q1, fut, H)[0]
+    X = _design(mp.y[..., None], q1, (rows[..., :n, :],))
+    resid = (mp.y[..., q1:] - (X[..., :q1] @ jf.alpha_hat[..., None])[..., 0]
+             - _driver(rows[..., :n, :], jf))
+    atol = 1e-8 * (1.0 + np.max(np.abs(mp.y), axis=-1, keepdims=True))
+    close = np.isclose(resid, jf.residuals, rtol=0.0, atol=atol).all(axis=-1)
+    if not close.all():
+        raise PanelMismatch("panels do not reproduce the fit residuals"
+                            + _member_name(batch, int(np.argmin(close))))
+    return X, rows
 
 
 def fit_joint(

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSample, InvalidData, MissingExogenous
-from .estimation import ArxFit, JointFit, SurrogateFit, d_residual_matrix
+from .errors import InsufficientSample, InvalidData
+from .estimation import (ArxFit, JointFit, SurrogateFit, _driver, _future_blocks,
+                         _join, _joint_rows, _require_horizon)
 from .panels import MonthlyPanel, SurrogatePanel, check_aligned
 
 __all__ = [
@@ -53,6 +54,8 @@ class FutureExogenous:
     def __post_init__(self):
         for name in ("z_future", "x_future", "ys_future"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim == 0:
+                raise InvalidData(f"{name} must be an (H, width) array, not a scalar")
             if arr.ndim == 1:
                 arr = arr.reshape(len(arr), -1) if arr.size else arr.reshape(0, 0)
             object.__setattr__(self, name, arr)
@@ -79,47 +82,6 @@ class ForecastResult:
                 or not np.all(np.isfinite(point))):
             raise InvalidData("forecast must be a finite vector of length H")
         object.__setattr__(self, "point", point)
-
-
-def _future_rows(
-    fut: FutureExogenous,
-    H: int,
-    d: int,
-    p: int,
-    sf: SurrogateFit | None = None,
-    sp: SurrogatePanel | None = None,
-) -> list[np.ndarray]:
-    """Validated covariate rows of months T+1..T+H: z (d columns), x (p
-    columns) and, given a surrogate fit and its history, the innovations
-    d_hat of the future surrogate rows. A block of width 0 is (H, 0); the
-    others keep the batch axes of fut."""
-    names = ("z_future", "x_future", "ys_future")
-    rows = []
-    for name, width in zip(names, (d, p) if sf is None else (d, p, sf.K)):
-        arr = getattr(fut, name)
-        if width and (arr.shape[-2] < H or arr.shape[-1] != width):
-            raise MissingExogenous(
-                f"{name}: need {H} rows x {width} columns, got {arr.shape}"
-            )
-        rows.append(arr[..., :H, :] if width else np.zeros((H, 0)))
-    if sf is not None:
-        if sp.T < sf.q2:
-            raise MissingExogenous(
-                f"surrogate history must supply at least q2={sf.q2} months of lags"
-            )
-        ys_all = np.concatenate([sp.ys[..., sp.T - sf.q2:, :], rows[2]], axis=-2)
-        rows[2] = d_residual_matrix(ys_all, sf.A_hat, sf.q2)
-    return rows
-
-
-def _driver(blocks, coefs) -> np.ndarray:
-    """Covariate driver block_1 @ coef_1 + block_2 @ coef_2 + ..., summed
-    left to right. Blocks are (..., H, width) and coefficients (..., width);
-    their leading axes broadcast."""
-    driver = (blocks[0] @ coefs[0][..., None])[..., 0]
-    for block, coef in zip(blocks[1:], coefs[1:]):
-        driver = driver + (block @ coef[..., None])[..., 0]
-    return driver
 
 
 def _ar_roll(alpha: np.ndarray, buf: np.ndarray) -> None:
@@ -184,12 +146,9 @@ def forecast_joint(
     are taken from the observed surrogate panel. PanelMismatch is raised
     when mp and sp do not cover the same months.
     """
-    if H < 1:
-        raise InvalidData("H must be >= 1")
     check_aligned(mp, sp)
-    rows = _future_rows(fut, H, jf.theta_hat.shape[-1], jf.delta_hat.shape[-1], sf, sp)
-    driver = _driver(rows, (jf.theta_hat, jf.delta_hat, jf.gamma_hat))
-    point = _ar_recursion(jf.alpha_hat, mp.y, driver)
+    rows = _joint_rows(mp, sp, sf, mp.T, fut, H)[0]
+    point = _ar_recursion(jf.alpha_hat, mp.y, _driver(rows, jf))
     return ForecastResult(method=Method.JOINT, point=point, horizon=H)
 
 
@@ -205,21 +164,18 @@ def forecast_arx(
     macro-covariate benchmark and the embedding-covariate benchmarks alike
     (labelled ARX). fut may be None when the fit has no covariates.
     """
-    if H < 1:
-        raise InvalidData("H must be >= 1")
     d, p = fit.theta_hat.shape[-1], fit.beta_hat.shape[-1]
-    if fut is None:
-        fut = FutureExogenous(np.zeros((H, 0)), np.zeros((H, 0)), np.zeros((H, 0)))
-    driver = _driver(_future_rows(fut, H, d, p), (fit.theta_hat, fit.beta_hat))
-    point = _ar_recursion(fit.alpha_hat, np.asarray(y, dtype=float), driver)
+    rows = _join(_future_blocks(fut, H, (d, p)))
+    point = _ar_recursion(fit.alpha_hat, np.asarray(y, dtype=float), _driver(rows, fit))
     method = Method.ARX if d + p else Method.AR
     return ForecastResult(method=method, point=point, horizon=H)
 
 
 def forecast_rw(y: np.ndarray, H: int) -> ForecastResult:
     """Random walk: every horizon repeats the last observation of y (..., T)."""
+    _require_horizon(H)
     y = np.asarray(y, dtype=float)
-    if y.ndim < 1 or y.shape[-1] < 1 or H < 1:
+    if y.ndim < 1 or y.shape[-1] < 1:
         raise InsufficientSample("random walk needs at least one observation")
     return ForecastResult(method=Method.RW, point=np.repeat(y[..., -1:], H, axis=-1),
                           horizon=H)
@@ -228,6 +184,7 @@ def forecast_rw(y: np.ndarray, H: int) -> ForecastResult:
 def forecast_ave(y: np.ndarray, H: int) -> ForecastResult:
     """Historical average: the h-step value is the mean of the last h points
     of y (..., T)."""
+    _require_horizon(H)
     y = np.asarray(y, dtype=float)
     if y.ndim < 1 or y.shape[-1] < H:
         raise InsufficientSample(f"historical-average forecast needs T >= H={H}")

@@ -23,26 +23,25 @@ from .errors import (
     InsufficientSample,
     InvalidCovariance,
     InvalidData,
-    PanelMismatch,
 )
 from .estimation import (
     JointFit,
     SurrogateFit,
     _design,
+    _driver,
+    _fitted_design,
     _full_rank_r,
+    _member_name,
     _triangularize,
-    d_residual_matrix,
 )
 from .forecasting import (
     ForecastResult,
     FutureExogenous,
     _ar_recursion,
     _ar_roll,
-    _driver,
-    _future_rows,
     forecast_joint,
 )
-from .panels import MonthlyPanel, SurrogatePanel, _require_int, check_aligned
+from .panels import MonthlyPanel, SurrogatePanel, _require_int
 
 __all__ = [
     "IntervalResult",
@@ -110,14 +109,6 @@ class BootstrapConfig:
             raise InvalidData(f"unknown quantile_rule {self.quantile_rule!r}")
 
 
-def _member_name(batch: tuple, i: int) -> str:
-    """' (member i)' naming flat member i of a batch of that shape; '' for
-    one series."""
-    if not batch:
-        return ""
-    return f" (member {', '.join(map(str, np.unravel_index(i, batch)))})"
-
-
 def _z(alpha: float) -> float:
     """|z_{alpha/2}|, the standard normal quantile of 1 - alpha/2.
 
@@ -182,57 +173,13 @@ def bj_interval(forecast: ForecastResult, fit, alpha: float) -> IntervalResult:
     )
 
 
-def _fitted_design(
-    jf: JointFit, sf: SurrogateFit, mp: MonthlyPanel, sp: SurrogatePanel
-) -> np.ndarray:
-    """Step-two design X (..., T - q1, m) of the fitted sample, rebuilt from
-    the panels; a batched fit and its batched panels give one per member.
-
-    Raises PanelMismatch unless mp and sp are the panels the fit was
-    estimated on: they must cover the same months, share the fit's batch
-    shape, give T - q1 rows and the fit's covariate and surrogate widths,
-    and each member's y[q1:] - X beta_hat must reproduce its fit residuals
-    to 1e-8 times 1 + max|y| of that member. The message names the first
-    member that fails.
-    """
-    check_aligned(mp, sp)
-    q1 = jf.q1
-    batch = jf.residuals.shape[:-1]
-    if not (mp.y.shape[:-1] == sp.ys.shape[:-2] == sf.A_hat.shape[:-3] == batch):
-        raise PanelMismatch(
-            f"batch shapes differ: panels {mp.y.shape[:-1]} and {sp.ys.shape[:-2]}, "
-            f"fits {batch} and {sf.A_hat.shape[:-3]}")
-    if (mp.T - q1 != jf.residuals.shape[-1] or mp.d != jf.theta_hat.shape[-1]
-            or mp.p != jf.delta_hat.shape[-1] or sp.K != sf.K):
-        raise PanelMismatch(
-            f"history of {mp.T} months (d={mp.d}, p={mp.p}, K={sp.K}) does not "
-            f"match the fitted sample ({jf.residuals.shape[-1]} residuals after "
-            f"q1={q1} lags, d={jf.theta_hat.shape[-1]}, "
-            f"p={jf.delta_hat.shape[-1]}, K={sf.K})"
-        )
-    X = _design(mp.y[..., None], q1,
-                (mp.z, mp.x, d_residual_matrix(sp.ys, sf.A_hat, sf.q2)))
-    coef = np.concatenate([jf.alpha_hat, jf.theta_hat, jf.delta_hat,
-                           jf.gamma_hat], axis=-1)
-    resid = mp.y[..., q1:] - (X @ coef[..., None])[..., 0]
-    atol = 1e-8 * (1.0 + np.max(np.abs(mp.y), axis=-1, keepdims=True))
-    close = np.isclose(resid, jf.residuals, rtol=0.0, atol=atol).all(axis=-1)
-    if not close.all():
-        raise PanelMismatch("panels do not reproduce the fit residuals"
-                            + _member_name(batch, int(np.argmin(close))))
-    return X
-
-
 def _joint_forecast_gradient(
-    jf: JointFit,
-    sf: SurrogateFit,
-    mp: MonthlyPanel,
-    sp: SurrogatePanel,
-    fut: FutureExogenous,
-    H: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint point forecasts (..., H) and their (..., H, m) gradient in the
-    coefficients, one of each per member of a batched fit.
+    jf: JointFit, y: np.ndarray, point: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """The (..., H, m) gradient of the joint point forecasts point (..., H)
+    in the coefficients, one per member of a batched fit; y is the history
+    and rows (..., H, m - q1) the covariate rows of months T+1..T+H
+    (_fitted_design).
 
     Row h-1 is d yhat_{T+h} / d(alpha, theta, delta, gamma). It follows the
     AR recursion g_h = sum_l alpha_l g_{h-l} + r_h from g = 0 before T+1,
@@ -240,14 +187,13 @@ def _joint_forecast_gradient(
     forecast lags (observed ones at or before T) in the alpha columns and
     the future (z, x, d_hat) row in the others.
     """
-    q1, d, p = jf.q1, jf.theta_hat.shape[-1], jf.delta_hat.shape[-1]
-    point = forecast_joint(jf, sf, mp, sp, fut, H).point
+    q1 = jf.q1
     # y_{T-q1+1..T}, then forecasts
-    path = np.concatenate([mp.y[..., -q1:], point], axis=-1)
-    rows = _design(path[..., None], q1, _future_rows(fut, H, d, p, sf, sp))
+    path = np.concatenate([y[..., -q1:], point], axis=-1)
+    design = _design(path[..., None], q1, (rows,))
     grad = _ar_recursion(jf.alpha_hat[..., None, :], np.zeros(q1),
-                         np.swapaxes(rows, -1, -2))
-    return point, np.swapaxes(grad, -1, -2)
+                         np.swapaxes(design, -1, -2))
+    return np.swapaxes(grad, -1, -2)
 
 
 def bj_interval_estimated(
@@ -290,7 +236,7 @@ def bj_interval_estimated(
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidData("alpha must lie in (0, 1)")
-    X = _fitted_design(jf, sf, mp, sp)
+    X, rows = _fitted_design(jf, sf, mp, sp, fut, H)
     n, m = X.shape[-2:]
     if n <= m:
         raise InsufficientSample(
@@ -298,7 +244,8 @@ def bj_interval_estimated(
         )
     s2 = np.sum(jf.residuals**2, axis=-1, keepdims=True) / (n - m)
 
-    point, grad = _joint_forecast_gradient(jf, sf, mp, sp, fut, H)
+    point = forecast_joint(jf, sf, mp, sp, fut, H).point
+    grad = _joint_forecast_gradient(jf, mp.y, point, rows[..., n:, :])
     R_inv = _triangularize(X, m)[2]
     # g'(X'X)^{-1}g = ||R^{-T} g||^2, the squared row norms of grad @ R^{-1}
     quad = np.sum((grad @ R_inv)**2, axis=-1)
@@ -472,23 +419,16 @@ def boot_interval(
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidData("alpha must lie in (0, 1)")
-    q1, d, p, T, B = jf.q1, mp.d, mp.p, mp.T, cfg.B
+    q1, T, B = jf.q1, mp.T, cfg.B
     batch = jf.residuals.shape[:-1]
     G = math.prod(batch)
     seeds = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,) * G
     if len(seeds) != G:
         raise InvalidData(f"{len(seeds)} bootstrap seeds for a batch of {G} members")
-    X = _fitted_design(jf, sf, mp, sp)
-    point = forecast_joint(jf, sf, mp, sp, fut, H).point  # validates fut
-    n, k = X.shape[-2], X.shape[-1] - q1
-
-    # Covariate contribution per month (zero until the first fitted month).
-    coefs = (jf.theta_hat, jf.delta_hat, jf.gamma_hat)
-    fut_rows = _future_rows(fut, H, d, p, sf, sp)
-    n_total = T + H
-    driver = np.zeros(batch + (n_total,))
-    driver[..., q1:T] = _driver(np.split(X[..., q1:], [d, d + p], axis=-1), coefs)
-    driver[..., T:] = _driver(fut_rows, coefs)
+    # covariate rows of months q1+1..T+H, and their contribution to y
+    rows = _fitted_design(jf, sf, mp, sp, fut, H)[1]
+    point = forecast_joint(jf, sf, mp, sp, fut, H).point
+    n, k, n_total = T - q1, rows.shape[-1], T + H
 
     resid = jf.residuals.reshape(G, n)
     centered = resid - resid.mean(axis=-1, keepdims=True)
@@ -500,7 +440,7 @@ def boot_interval(
     for g, seed in enumerate(seeds):
         Y[:, g] = centered[g][np.random.default_rng(seed).integers(
             0, n, size=(B, n_total)).T]
-    Y[q1:] += driver.reshape(G, n_total).T[q1:, :, None]
+    Y[q1:] += _driver(rows, jf).reshape(G, n + H).T[:, :, None]
     _ar_roll(jf.alpha_hat.reshape(G, 1, q1), Y)
 
     # each replicate's forecast path starts from its last q1 months, copied
@@ -508,7 +448,7 @@ def boot_interval(
     paths = np.empty((q1 + H, G, B))
     paths[:q1] = Y[T - q1:T]
     coef, kept, checked = _batched_refit(
-        X[..., q1:].reshape(G, n, k),
+        rows[..., :n, :].reshape(G, n, k),
         [Y[q1 - l: T - l] for l in range(1, q1 + 1)], Y[q1:T])
 
     n_failed = B - kept.sum(axis=1)
@@ -525,10 +465,7 @@ def boot_interval(
 
     # then the covariate driver of months T+1..T+H from each replicate's own
     # coefficients, rolled forward by its own lag coefficients
-    fut_cov = np.concatenate(
-        [np.broadcast_to(rows, batch + rows.shape[-2:]) for rows in fut_rows],
-        axis=-1).reshape(G, H, k)
-    np.matmul(fut_cov, coef[:k].transpose(1, 0, 2),
+    np.matmul(rows[..., n:, :].reshape(G, H, k), coef[:k].transpose(1, 0, 2),
               out=paths[q1:].transpose(1, 0, 2))
     _ar_roll(coef[k:].reshape(q1, G * B).T, paths.reshape(q1 + H, G * B))
     errors = Y[T:] - paths[q1:]

@@ -82,6 +82,9 @@ VARIANTS = tuple(_VARIANTS)
 # degrees of freedom of the student-t innovations
 _T_DF = 10.0
 
+# months drawn and discarded before the first month of every draw
+_BURN_IN = 200
+
 
 def _linear_recursion(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Rows s_t = M s_{t-1} + W_t of a linear recursion from s_{-1} = 0.
@@ -169,7 +172,6 @@ class DgpSpec:
     T: int
     x_gen: Ar1Spec = Ar1Spec(0)
     error_kind: str = "gaussian"
-    burn_in: int = 200
     # Cholesky factor of the covariance of the normal part of each innovation
     _chol: np.ndarray = field(init=False, repr=False)
     # transition matrix of the state s_t
@@ -213,8 +215,8 @@ class DgpSpec:
             raise NonStationarySpec(
                 f"spectral radii must be < 1 (target {r1:.3f}, surrogate {r2:.3f})"
             )
-        if self.T < 1 or self.burn_in < 0:
-            raise InvalidData("T must be >= 1 and burn_in >= 0")
+        if self.T < 1:
+            raise InvalidData("T must be >= 1")
         p, ns, phi = B_S.shape[1], len(surrogate), self.x_gen.phi
         M = np.zeros((p + ns + len(target),) * 2)
         M[:p, :p] = phi * np.eye(p)
@@ -252,7 +254,7 @@ def _draw_states(spec: DgpSpec, seeds: list) -> tuple[np.ndarray, np.ndarray]:
     """Innovations (members, n, 1+K) and states (members, n, state) of every
     month, burn-in included, one member per seed."""
     rngs = [np.random.default_rng(s) for s in seeds]
-    n = spec.burn_in + spec.T
+    n = _BURN_IN + spec.T
     Q, K, p = len(rngs), spec.K, spec.x_gen.n_cols
     student = spec.error_kind == "student-t"
     # each stream draws the normals, the t mixing variables, then the x
@@ -289,7 +291,7 @@ def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel, SimTrut
     batch = (isinstance(seed, list) and len(seed) > 0
              and all(isinstance(s, np.random.SeedSequence) for s in seed))
     seeds = seed if batch else [seed]
-    Q, T, b = len(seeds), spec.T, spec.burn_in
+    Q, T, b = len(seeds), spec.T, _BURN_IN
     K, p = spec.K, spec.x_gen.n_cols
     y_col = p + K * spec.q2
     eps = np.empty((Q, T, 1 + K))

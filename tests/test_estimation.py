@@ -10,6 +10,7 @@ from surrocast import (
     InvalidData,
     PanelMismatch,
     RankDeficient,
+    SurrogatePanel,
     benchmark_dgp,
     companion_matrix,
     d_residual_matrix,
@@ -22,8 +23,10 @@ from surrocast import (
     joint_fit_to_dict,
     ols_solve,
     residual_pairs,
+    select_ar_order,
 )
-from surrocast.estimation import _design
+from surrocast.estimation import SurrogateFit, _design, _joint_rows
+from surrocast.forecasting import FutureExogenous
 from surrocast.simulation import Ar1Spec, DgpSpec, _member
 
 from conftest import build_panels
@@ -67,6 +70,23 @@ def test_ols_batch_member_is_its_own_solve(rng):
             assert coef[i].tobytes() == ols_solve(design[i], response[i]).tobytes()
         ref = np.linalg.lstsq(design[0], response[0], rcond=None)[0]
         np.testing.assert_allclose(coef[0], ref, rtol=1e-12, atol=1e-13)
+
+
+def test_non_finite_design_raises_invalid_data(rng):
+    # a NaN or Inf in the design is told apart from a singular design on the
+    # kernel's SVD path, for the member that holds it
+    y = rng.standard_normal((3, 40))
+    y[1, 20] = np.nan
+    for fit in (lambda y: fit_arx(y, 2), lambda y: select_ar_order(y, 3)):
+        with pytest.raises(InvalidData, match=r"NaN or Inf \(member 1\)"):
+            fit(y)
+        with pytest.raises(InvalidData, match=r"NaN or Inf$"):
+            fit(y[1])
+        fit(y[[0, 2]])
+    design = rng.standard_normal((2, 3, 30, 4))
+    design[1, 2, 5, 1] = np.inf
+    with pytest.raises(InvalidData, match=r"NaN or Inf \(member 1, 2\)"):
+        ols_solve(design, rng.standard_normal((2, 3, 30)))
 
 
 def test_ols_batch_rank_deficient_member(rng):
@@ -186,6 +206,29 @@ def test_d_residual_zero_lag_coefficients(rng):
     ys = rng.standard_normal((10, 2))
     np.testing.assert_array_equal(
         d_residual_matrix(ys, np.zeros((1, 2, 2)), 1), ys[1:])
+
+
+@pytest.mark.parametrize("q2", [1, 2, 3])
+def test_joint_rows_d_hat_over_joined_span_matches_split_calls(rng, q2):
+    # one d_residual_matrix pass over [history | future] gives, month by
+    # month, the bytes of separate passes over the history and over its
+    # last q2 months followed by the future
+    T, H, K = 50, 8, 3
+    ys = rng.standard_normal((4, T + H, K))
+    mp, _ = build_panels(np.zeros(T), np.zeros((T, K)),
+                         x=rng.standard_normal((T, 2)))
+    sp = SurrogatePanel(times=mp.times, ys=ys[:, :T])
+    A = 0.3 * rng.standard_normal((4, q2, K, K))
+    sf = SurrogateFit(A_hat=A, B_hat=np.zeros((4, K, 2)),
+                      residuals=np.zeros((4, T - q2, K)), q2=q2)
+    fut = FutureExogenous(np.zeros((H, 0)), rng.standard_normal((H, 2)), ys[:, T:])
+    rows, d_hat = _joint_rows(mp, sp, sf, q2, fut, H)
+    assert rows.shape == (4, T - q2 + H, 2 + K)
+    history = d_residual_matrix(sp.ys, A, q2)
+    future = d_residual_matrix(ys[:, T - q2:], A, q2)
+    assert d_hat.tobytes() == np.concatenate([history, future], axis=1).tobytes()
+    assert rows[..., 2:].tobytes() == d_hat.tobytes()
+    assert (rows[0, :, :2] == np.concatenate([mp.x[q2:], fut.x_future])).all()
 
 
 def test_d_residual_hand_value():

@@ -5,13 +5,20 @@ from hypothesis.extra import numpy as hnp
 
 from surrocast import (
     ArxFit,
+    BootstrapConfig,
     FutureExogenous,
     InsufficientSample,
+    InvalidData,
     JointFit,
     Method,
     MissingExogenous,
+    MonthlyPanel,
+    PanelMismatch,
     SurrogateFit,
     benchmark_dgp,
+    bj_interval_estimated,
+    boot_interval,
+    fit_arx,
     fit_joint,
     forecast_arx,
     forecast_ave,
@@ -20,7 +27,9 @@ from surrocast import (
     generate,
 )
 
-from surrocast.forecasting import _ar_recursion, _driver
+from surrocast.estimation import _driver
+from surrocast.forecasting import _ar_recursion
+from surrocast.simulation import _member
 
 from conftest import build_panels
 
@@ -115,21 +124,82 @@ def test_arx_labels_ar_without_covariates():
 @pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("d,p", [(0, 0), (0, 2), (1, 0), (2, 3)])
 def test_driver_equals_hand_written_sums(K, d, p):
-    # the expressions forecast_joint, forecast_arx and boot_interval used to
-    # write out: byte-identical, one block order and one float order
+    # rows @ coef, one product, against the block sums z @ theta + x @ delta
+    # (+ d_hat @ gamma) that the forecasts and the bootstrap used to write
+    # out: the two differ only in the order of the sum, so by at most the
+    # rounding bound 2 gamma_m sum_i |r_i c_i| of two m-term dot products
     rng = np.random.default_rng(10 * K + d + p)
-    n = 40
-    z, x, dh = (rng.standard_normal((n, w)) for w in (d, p, K))
-    theta, delta, gamma = (rng.standard_normal(w) for w in (d, p, K))
-    three = z @ theta + x @ delta + dh @ gamma
-    assert _driver((z, x, dh), (theta, delta, gamma)).tobytes() == three.tobytes()
-    two = z @ theta + x @ delta
-    assert _driver((z, x), (theta, delta)).tobytes() == two.tobytes()
-    fixed = np.hstack([z, x, dh])
-    hist = (fixed[:, :d] @ theta + fixed[:, d:d + p] @ delta
-            + fixed[:, d + p:] @ gamma)
-    split = np.split(fixed, [d, d + p], axis=1)
-    assert _driver(split, (theta, delta, gamma)).tobytes() == hist.tobytes()
+    n, Q = 40, 3
+    z, x, dh = (rng.standard_normal((Q, n, w)) for w in (d, p, K))
+    theta, delta, gamma = (rng.standard_normal((Q, w)) for w in (d, p, K))
+    jf = JointFit(alpha_hat=np.zeros((Q, 1)), theta_hat=theta, delta_hat=delta,
+                  gamma_hat=gamma, sigma_e_hat=np.ones(Q), residuals=np.zeros((Q, 3)),
+                  d_hat=dh, q1=1, q2=1)
+    arx = ArxFit(alpha_hat=np.zeros((Q, 1)), theta_hat=theta, beta_hat=delta,
+                 sigma_e_hat=np.ones(Q), residuals=np.zeros((Q, 3)), q1=1)
+
+    def block_sum(blocks, coefs):
+        return sum((b @ c[..., None])[..., 0] for b, c in zip(blocks, coefs))
+
+    for fit, blocks, coefs in ((jf, (z, x, dh), (theta, delta, gamma)),
+                               (arx, (z, x), (theta, delta))):
+        rows = np.concatenate(blocks, axis=-1)
+        coef = np.concatenate(coefs, axis=-1)
+        got = _driver(rows, fit)
+        m = rows.shape[-1]
+        scale = (np.abs(rows) @ np.abs(coef)[..., None])[..., 0]
+        bound = 2 * m * np.finfo(float).eps * scale
+        assert np.all(np.abs(got - block_sum(blocks, coefs)) <= bound)
+        # each member keeps the bits of its one-series call
+        for i in range(Q):
+            assert _driver(rows[i], _member(fit, i)).tobytes() == got[i].tobytes()
+
+
+@pytest.fixture(scope="module")
+def horizon_calls():
+    """Every public entry point that takes a forecast horizon, as a
+    function of H alone."""
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=40), 2)
+    mp_tr, sp_tr = mp.slice(0, 32), sp.slice(0, 32)
+    jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
+    arx = fit_arx(mp_tr.y, 2, x=mp_tr.x)
+    fut = FutureExogenous(mp.z[32:], mp.x[32:], sp.ys[32:])
+    joint = (jf, sf, mp_tr, sp_tr, fut)
+    return {
+        "forecast_joint": lambda H: forecast_joint(*joint, H),
+        "forecast_arx": lambda H: forecast_arx(arx, mp_tr.y, fut, H),
+        "forecast_rw": lambda H: forecast_rw(mp_tr.y, H),
+        "forecast_ave": lambda H: forecast_ave(mp_tr.y, H),
+        "bj_interval_estimated": lambda H: bj_interval_estimated(*joint, H, 0.05),
+        "boot_interval": lambda H: boot_interval(*joint, H, BootstrapConfig(B=100),
+                                                 0.05),
+    }
+
+
+@pytest.mark.parametrize("H", [0, -1, 2.0, np.float64(2.0), True, "2", None])
+@pytest.mark.parametrize("entry", ["forecast_joint", "forecast_arx", "forecast_rw",
+                                   "forecast_ave", "bj_interval_estimated",
+                                   "boot_interval"])
+def test_every_forecast_rejects_a_bad_horizon(horizon_calls, entry, H):
+    with pytest.raises(InvalidData, match="H must be"):
+        horizon_calls[entry](H)
+    horizon_calls[entry](np.int64(2))
+
+
+def test_future_block_rejects_a_scalar():
+    with pytest.raises(InvalidData, match="z_future must be an"):
+        FutureExogenous(np.float64(1.0), np.zeros((2, 0)), np.zeros((2, 1)))
+
+
+def test_joint_rejects_panels_with_other_covariates_than_the_fit():
+    # the history's covariate widths define the rows; a fit of other widths
+    # is a PanelMismatch, not a shape error inside the driver's product
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=40), 3)
+    jf, sf = fit_joint(mp.slice(0, 32), sp.slice(0, 32), 2, 1)
+    wide = MonthlyPanel(mp.times, mp.y, mp.z, np.hstack([mp.x, mp.x[:, :1]]))
+    fut = FutureExogenous(wide.z[32:], wide.x[32:], sp.ys[32:])
+    with pytest.raises(PanelMismatch, match="6 covariates for a fit of 5"):
+        forecast_joint(jf, sf, wide.slice(0, 32), sp.slice(0, 32), fut, 4)
 
 
 def test_history_shorter_than_ar_order_rejected():

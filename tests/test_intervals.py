@@ -29,13 +29,12 @@ from surrocast import (
     forecast_joint,
     generate,
 )
-from surrocast.estimation import (RANK_TOL, _design, _full_rank, _full_rank_r,
-                                  d_residual_matrix)
-from surrocast.forecasting import _ar_recursion, _future_rows
+from surrocast.estimation import (RANK_TOL, _design, _fitted_design, _full_rank,
+                                  _full_rank_r, d_residual_matrix)
+from surrocast.forecasting import _ar_recursion
 from surrocast.intervals import (
     _batched_refit,
     _empirical_quantile,
-    _fitted_design,
     _joint_forecast_gradient,
     _psi_weights,
     _z,
@@ -250,6 +249,16 @@ def test_boot_config_seed_tuple():
             BootstrapConfig(seed=seed)
 
 
+def _split_future_rows(fut, H, sf, sp):
+    """The future rows (z, x, d_hat) of months T+1..T+H, d_hat from its own
+    d_residual_matrix call on the last q2 history months and the future
+    surrogate rows."""
+    ys = np.concatenate([sp.ys[..., sp.T - sf.q2:, :], fut.ys_future[..., :H, :]],
+                        axis=-2)
+    return (fut.z_future[..., :H, :], fut.x_future[..., :H, :],
+            d_residual_matrix(ys, sf.A_hat, sf.q2))
+
+
 def _lstsq_keeps(design, response):
     """The SVD rank rule (gelsd's, through lstsq) on one design; the
     coefficients when it keeps."""
@@ -268,7 +277,7 @@ def _reference_boot(jf, sf, mp, sp, fut, H, cfg, alpha):
     q1, q2, T = jf.q1, jf.q2, mp.T
     centered = jf.residuals - jf.residuals.mean()
     d_used = jf.d_hat[q1 - q2:]
-    z_fut, x_fut, d_fut = _future_rows(fut, H, mp.d, mp.p, sf, sp)
+    z_fut, x_fut, d_fut = _split_future_rows(fut, H, sf, sp)
     n_total = T + H
     driver = np.zeros(n_total)
     driver[q1:T] = (mp.z[q1:] @ jf.theta_hat
@@ -772,10 +781,19 @@ def _with_coef(jf, coef):
         delta_hat=coef[q1 + d:q1 + d + p], gamma_hat=coef[q1 + d + p:])
 
 
+def _gradient(jf, sf, mp, sp, fut, H):
+    """Joint point forecasts and their gradient, formed as
+    bj_interval_estimated forms them."""
+    n = mp.T - jf.q1
+    rows = _fitted_design(jf, sf, mp, sp, fut, H)[1]
+    point = forecast_joint(jf, sf, mp, sp, fut, H).point
+    return point, _joint_forecast_gradient(jf, mp.y, point, rows[..., n:, :])
+
+
 def test_estimated_gradient_matches_finite_difference():
     jf, sf, mp, sp, fut, _ = _fitted_setup()
     H, eps = 8, 1e-6
-    point, grad = _joint_forecast_gradient(jf, sf, mp, sp, fut, H)
+    point, grad = _gradient(jf, sf, mp, sp, fut, H)
     coef = _joint_coef(jf)
     fd = np.empty_like(grad)
     for k in range(coef.shape[0]):
@@ -793,7 +811,7 @@ def _loop_gradient(jf, sf, mp, sp, fut, H):
     """The former gradient loop: g_h = r_h + sum_l alpha_l g_{h-l}, by row."""
     q1 = jf.q1
     point = forecast_joint(jf, sf, mp, sp, fut, H).point
-    cov_rows = np.hstack(_future_rows(fut, H, mp.d, mp.p, sf, sp))
+    cov_rows = np.hstack(_split_future_rows(fut, H, sf, sp))
     path = np.concatenate([mp.y[-q1:], point])
     grad = np.empty((H, q1 + cov_rows.shape[1]))
     for h in range(H):
@@ -814,7 +832,7 @@ def test_estimated_gradient_matches_loop_oracle(q1):
         mp_tr, sp_tr = mp.slice(0, 48), sp.slice(0, 48)
         jf, sf = fit_joint(mp_tr, sp_tr, q1, 1)
         fut = FutureExogenous(mp.z[48:], mp.x[48:], sp.ys[48:])
-        _, grad = _joint_forecast_gradient(jf, sf, mp_tr, sp_tr, fut, 12)
+        _, grad = _gradient(jf, sf, mp_tr, sp_tr, fut, 12)
         ref = _loop_gradient(jf, sf, mp_tr, sp_tr, fut, 12)
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.abs(grad - ref) <= 1e-13 * scale)
@@ -865,10 +883,10 @@ def test_estimated_rejects_mispaired_panels():
 def _former_estimated_interval(jf, sf, mp, sp, fut, H, alpha):
     """The former one-series bj_interval_estimated: its own QR of X and a
     triangular solve of R'u = g, so that u'u = g'(X'X)^{-1}g."""
-    X = _fitted_design(jf, sf, mp, sp)
+    X = _fitted_design(jf, sf, mp, sp)[0]
     n, m = X.shape
     s2 = float(jf.residuals @ jf.residuals) / (n - m)
-    point, grad = _joint_forecast_gradient(jf, sf, mp, sp, fut, H)
+    point, grad = _gradient(jf, sf, mp, sp, fut, H)
     u = np.linalg.solve(np.linalg.qr(X, mode="r").T, grad.T)
     half = _z(alpha) * np.sqrt(
         s2 * (_psi_weights(jf.alpha_hat, H)**2 + np.sum(u**2, axis=0)))
@@ -882,12 +900,12 @@ def test_estimated_batch_matches_one_series_calls(q1, H):
     # and those stay within 1e-12 of the former QR-and-solve form
     batch = _fitted_batch(q1=q1, H=H)
     iv = bj_interval_estimated(*batch, H, 0.05)
-    point, grad = _joint_forecast_gradient(*batch, H)
+    point, grad = _gradient(*batch, H)
     assert iv.lower.shape == (4, H) and grad.shape == (4, H, q1 + 5)
     for i in range(4):
         one = _members(batch, i)
         iv_one = bj_interval_estimated(*one, H, 0.05)
-        point_one, grad_one = _joint_forecast_gradient(*one, H)
+        point_one, grad_one = _gradient(*one, H)
         assert iv.lower[i].tobytes() == iv_one.lower.tobytes()
         assert iv.upper[i].tobytes() == iv_one.upper.tobytes()
         assert point[i].tobytes() == point_one.tobytes()

@@ -39,7 +39,7 @@ from surrocast import (
     select_ar_order,
     standardize_cpi,
 )
-from surrocast import simulation
+from surrocast import intervals, simulation
 from surrocast.estimation import companion_matrix
 
 
@@ -159,16 +159,17 @@ def test_linear_recursion_matches_direct_loop(case, n):
     assert np.max(np.abs(scan - loop)) <= 1e-12 * (1.0 + np.max(np.abs(loop)))
 
 
-def test_generate_matches_model_equations():
+def test_generate_matches_model_equations(monkeypatch):
     # one state-space draw equals the model written out month by month:
     # ys_t = A ys_{t-1} + B_S x_t + e_t and y_t = alpha'y_lags + beta'x_t + e_t,
-    # here with a Jordan-block surrogate matrix, which has no eigenbasis
+    # here with a Jordan-block surrogate matrix, which has no eigenbasis;
+    # without a burn-in, so that the loop sees every drawn month
+    monkeypatch.setattr(simulation, "_BURN_IN", 0)
     A = np.array([[0.5, 1.0], [0.0, 0.5]])
     beta, B_S = np.array([0.7, -0.2]), np.array([[0.1, 0.3], [-0.2, 0.4]])
     alpha = np.array([0.5, -0.3])
     spec = DgpSpec(alpha=alpha, beta=beta, A_S=A[None], B_S=B_S,
-                   Sigma=np.eye(3), T=300, x_gen=Ar1Spec(2, phi=0.6, scale=2.0),
-                   burn_in=0)
+                   Sigma=np.eye(3), T=300, x_gen=Ar1Spec(2, phi=0.6, scale=2.0))
     mp, sp, truth = generate(spec, 3)
     x, eps = mp.x, truth.eps
     ys, y = np.zeros((300, 2)), np.zeros(300)
@@ -389,6 +390,25 @@ def test_every_traced_name_resolves(monkeypatch):
         mod = importlib.import_module(mod_name)
         missing = [attr for attr in attrs if not callable(getattr(mod, attr, None))]
         assert missing == [], f"{mod_name} lacks {missing}"
+
+
+def test_joint_intervals_reach_the_traced_forecast(monkeypatch):
+    # the tracer times the joint intervals' point forecasts by wrapping
+    # surrocast.intervals.forecast_joint; an interval that forecast by
+    # another route would drop them from the traced forecasting layer
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=40), 2)
+    mp_tr, sp_tr = mp.slice(0, 32), sp.slice(0, 32)
+    jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
+    fut = FutureExogenous(mp.z[32:], mp.x[32:], sp.ys[32:])
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        intervals.bj_interval_estimated(jf, sf, mp_tr, sp_tr, fut, 4, 0.05)
+        intervals.boot_interval(jf, sf, mp_tr, sp_tr, fut, 4, BootstrapConfig(B=100),
+                                0.05)
+    finally:
+        tracer.remove()
+    assert tracer.calls()["forecasting.forecast_joint"] == 2
 
 
 def test_experiment_reaches_every_traced_layer(monkeypatch):

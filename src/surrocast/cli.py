@@ -10,6 +10,7 @@ with 2. A file error's code is the name of its OSError subclass.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import re
@@ -23,41 +24,53 @@ from .errors import (
     PanelMismatch,
     SurrocastError,
 )
-from .estimation import (
-    _fitted_design,
-    fit_arx,
-    fit_joint,
-    joint_fit_from_dict,
-    joint_fit_to_dict,
-    residual_pairs,
-)
-from .forecasting import (
-    FutureExogenous,
-    forecast_arx,
-    forecast_ave,
-    forecast_joint,
-    forecast_rw,
-)
-from .intervals import (BootstrapConfig, bj_interval, boot_interval,
-                        efficiency_gain)
-from .panels import (
-    aggregate_daily,
-    read_daily_csv,
-    read_monthly_csv,
-    read_surrogate_csv,
-    standardize_cpi,
-    standardize_z,
-    write_surrogate_csv,
-    _parse_float,
-    _parse_month,
-    _read_rows,
-    _read_table,
-    _write_csv,
-)
-from .selection import correlation_pursuit
-from .simulation import VARIANTS, ExperimentGrid, run_experiment
 
 __all__ = ["main"]
+
+# The names the subcommands call, by the submodule that defines them, and
+# the submodules each subcommand calls into. None is imported at start-up:
+# a submodule's names become globals of this module when one of them is
+# first looked up as an attribute (__getattr__, as a tracer does before it
+# patches them) or when main dispatches a subcommand that uses it. A name
+# already bound, such as a wrapper patched in before main, is left alone.
+_LAZY = {
+    "panels": ("aggregate_daily", "read_daily_csv", "read_monthly_csv",
+               "read_surrogate_csv", "standardize_cpi", "standardize_z",
+               "write_surrogate_csv", "_parse_float", "_parse_month", "_read_rows",
+               "_read_table", "_write_csv"),
+    "estimation": ("_fitted_design", "fit_arx", "fit_joint", "joint_fit_from_dict",
+                   "joint_fit_to_dict", "residual_pairs"),
+    "forecasting": ("FutureExogenous", "forecast_arx", "forecast_ave",
+                    "forecast_joint", "forecast_rw"),
+    "intervals": ("BootstrapConfig", "bj_interval", "boot_interval", "efficiency_gain"),
+    "selection": ("correlation_pursuit",),
+    "simulation": ("ExperimentGrid", "run_experiment"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+_COMMAND_MODULES = {
+    "aggregate-daily": ("panels",),
+    "standardize": ("panels",),
+    "fit": ("panels", "estimation"),
+    "forecast": ("panels", "estimation", "forecasting"),
+    "interval": ("panels", "estimation", "forecasting", "intervals"),
+    "select": ("panels", "selection"),
+    "efficiency": ("intervals",),
+    "simulate": ("simulation",),
+}
+
+
+def _bind(module: str) -> None:
+    """Import a submodule and bind its names of _LAZY not yet bound here."""
+    mod = importlib.import_module(f"{__package__}.{module}")
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
 
 
 # argparse type= converters: a malformed value is a usage error (exit 2).
@@ -84,6 +97,16 @@ _floats = _converter(_split(float), lambda vs: all(map(math.isfinite, vs)),
 _ints = _converter(_split(int), lambda vs: True, "comma-separated integers")
 _finite_float = _converter(float, math.isfinite, "a finite number")
 _positive_int = _converter(int, lambda v: v >= 1, "a positive integer")
+
+
+def _variant(text: str) -> str:
+    """A name of simulation.VARIANTS. Only simulate parses one, so the
+    simulator is imported here rather than with the parser."""
+    from .simulation import VARIANTS
+    if text not in VARIANTS:
+        raise argparse.ArgumentTypeError(
+            f"expected one of {', '.join(VARIANTS)}, got {text!r}")
+    return text
 
 
 def _matrix(text: str) -> np.ndarray:
@@ -318,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated holdout horizons")
     p.add_argument("--Q", type=int, default=500, help="repetitions per cell")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--variant", choices=VARIANTS,
-                   default="base", help="robustness scenario")
+    p.add_argument("--variant", type=_variant, default="base",
+                   help="robustness scenario (default base)")
     p.add_argument("--B", type=int, default=500,
                    help="bootstrap replicates per repetition")
     p.add_argument("--alpha", type=float, default=0.05, help="interval miss rate")
@@ -332,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-intervals", action="store_true",
                    help="point-forecast metrics only")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="parallel worker processes (same output as 1)")
+                   help="parallel worker processes (same output as 1); the pool "
+                        "takes about 0.05 s to start, so 1 is faster on small runs")
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=_cmd_simulate)
 
@@ -396,6 +420,8 @@ def _is_numeric(text: str) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
+    for module in _COMMAND_MODULES[args.command]:
+        _bind(module)
     try:
         return args.func(args)
     except (SurrocastError, OSError) as err:

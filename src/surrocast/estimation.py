@@ -167,12 +167,18 @@ def _triangularize(aug: np.ndarray, m: int
     into Q. Raises RankDeficient, listing the near-collinear columns of the
     first failing design, when an R factor fails the rank rule
     (_full_rank_r, whose back substitution also gives R^-1 and the
-    coefficients), and InvalidData when a design holds NaN or Inf."""
+    coefficients), and InvalidData when a design or a right-hand side holds
+    NaN or Inf: a full-rank design passes a non-finite rhs on to its
+    coefficients, which are checked instead of the data."""
     Rr = np.linalg.qr(aug, mode="r")
     R, Qty = Rr[..., :m, :m], Rr[..., :m, m:]
     kept, _, R_inv, coef = _full_rank_r(R, Qty)
     if not kept.all():
         raise _rank_deficient(aug[np.unravel_index(np.argmin(kept), kept.shape)][:, :m])
+    finite = np.isfinite(coef).all(axis=(-2, -1))
+    if not finite.all():
+        raise InvalidData("response holds NaN or Inf" + _member_name(
+            finite.shape, np.argmin(finite)))
     return R, Qty, R_inv, coef
 
 

@@ -1,5 +1,9 @@
+import argparse
+import builtins
 import contextlib
 import csv
+import dis
+import importlib
 import io
 import json
 import os
@@ -7,6 +11,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -756,16 +761,21 @@ def test_usage_error_exit_code():
 _OUTSIDE_MODULES = """
 import json, sys
 at_start = set(sys.modules)  # __main__ and what the site hooks loaded
-import surrocast, surrocast.cli
 # numpy.random's Cython extensions register cython_runtime and _cython_<version>
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "surrocast", "cython_runtime"}
 def loaded():
-    return sorted(m for m in sys.modules if m not in at_start
-                  and m.split(".")[0] not in ALLOWED and not m.startswith("_cython_"))
-seen = {"import": loaded()}
-for argv in json.loads(sys.argv[1]):
+    new = [m for m in sys.modules if m not in at_start]
+    return {"outside": sorted(m for m in new if m.split(".")[0] not in ALLOWED
+                              and not m.startswith("_cython_")),
+            "surrocast": sorted(m for m in new if m.split(".")[0] == "surrocast"),
+            "numpy": "numpy" in sys.modules}
+import surrocast
+seen = {"import surrocast": loaded()}
+import surrocast.cli
+seen["import surrocast.cli"] = loaded()
+for label, argv in json.loads(sys.argv[1]):
     assert surrocast.cli.main(argv) == 0, argv
-    seen[argv[0] + " " + " ".join(argv[1:3])] = loaded()
+    seen[label] = loaded()
 print(json.dumps(seen))
 """
 
@@ -774,32 +784,132 @@ def test_data_commands_do_not_import_scipy(workspace):
     # importing scipy.stats cost about 1.2 s of every command's start-up;
     # the package, the data commands and the simulator must load no module
     # outside the standard library, numpy and surrocast (scipy is only the
-    # tests' oracle)
+    # tests' oracle). Within surrocast, a bare import loads no numpy and
+    # each command loads only the modules it runs: the commands run in one
+    # process, in an order where each adds the modules the last did not.
     ws, d = workspace, workspace["dir"]
     _write_daily(d / "daily.csv", [[f"2021-01-{k:02d}", repr(k / 31)]
                                    for k in range(1, 32)])
+    _write_two_col(d / "raw.csv", [99.0, 101.0, 100.5])
     common = ["--fit", str(d / "fit.json"), "--monthly", ws["monthly"],
               "--surrogate", ws["surrogate"], "--future", ws["future"],
               "--horizon", str(ws["horizon"])]
     commands = [
-        ["efficiency", "--sigma-tt", "1.0", "--rho", "0.3"],
-        ["aggregate-daily", "--daily", str(d / "daily.csv"), "--out", str(d / "s.csv")],
-        _fit_args(ws, d / "fit.json"),
-        ["forecast", *common, "--out", str(d / "fc.csv")],
-        ["interval", "--method", "bj", *common, "--out", str(d / "bj.csv")],
-        ["interval", "--method", "boot", "--B", "100", *common,
-         "--out", str(d / "boot.csv")],
-        ["select", "--monthly", ws["monthly"], "--out", str(d / "sel.csv")],
-        ["simulate", "--rho-grid", "0.2", "--H-grid", "8", "--Q", "2",
-         "--B", "100", "--out", str(d / "sim.csv")],
+        ("aggregate-daily", ["aggregate-daily", "--daily", str(d / "daily.csv"),
+                             "--out", str(d / "s.csv")], ["panels"]),
+        ("standardize", ["standardize", "--input", str(d / "raw.csv"),
+                         "--out", str(d / "std.csv")], []),
+        ("fit", _fit_args(ws, d / "fit.json"), ["estimation"]),
+        ("forecast", ["forecast", *common, "--out", str(d / "fc.csv")], ["forecasting"]),
+        ("interval bj", ["interval", "--method", "bj", *common,
+                         "--out", str(d / "bj.csv")], ["intervals"]),
+        ("interval boot", ["interval", "--method", "boot", "--B", "100", *common,
+                           "--out", str(d / "boot.csv")], []),
+        ("select", ["select", "--monthly", ws["monthly"], "--out", str(d / "sel.csv")],
+         ["selection"]),
+        ("efficiency", ["efficiency", "--sigma-tt", "1.0", "--rho", "0.3"], []),
+        ("simulate", ["simulate", "--rho-grid", "0.2", "--H-grid", "8", "--Q", "2",
+                      "--B", "100", "--out", str(d / "sim.csv")], ["simulation"]),
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", _OUTSIDE_MODULES,
-                           json.dumps(commands)],
+                           json.dumps([(label, argv) for label, argv, _ in commands])],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert len(seen) == 1 + len(commands)
-    assert all(modules == [] for modules in seen.values()), seen
+    assert len(seen) == 2 + len(commands)
+    assert all(step["outside"] == [] for step in seen.values()), seen
+    assert seen["import surrocast"]["surrocast"] == ["surrocast", "surrocast.errors"]
+    assert not seen["import surrocast"]["numpy"]
+    before = ["surrocast", "surrocast.cli", "surrocast.errors"]
+    assert seen["import surrocast.cli"]["surrocast"] == before
+    for label, _, adds in commands:
+        after = seen[label]["surrocast"]
+        assert sorted(set(after) - set(before)) == [f"surrocast.{m}" for m in adds], label
+        before = after
+
+
+# ---------------------------------------------------------------------------
+# lazy names: the package's public names and the CLI's globals
+# ---------------------------------------------------------------------------
+
+def test_package_names_resolve_lazily():
+    import surrocast
+    for name in surrocast.__all__:
+        if name == "errors" or name in surrocast._PUBLIC:
+            want = importlib.import_module(f"surrocast.{name}")
+        else:
+            want = getattr(importlib.import_module(
+                "surrocast." + surrocast._MODULE_OF.get(name, "errors")), name)
+        assert getattr(surrocast, name) is want, name
+    assert set(surrocast.__all__) <= set(dir(surrocast))
+    namespace = {}
+    exec("from surrocast import *", namespace)
+    assert {name: namespace[name] for name in surrocast.__all__} == {
+        name: getattr(surrocast, name) for name in surrocast.__all__}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        surrocast.no_such_name
+    with pytest.raises(ImportError):
+        exec("from surrocast import no_such_name", {})
+
+
+def test_cli_lazy_names_resolve():
+    import surrocast.cli as cli
+    for name, module in cli._MODULE_OF.items():
+        assert getattr(cli, name) is getattr(
+            importlib.import_module(f"surrocast.{module}"), name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+def _globals_read(code):
+    """Names a code object, and the code nested in it, loads as globals."""
+    for ins in dis.get_instructions(code):
+        if ins.opname == "LOAD_GLOBAL":
+            yield ins.argval
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _globals_read(const)
+
+
+def test_every_command_binds_the_globals_it_reads():
+    # main binds only the dispatched command's modules, so a global read by a
+    # rarely run command (or a helper it calls) that its modules do not bind
+    # would first show as a NameError in that command
+    import surrocast.cli as cli
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(cli._COMMAND_MODULES)
+    assert {name for name in vars(cli) if name.startswith("_cmd_")} == {
+        "_cmd_" + command.replace("-", "_") for command in commands}
+    for command, modules in cli._COMMAND_MODULES.items():
+        todo, seen = [getattr(cli, "_cmd_" + command.replace("-", "_"))], set()
+        while todo:
+            for name in set(_globals_read(todo.pop().__code__)) - seen:
+                seen.add(name)
+                if name in cli._MODULE_OF:
+                    assert cli._MODULE_OF[name] in modules, (command, name)
+                    continue
+                value = vars(cli).get(name, getattr(builtins, name, None))
+                assert value is not None, (command, name)
+                if isinstance(value, types.FunctionType) and value.__module__ == cli.__name__:
+                    todo.append(value)
+
+
+def test_wrapper_patched_before_main_is_called(workspace, monkeypatch):
+    # a tracer replaces the CLI's globals before main runs; binding the
+    # command's names at dispatch must keep the wrapper
+    import surrocast.cli as cli
+    calls = []
+    fit_joint = cli.fit_joint
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fit_joint(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_joint", counting)
+    assert main(_fit_args(workspace, workspace["dir"] / "fit.json")) == 0
+    assert len(calls) == 1

@@ -89,6 +89,26 @@ def test_non_finite_design_raises_invalid_data(rng):
         ols_solve(design, rng.standard_normal((2, 3, 30)))
 
 
+def test_non_finite_response_raises_invalid_data(rng):
+    # the last month is response only, never a lag, so its NaN passes the
+    # rank rule on R and reaches only the coefficients; it must not fit
+    y = rng.standard_normal((3, 40))
+    y[1, -1] = np.nan
+    for fit in (lambda y: fit_arx(y, 2), lambda y: select_ar_order(y, 3)):
+        with pytest.raises(InvalidData, match=r"response holds NaN or Inf \(member 1\)"):
+            fit(y)
+        with pytest.raises(InvalidData, match=r"response holds NaN or Inf$"):
+            fit(y[1])
+        fit(y[[0, 2]])
+    design = rng.standard_normal((2, 3, 30, 4))
+    response = rng.standard_normal((2, 3, 30))
+    response[1, 2, 5] = -np.inf
+    with pytest.raises(InvalidData, match=r"response holds NaN or Inf \(member 1, 2\)"):
+        ols_solve(design, response)
+    with pytest.raises(InvalidData, match=r"response holds NaN or Inf$"):
+        ols_solve(design[1, 2], response[1, 2])
+
+
 def test_ols_batch_rank_deficient_member(rng):
     design = rng.standard_normal((5, 20, 3))
     design[2, :, 2] = design[2, :, 0]

@@ -14,23 +14,8 @@ modules it runs.
 
 import importlib as _importlib
 
-from .errors import (
-    BaselineDegenerate,
-    BootstrapUnstable,
-    DataError,
-    DegenerateSeries,
-    InsufficientSample,
-    InvalidCovariance,
-    InvalidData,
-    MissingExogenous,
-    MissingPeriod,
-    NonStationarySpec,
-    NumericalError,
-    PanelMismatch,
-    PenaltyUndefined,
-    RankDeficient,
-    SurrocastError,
-)
+from . import errors
+from .errors import *  # noqa: F403 (the error classes, errors.__all__)
 
 __version__ = "0.1.0"
 
@@ -55,6 +40,7 @@ _PUBLIC = {
         "SurrogateFit",
         "companion_matrix",
         "d_residual_matrix",
+        "efficiency_gain",
         "fit_arx",
         "fit_joint",
         "fit_joint_step2",
@@ -80,7 +66,6 @@ _PUBLIC = {
         "bj_interval_estimated",
         "boot_interval",
         "companion_weight",
-        "efficiency_gain",
     ),
     "selection": (
         "SelectionResult",
@@ -107,21 +92,7 @@ _PUBLIC = {
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
 
 __all__ = [
-    "BaselineDegenerate",
-    "BootstrapUnstable",
-    "DataError",
-    "DegenerateSeries",
-    "InsufficientSample",
-    "InvalidCovariance",
-    "InvalidData",
-    "MissingExogenous",
-    "MissingPeriod",
-    "NonStationarySpec",
-    "NumericalError",
-    "PanelMismatch",
-    "PenaltyUndefined",
-    "RankDeficient",
-    "SurrocastError",
+    *errors.__all__,
     *_MODULE_OF,
     # the submodules, which a star import binds too
     "errors",

@@ -2,9 +2,10 @@
 
 Every subcommand is a pure function of its inputs, flags, and seed: reruns
 produce byte-identical outputs. Failures print one machine-readable JSON line
-on stderr (fields ``code`` and ``detail``) and exit with status 3 for data
-and file errors or 4 for numerical errors; argparse reports usage errors
-with 2. A file error's code is the name of its OSError subclass.
+on stderr (fields ``code`` and ``detail``) and exit with status 3 for data,
+file and memory errors or 4 for numerical errors; argparse reports usage
+errors with 2. A file error's code is the name of its OSError subclass, and
+a request too large to allocate has code MemoryError.
 """
 
 from __future__ import annotations
@@ -27,50 +28,28 @@ from .errors import (
 
 __all__ = ["main"]
 
-# The names the subcommands call, by the submodule that defines them, and
-# the submodules each subcommand calls into. None is imported at start-up:
-# a submodule's names become globals of this module when one of them is
-# first looked up as an attribute (__getattr__, as a tracer does before it
-# patches them) or when main dispatches a subcommand that uses it. A name
-# already bound, such as a wrapper patched in before main, is left alone.
-_LAZY = {
-    "panels": ("aggregate_daily", "read_daily_csv", "read_monthly_csv",
-               "read_surrogate_csv", "standardize_cpi", "standardize_z",
-               "write_surrogate_csv", "_parse_float", "_parse_month", "_read_rows",
-               "_read_table", "_write_csv"),
-    "estimation": ("_fitted_design", "fit_arx", "fit_joint", "joint_fit_from_dict",
-                   "joint_fit_to_dict", "residual_pairs"),
-    "forecasting": ("FutureExogenous", "forecast_arx", "forecast_ave",
-                    "forecast_joint", "forecast_rw"),
-    "intervals": ("BootstrapConfig", "bj_interval", "boot_interval", "efficiency_gain"),
-    "selection": ("correlation_pursuit",),
-    "simulation": ("ExperimentGrid", "run_experiment"),
-}
-_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
-_COMMAND_MODULES = {
-    "aggregate-daily": ("panels",),
-    "standardize": ("panels",),
-    "fit": ("panels", "estimation"),
-    "forecast": ("panels", "estimation", "forecasting"),
-    "interval": ("panels", "estimation", "forecasting", "intervals"),
-    "select": ("panels", "selection"),
-    "efficiency": ("intervals",),
-    "simulate": ("simulation",),
-}
-
-
-def _bind(module: str) -> None:
-    """Import a submodule and bind its names of _LAZY not yet bound here."""
-    mod = importlib.import_module(f"{__package__}.{module}")
-    for name in _LAZY[module]:
-        globals().setdefault(name, getattr(mod, name))
+# The subcommands call the library as attributes of this module (_lib.name).
+# The first lookup of a name imports its submodule and binds the name here as
+# a global, so a command loads only the submodules of the names it calls, and
+# a wrapper patched in before main (a tracer's) is what runs. A public name
+# resolves through the package's name table; the CLI-only helpers below name
+# their submodule here.
+_HELPERS = {**dict.fromkeys(("_parse_float", "_parse_month", "_read_rows", "_read_table",
+                             "_write_csv", "write_surrogate_csv"), "panels"),
+            "_fitted_design": "estimation"}
+_lib = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name not in _MODULE_OF:
+    package = sys.modules[__package__]
+    if name in _HELPERS:
+        value = getattr(importlib.import_module(f"{__package__}.{_HELPERS[name]}"), name)
+    elif name in package._MODULE_OF:
+        value = getattr(package, name)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_MODULE_OF[name])
-    return globals()[name]
+    globals()[name] = value
+    return value
 
 
 # argparse type= converters: a malformed value is a usage error (exit 2).
@@ -122,16 +101,16 @@ def _matrix(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cmd_fit(args) -> int:
-    mp = read_monthly_csv(args.monthly)
-    sp = read_surrogate_csv(args.surrogate)
-    jf, sf = fit_joint(mp, sp, args.q1, args.q2)
-    doc = joint_fit_to_dict(jf, sf)
+    mp = _lib.read_monthly_csv(args.monthly)
+    sp = _lib.read_surrogate_csv(args.surrogate)
+    jf, sf = _lib.fit_joint(mp, sp, args.q1, args.q2)
+    doc = _lib.joint_fit_to_dict(jf, sf)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
     if args.residual_pairs:
-        _write_csv(args.residual_pairs, ["e"] + [f"eps_s_{k + 1}" for k in range(sf.K)],
-                   residual_pairs(jf, sf).tolist())
+        header = ["e"] + [f"eps_s_{k + 1}" for k in range(sf.K)]
+        _lib._write_csv(args.residual_pairs, header, _lib.residual_pairs(jf, sf).tolist())
     print(f"fitted joint model (q1={args.q1}, q2={args.q2}) "
           f"on {mp.T} months -> {args.out}")
     return 0
@@ -146,30 +125,30 @@ def _load_fit_and_history(args):
             doc = json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise InvalidData(f"{args.fit}: not a JSON document ({exc})") from None
-    jf, sf = joint_fit_from_dict(doc)
-    mp = read_monthly_csv(args.monthly)
-    sp = read_surrogate_csv(args.surrogate)
-    _fitted_design(jf, sf, mp, sp)
-    months, (z, x, ys) = _read_table(args.future, ("month",), ("z_", "x_", "ys_"))
-    first = _parse_month(mp.times[-1]) + 1
-    if [_parse_month(m) for m in months] != list(range(first, first + len(months))):
+    jf, sf = _lib.joint_fit_from_dict(doc)
+    mp = _lib.read_monthly_csv(args.monthly)
+    sp = _lib.read_surrogate_csv(args.surrogate)
+    _lib._fitted_design(jf, sf, mp, sp)
+    months, (z, x, ys) = _lib._read_table(args.future, ("month",), ("z_", "x_", "ys_"))
+    first = _lib._parse_month(mp.times[-1]) + 1
+    if [_lib._parse_month(m) for m in months] != list(range(first, first + len(months))):
         raise PanelMismatch(f"{args.future}: months {months[0]}..{months[-1]} do not "
                             f"run on consecutively from the history's {mp.times[-1]}")
-    return jf, sf, mp, sp, FutureExogenous(z, x, ys)
+    return jf, sf, mp, sp, _lib.FutureExogenous(z, x, ys)
 
 
 def _cmd_forecast(args) -> int:
     jf, sf, mp, sp, fut = _load_fit_and_history(args)
     H = args.horizon
     forecasts = (
-        forecast_joint(jf, sf, mp, sp, fut, H),
-        forecast_arx(fit_arx(mp.y, jf.q1), mp.y, None, H),
-        forecast_rw(mp.y, H),
-        forecast_ave(mp.y, H),
+        _lib.forecast_joint(jf, sf, mp, sp, fut, H),
+        _lib.forecast_arx(_lib.fit_arx(mp.y, jf.q1), mp.y, None, H),
+        _lib.forecast_rw(mp.y, H),
+        _lib.forecast_ave(mp.y, H),
     )
     rows = [[fc.method.value, h + 1, float(v)]
             for fc in forecasts for h, v in enumerate(fc.point)]
-    _write_csv(args.out, ["method", "h", "point"], rows)
+    _lib._write_csv(args.out, ["method", "h", "point"], rows)
     print(f"wrote {len(rows)} forecast rows -> {args.out}")
     return 0
 
@@ -177,25 +156,25 @@ def _cmd_forecast(args) -> int:
 def _cmd_interval(args) -> int:
     jf, sf, mp, sp, fut = _load_fit_and_history(args)
     H = args.horizon
-    fc = forecast_joint(jf, sf, mp, sp, fut, H)
+    fc = _lib.forecast_joint(jf, sf, mp, sp, fut, H)
     if args.method == "bj":
-        iv = bj_interval(fc, jf, args.alpha)
+        iv = _lib.bj_interval(fc, jf, args.alpha)
     else:
-        cfg = BootstrapConfig(B=args.B, seed=args.seed,
-                              quantile_rule=args.quantile_rule)
-        iv = boot_interval(jf, sf, mp, sp, fut, H, cfg, args.alpha)
+        cfg = _lib.BootstrapConfig(B=args.B, seed=args.seed,
+                                   quantile_rule=args.quantile_rule)
+        iv = _lib.boot_interval(jf, sf, mp, sp, fut, H, cfg, args.alpha)
     rows = [[h + 1, float(fc.point[h]), float(iv.lower[h]), float(iv.upper[h])]
             for h in range(H)]
-    _write_csv(args.out, ["h", "point", "lower", "upper"], rows)
+    _lib._write_csv(args.out, ["h", "point", "lower", "upper"], rows)
     print(f"{args.method} interval at alpha={args.alpha} -> {args.out}")
     return 0
 
 
 def _cmd_select(args) -> int:
-    mp = read_monthly_csv(args.monthly)
+    mp = _lib.read_monthly_csv(args.monthly)
     if mp.p < 1:
         raise InvalidData("selection needs at least one x_ column")
-    res = correlation_pursuit(
+    res = _lib.correlation_pursuit(
         mp.y, mp.x, args.q_max,
         min_decrease=args.min_decrease,
         rerank_each_step=args.rerank,
@@ -205,14 +184,14 @@ def _cmd_select(args) -> int:
         rows.append([step, col + 1, float(aic), 1])
     if res.rejected_aic is not None:
         rows.append([len(res.chosen) + 1, "", float(res.rejected_aic), 0])
-    _write_csv(args.out, ["step", "column", "aic", "accepted"], rows)
+    _lib._write_csv(args.out, ["step", "column", "aic", "accepted"], rows)
     chosen = ", ".join(f"x_{j + 1}" for j in res.chosen) or "(none)"
     print(f"AR order {res.ar_order}; selected columns: {chosen}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    grid = ExperimentGrid(
+    grid = _lib.ExperimentGrid(
         rhos=tuple(args.rho_grid),
         horizons=tuple(args.H_grid),
         variant=args.variant,
@@ -224,7 +203,7 @@ def _cmd_simulate(args) -> int:
         include_boot=not args.skip_boot,
         workers=args.workers,
     )
-    report = run_experiment(grid, args.Q, args.seed)
+    report = _lib.run_experiment(grid, args.Q, args.seed)
     report.to_csv(args.out)
     print(f"{len(report.rows)} report rows (Q={args.Q}) -> {args.out}")
     return 0
@@ -238,32 +217,32 @@ def _cmd_efficiency(args) -> int:
     else:
         sigma_ts = np.full(args.K, args.rho)
         sigma_ss = np.eye(args.K)
-    value = efficiency_gain(args.sigma_tt, sigma_ts, sigma_ss)
+    value = _lib.efficiency_gain(args.sigma_tt, sigma_ts, sigma_ss)
     print(repr(value))
     return 0
 
 
 def _cmd_aggregate_daily(args) -> int:
-    idx = read_daily_csv(args.daily)
-    sp = aggregate_daily(idx, K=args.K)
-    write_surrogate_csv(args.out, sp)
+    idx = _lib.read_daily_csv(args.daily)
+    sp = _lib.aggregate_daily(idx, K=args.K)
+    _lib.write_surrogate_csv(args.out, sp)
     print(f"aggregated {len(idx.dates)} daily rows into {sp.T} months x K={sp.K} "
           f"-> {args.out}")
     return 0
 
 
 def _cmd_standardize(args) -> int:
-    header, rows, lines = _read_rows(args.input)
+    header, rows, lines = _lib._read_rows(args.input)
     if len(header) != 2 or any(len(row) != 2 for row in rows):
         raise InvalidData(f"{args.input}: expected a two-column CSV (label,value)")
-    values = np.array([_parse_float(row[1], f"{args.input}:{line}")
+    values = np.array([_lib._parse_float(row[1], f"{args.input}:{line}")
                        for row, line in zip(rows, lines)])
     if args.mode == "cpi":
-        std = standardize_cpi(values, base=args.base, train_size=args.train_size)
+        std = _lib.standardize_cpi(values, base=args.base, train_size=args.train_size)
     else:
-        std = standardize_z(values, train_size=args.train_size)
-    _write_csv(args.out, header,
-               [[row[0], v] for row, v in zip(rows, std.values.tolist())])
+        std = _lib.standardize_z(values, train_size=args.train_size)
+    _lib._write_csv(args.out, header,
+                    [[row[0], v] for row, v in zip(rows, std.values.tolist())])
     print(json.dumps({"offset": std.offset, "scale": std.scale}, sort_keys=True))
     return 0
 
@@ -420,12 +399,11 @@ def _is_numeric(text: str) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
-    for module in _COMMAND_MODULES[args.command]:
-        _bind(module)
     try:
         return args.func(args)
-    except (SurrocastError, OSError) as err:
-        code = err.code if isinstance(err, SurrocastError) else type(err).__name__
+    except (SurrocastError, OSError, MemoryError) as err:
+        code = (err.code if isinstance(err, SurrocastError)
+                else "MemoryError" if isinstance(err, MemoryError) else type(err).__name__)
         print(json.dumps({"code": code, "detail": str(err)}), file=sys.stderr)
         return 4 if isinstance(err, NumericalError) else 3
 

@@ -6,6 +6,24 @@ including the CLI, can report machine-readable failures.
 
 from __future__ import annotations
 
+__all__ = [
+    "SurrocastError",
+    "DataError",
+    "NumericalError",
+    "DegenerateSeries",
+    "MissingPeriod",
+    "PanelMismatch",
+    "InsufficientSample",
+    "MissingExogenous",
+    "InvalidData",
+    "RankDeficient",
+    "PenaltyUndefined",
+    "BaselineDegenerate",
+    "InvalidCovariance",
+    "NonStationarySpec",
+    "BootstrapUnstable",
+]
+
 
 class SurrocastError(Exception):
     """Base class for all library errors."""

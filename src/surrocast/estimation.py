@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InsufficientSample, InvalidData, MissingExogenous, PanelMismatch,
-                     RankDeficient)
+from .errors import (InsufficientSample, InvalidCovariance, InvalidData, MissingExogenous,
+                     PanelMismatch, RankDeficient)
 from .panels import MonthlyPanel, SurrogatePanel, _require_int, check_aligned
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "residual_pairs",
     "joint_fit_to_dict",
     "joint_fit_from_dict",
+    "efficiency_gain",
 ]
 
 # Relative singular-value cutoff below which a design is treated as singular.
@@ -654,3 +655,42 @@ def joint_fit_from_dict(doc: dict) -> tuple[JointFit, SurrogateFit]:
     sf = SurrogateFit(A_hat=a["A_hat"], B_hat=a["B_hat"],
                       residuals=a["surrogate_residuals"], q2=q2)
     return jf, sf
+
+
+def efficiency_gain(
+    sigma_tt: float, Sigma_ts: np.ndarray, Sigma_ss: np.ndarray
+) -> float:
+    """Prediction-error variance ratio without vs with the surrogate.
+
+    sigma_tt / (sigma_tt - Sigma_ts Sigma_ss^{-1} Sigma_st); always >= 1 for
+    a jointly positive-definite error covariance. The subtracted term is the
+    variance that step two's regression on the surrogate innovations d_t
+    explains, in population.
+    """
+    Sigma_ts = np.atleast_1d(np.asarray(Sigma_ts, dtype=float))
+    Sigma_ss = np.atleast_2d(np.asarray(Sigma_ss, dtype=float))
+    K = Sigma_ts.shape[0]
+    if Sigma_ts.ndim != 1 or Sigma_ss.shape != (K, K):
+        raise InvalidData(
+            f"Sigma_ts of shape {Sigma_ts.shape} needs a ({K}, {K}) Sigma_ss, "
+            f"got {Sigma_ss.shape}"
+        )
+    if not np.isfinite(np.concatenate([[sigma_tt], Sigma_ts, Sigma_ss.ravel()])).all():
+        raise InvalidData("sigma_tt, Sigma_ts and Sigma_ss must be finite")
+    if sigma_tt <= 0.0:
+        raise InvalidCovariance("sigma_tt must be positive")
+    if not np.allclose(Sigma_ss, Sigma_ss.T):
+        raise InvalidCovariance("surrogate covariance must be symmetric")
+    try:
+        chol = np.linalg.cholesky(Sigma_ss)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidCovariance("surrogate covariance is not positive definite") from exc
+    w = np.linalg.solve(chol, Sigma_ts)
+    explained = float(w @ w)
+    denom = sigma_tt - explained
+    if denom <= 0.0:
+        raise InvalidCovariance(
+            "joint covariance is not positive definite "
+            f"(explained {explained:.6g} >= sigma_tt {sigma_tt:.6g})"
+        )
+    return sigma_tt / denom

@@ -1,4 +1,4 @@
-"""Prediction intervals and the surrogate efficiency-gain calculator.
+"""Prediction intervals around the joint and baseline forecasts.
 
 Two constructions are provided: a normal-quantile interval whose width
 accumulates the first-entry powers of the companion matrix, and a residual
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     BootstrapUnstable,
     InsufficientSample,
-    InvalidCovariance,
     InvalidData,
 )
 from .estimation import (
@@ -50,7 +49,6 @@ __all__ = [
     "bj_interval",
     "bj_interval_estimated",
     "boot_interval",
-    "efficiency_gain",
 ]
 
 logger = logging.getLogger(__name__)
@@ -476,40 +474,3 @@ def boot_interval(
             member_errors, (alpha / 2.0, 1.0 - alpha / 2.0), cfg.quantile_rule)
     lower, upper = bounds.reshape((2,) + batch + (H,))
     return IntervalResult(lower=lower, upper=upper, alpha=alpha, kind="boot")
-
-
-def efficiency_gain(
-    sigma_tt: float, Sigma_ts: np.ndarray, Sigma_ss: np.ndarray
-) -> float:
-    """Prediction-error variance ratio without vs with the surrogate.
-
-    sigma_tt / (sigma_tt - Sigma_ts Sigma_ss^{-1} Sigma_st); always >= 1 for
-    a jointly positive-definite error covariance.
-    """
-    Sigma_ts = np.atleast_1d(np.asarray(Sigma_ts, dtype=float))
-    Sigma_ss = np.atleast_2d(np.asarray(Sigma_ss, dtype=float))
-    K = Sigma_ts.shape[0]
-    if Sigma_ts.ndim != 1 or Sigma_ss.shape != (K, K):
-        raise InvalidData(
-            f"Sigma_ts of shape {Sigma_ts.shape} needs a ({K}, {K}) Sigma_ss, "
-            f"got {Sigma_ss.shape}"
-        )
-    if not np.isfinite(np.concatenate([[sigma_tt], Sigma_ts, Sigma_ss.ravel()])).all():
-        raise InvalidData("sigma_tt, Sigma_ts and Sigma_ss must be finite")
-    if sigma_tt <= 0.0:
-        raise InvalidCovariance("sigma_tt must be positive")
-    if not np.allclose(Sigma_ss, Sigma_ss.T):
-        raise InvalidCovariance("surrogate covariance must be symmetric")
-    try:
-        chol = np.linalg.cholesky(Sigma_ss)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidCovariance("surrogate covariance is not positive definite") from exc
-    w = np.linalg.solve(chol, Sigma_ts)
-    explained = float(w @ w)
-    denom = sigma_tt - explained
-    if denom <= 0.0:
-        raise InvalidCovariance(
-            "joint covariance is not positive definite "
-            f"(explained {explained:.6g} >= sigma_tt {sigma_tt:.6g})"
-        )
-    return sigma_tt / denom

@@ -1,3 +1,7 @@
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,3 +23,14 @@ def build_panels(y, ys, z=None, x=None, start="2019-01"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """perfbench/tracing.py, loaded without writing bytecode beside it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

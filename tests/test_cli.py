@@ -1,8 +1,5 @@
-import argparse
-import builtins
 import contextlib
 import csv
-import dis
 import importlib
 import io
 import json
@@ -11,13 +8,12 @@ import pathlib
 import re
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surrocast import benchmark_dgp, generate
+from surrocast import benchmark_dgp, efficiency_gain, generate
 from surrocast.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -561,6 +557,17 @@ def test_standardize_train_size_beyond_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_interval_boot_oversized_request_is_memory_error(workspace, capsys):
+    # 1e13 replicates ask numpy for petabytes at once, which fails at once
+    fit = _fitted(workspace)
+    capsys.readouterr()
+    out = workspace["dir"] / "never.csv"
+    assert _interval(workspace, fit, out, "--method", "boot",
+                     "--B", "10000000000000") == 3
+    assert _one_error_code(capsys) == "MemoryError"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the history and future must belong to the fit
 # ---------------------------------------------------------------------------
@@ -780,21 +787,27 @@ print(json.dumps(seen))
 """
 
 
-def test_data_commands_do_not_import_scipy(workspace):
-    # importing scipy.stats cost about 1.2 s of every command's start-up;
-    # the package, the data commands and the simulator must load no module
-    # outside the standard library, numpy and surrocast (scipy is only the
-    # tests' oracle). Within surrocast, a bare import loads no numpy and
-    # each command loads only the modules it runs: the commands run in one
-    # process, in an order where each adds the modules the last did not.
-    ws, d = workspace, workspace["dir"]
+def _python(*args):
+    """A fresh interpreter that imports surrocast from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def _every_command(ws):
+    """(label, argv, the surrocast modules it adds to those of the commands
+    before it) for each subcommand, in an order where each adds the modules
+    the last did not."""
+    d = ws["dir"]
     _write_daily(d / "daily.csv", [[f"2021-01-{k:02d}", repr(k / 31)]
                                    for k in range(1, 32)])
     _write_two_col(d / "raw.csv", [99.0, 101.0, 100.5])
     common = ["--fit", str(d / "fit.json"), "--monthly", ws["monthly"],
               "--surrogate", ws["surrogate"], "--future", ws["future"],
               "--horizon", str(ws["horizon"])]
-    commands = [
+    return [
         ("aggregate-daily", ["aggregate-daily", "--daily", str(d / "daily.csv"),
                              "--out", str(d / "s.csv")], ["panels"]),
         ("standardize", ["standardize", "--input", str(d / "raw.csv"),
@@ -811,12 +824,18 @@ def test_data_commands_do_not_import_scipy(workspace):
         ("simulate", ["simulate", "--rho-grid", "0.2", "--H-grid", "8", "--Q", "2",
                       "--B", "100", "--out", str(d / "sim.csv")], ["simulation"]),
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _OUTSIDE_MODULES,
-                           json.dumps([(label, argv) for label, argv, _ in commands])],
-                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_data_commands_do_not_import_scipy(workspace):
+    # importing scipy.stats cost about 1.2 s of every command's start-up;
+    # the package, the data commands and the simulator must load no module
+    # outside the standard library, numpy and surrocast (scipy is only the
+    # tests' oracle). Within surrocast, a bare import loads no numpy and
+    # each command loads only the modules it runs: the commands run in one
+    # process, in an order where each adds the modules the last did not.
+    commands = _every_command(workspace)
+    proc = _python("-c", _OUTSIDE_MODULES,
+                   json.dumps([(label, argv) for label, argv, _ in commands]))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert len(seen) == 2 + len(commands)
@@ -829,6 +848,25 @@ def test_data_commands_do_not_import_scipy(workspace):
         after = seen[label]["surrocast"]
         assert sorted(set(after) - set(before)) == [f"surrocast.{m}" for m in adds], label
         before = after
+
+
+def test_efficiency_loads_only_panels_and_estimation():
+    # the closed-form gain needs no forecasting or interval code
+    proc = _python("-c", "import json, sys; from surrocast.cli import main; "
+                   "main(['efficiency']); print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert [m for m in loaded if m.startswith("surrocast")] == [
+        "surrocast", "surrocast.cli", "surrocast.errors", "surrocast.estimation",
+        "surrocast.panels"]
+
+
+def test_module_entry_point():
+    # under python -m the CLI module runs as __main__, and its names resolve
+    # through that module
+    proc = _python("-m", "surrocast.cli", "efficiency", "--rho", "0.3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == repr(efficiency_gain(1.0, np.full(3, 0.3), np.eye(3))) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -856,60 +894,56 @@ def test_package_names_resolve_lazily():
 
 
 def test_cli_lazy_names_resolve():
+    import surrocast
     import surrocast.cli as cli
-    for name, module in cli._MODULE_OF.items():
+    for name, module in cli._HELPERS.items():
         assert getattr(cli, name) is getattr(
             importlib.import_module(f"surrocast.{module}"), name), name
-    with pytest.raises(AttributeError, match="no_such_name"):
-        cli.no_such_name
+    for name in surrocast._MODULE_OF:
+        assert getattr(cli, name) is getattr(surrocast, name), name
+    for name in ("no_such_name", "errors", "__version__"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(cli, name)
 
 
-def _globals_read(code):
-    """Names a code object, and the code nested in it, loads as globals."""
-    for ins in dis.get_instructions(code):
-        if ins.opname == "LOAD_GLOBAL":
-            yield ins.argval
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            yield from _globals_read(const)
-
-
-def test_every_command_binds_the_globals_it_reads():
-    # main binds only the dispatched command's modules, so a global read by a
-    # rarely run command (or a helper it calls) that its modules do not bind
-    # would first show as a NameError in that command
-    import surrocast.cli as cli
-    parser = cli._build_parser()
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    assert set(commands) == set(cli._COMMAND_MODULES)
-    assert {name for name in vars(cli) if name.startswith("_cmd_")} == {
-        "_cmd_" + command.replace("-", "_") for command in commands}
-    for command, modules in cli._COMMAND_MODULES.items():
-        todo, seen = [getattr(cli, "_cmd_" + command.replace("-", "_"))], set()
-        while todo:
-            for name in set(_globals_read(todo.pop().__code__)) - seen:
-                seen.add(name)
-                if name in cli._MODULE_OF:
-                    assert cli._MODULE_OF[name] in modules, (command, name)
-                    continue
-                value = vars(cli).get(name, getattr(builtins, name, None))
-                assert value is not None, (command, name)
-                if isinstance(value, types.FunctionType) and value.__module__ == cli.__name__:
-                    todo.append(value)
+def test_every_command_reaches_every_traced_layer(workspace, tracing):
+    # perfbench/tracing.py times the commands by wrapping the names they look
+    # up on surrocast.cli; a call routed around _lib would leave its layer
+    # empty in a traced benchmark run
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for label, argv, _ in _every_command(workspace):
+                assert main(argv) == 0, label
+    finally:
+        tracer.remove()
+    calls = tracer.calls()
+    layers = set(tracing.TARGETS["surrocast.cli"].values())
+    assert {layer for layer in layers if calls[layer] == 0} == set()
 
 
 def test_wrapper_patched_before_main_is_called(workspace, monkeypatch):
-    # a tracer replaces the CLI's globals before main runs; binding the
-    # command's names at dispatch must keep the wrapper
+    # a tracer replaces the CLI's names before main runs; resolving the names
+    # a command calls must keep the wrapper. Patched here: a public name, a
+    # CLI-only helper, and a name whose module's other name fit_joint is
+    # first looked up after the patch
     import surrocast.cli as cli
-    calls = []
-    fit_joint = cli.fit_joint
+    d = workspace["dir"]
+    _write_two_col(d / "raw.csv", [99.0, 101.0, 100.5])
+    fit = _fit_args(workspace, d / "fit.json")
+    standardize = ["standardize", "--input", str(d / "raw.csv"), "--out", str(d / "std.csv")]
+    for argv, name, unbound in ((fit, "fit_joint", ()), (standardize, "_read_rows", ()),
+                                (fit, "joint_fit_to_dict", ("fit_joint",))):
+        with monkeypatch.context() as patch:
+            for other in unbound:
+                patch.delitem(vars(cli), other, raising=False)
+            calls, original = [], getattr(cli, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return fit_joint(*args, **kwargs)
+            def counting(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "fit_joint", counting)
-    assert main(_fit_args(workspace, workspace["dir"] / "fit.json")) == 0
-    assert len(calls) == 1
+            patch.setattr(cli, name, counting)
+            assert main(argv) == 0
+        assert len(calls) == 1, name

@@ -1,7 +1,5 @@
-import importlib.util
+import importlib
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,26 +371,16 @@ def test_experiment_grid_checks_bootstrap_replicates_up_front():
     _small_grid(B=50, include_boot=True, include_intervals=False)
 
 
-def _load_tracing(monkeypatch):
-    """perfbench/tracing.py, loaded without writing bytecode beside it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
-
-
-def test_every_traced_name_resolves(monkeypatch):
+def test_every_traced_name_resolves(tracing):
     # the tracer patches these names by module; a refactor that unbinds one
     # would otherwise first fail in a traced benchmark run
-    for mod_name, attrs in _load_tracing(monkeypatch).TARGETS.items():
+    for mod_name, attrs in tracing.TARGETS.items():
         mod = importlib.import_module(mod_name)
         missing = [attr for attr in attrs if not callable(getattr(mod, attr, None))]
         assert missing == [], f"{mod_name} lacks {missing}"
 
 
-def test_joint_intervals_reach_the_traced_forecast(monkeypatch):
+def test_joint_intervals_reach_the_traced_forecast(tracing):
     # the tracer times the joint intervals' point forecasts by wrapping
     # surrocast.intervals.forecast_joint; an interval that forecast by
     # another route would drop them from the traced forecasting layer
@@ -400,7 +388,7 @@ def test_joint_intervals_reach_the_traced_forecast(monkeypatch):
     mp_tr, sp_tr = mp.slice(0, 32), sp.slice(0, 32)
     jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
     fut = FutureExogenous(mp.z[32:], mp.x[32:], sp.ys[32:])
-    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer = tracing.Tracer()
     tracer.install()
     try:
         intervals.bj_interval_estimated(jf, sf, mp_tr, sp_tr, fut, 4, 0.05)
@@ -411,11 +399,10 @@ def test_joint_intervals_reach_the_traced_forecast(monkeypatch):
     assert tracer.calls()["forecasting.forecast_joint"] == 2
 
 
-def test_experiment_reaches_every_traced_layer(monkeypatch):
+def test_experiment_reaches_every_traced_layer(tracing):
     # perfbench/tracing.py times the harness by wrapping the names it calls in
     # surrocast.simulation; a call routed around one of them would leave that
     # layer empty in a traced benchmark run
-    tracing = _load_tracing(monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -380,7 +380,8 @@ def d_residual_matrix(ys: np.ndarray, A_hat: np.ndarray, q2: int) -> np.ndarray:
     T = ys.shape[-2]
     out = ys[..., q2:, :].copy()
     for l in range(1, q2 + 1):
-        out -= ys[..., q2 - l:T - l, :] @ np.swapaxes(A_hat[..., l - 1, :, :], -1, -2)
+        out -= ys[..., q2 - l:T - l, :] @ np.ascontiguousarray(
+            np.swapaxes(A_hat[..., l - 1, :, :], -1, -2))
     return out
 
 

@@ -93,16 +93,19 @@ def _ar_roll(alpha: np.ndarray, buf: np.ndarray) -> None:
     last axis; its other axes broadcast against a month of buf: shape (q1,)
     is shared by every series, (batch, q1) gives one row per series of a
     (months, batch) buffer, and (G, 1, q1) one row per group of a
-    (months, G, B) buffer. The lag sum accumulates left to right from l = 1
-    before the driver is added, the order of a sequential dot product.
+    (months, G, B) buffer. The lag sum accumulates left to right from 0.0
+    before the driver is added, the order of a sequential dot product, in
+    two month-shaped buffers that every month reuses.
     """
-    lag_coef = np.moveaxis(alpha, -1, 0)
-    q1 = lag_coef.shape[0]
-    for t in range(q1, buf.shape[0]):
-        acc = 0.0
-        for l in range(q1):
-            acc = acc + lag_coef[l] * buf[t - 1 - l]
-        buf[t] = acc + buf[t]
+    coefs = list(np.moveaxis(alpha, -1, 0))
+    months = list(buf if buf.ndim > 1 else buf[:, None])
+    acc, term = np.empty((2,) + (buf.shape[1:] or (1,)))
+    for t in range(len(coefs), len(months)):
+        acc.fill(0.0)
+        for l, c in enumerate(coefs):
+            np.multiply(c, months[t - 1 - l], out=term)
+            np.add(acc, term, out=acc)
+        np.add(acc, months[t], out=months[t])
 
 
 def _ar_recursion(

@@ -250,9 +250,22 @@ def _train_window(values: np.ndarray, train_size: int | None) -> np.ndarray:
 
 
 def _window_sd(window: np.ndarray) -> np.ndarray:
-    """Sample sd (ddof=1) along the last axis, one per series."""
-    sd = np.std(window, ddof=1, axis=-1)
-    if np.any(sd == 0.0) or not np.all(np.isfinite(sd)):
+    """Sample sd (ddof=1) along the last axis, one per series.
+
+    Each series is scaled by a power of two that brings its largest
+    magnitude into [0.5, 1) before its spread is taken, so that the squared
+    deviations cannot overflow; a power-of-two scaling is exact, so the sd
+    has the bits of the unscaled computation whenever that one does not
+    overflow.
+    """
+    exponent = np.frexp(np.max(np.abs(window), axis=-1))[1]
+    # a window whose centring overflowed holds an infinity, and its sd is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = np.ldexp(np.std(np.ldexp(window, -exponent[..., None]), ddof=1, axis=-1),
+                      exponent)
+    if not np.all(np.isfinite(sd)):
+        raise DegenerateSeries("series spread overflows a double; cannot standardize")
+    if np.any(sd == 0.0):
         raise DegenerateSeries("series has zero sample variance; cannot standardize")
     return sd
 
@@ -272,7 +285,10 @@ def standardize_cpi(
     _require_finite("series", raw)
     if not math.isfinite(base):
         raise InvalidData(f"base must be finite, got {base}")
-    centered = raw - base
+    with np.errstate(over="ignore"):
+        centered = raw - base
+    if not np.all(np.isfinite(centered)):
+        raise DegenerateSeries("series minus base overflows a double; cannot standardize")
     sd = _window_sd(_train_window(centered, train_size))
     return StandardizedSeries(values=centered / sd[..., None], offset=float(base),
                               scale=float(sd) if sd.ndim == 0 else sd)
@@ -283,8 +299,9 @@ def standardize_z(raw: np.ndarray, train_size: int | None = None) -> Standardize
     raw = np.asarray(raw, dtype=float)
     _require_finite("series", raw)
     window = _train_window(raw, train_size)
-    mean = float(np.mean(window))
-    sd = float(_window_sd(window - mean))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(window))
+        sd = float(_window_sd(window - mean))
     return StandardizedSeries(values=(raw - mean) / sd, offset=mean, scale=sd)
 
 

@@ -546,6 +546,52 @@ def test_standardize_degenerate_series(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["code"] == "DegenerateSeries"
 
 
+@pytest.mark.parametrize("mode", ["cpi", "z"])
+def test_standardize_huge_values(mode, tmp_path, capsys):
+    # |v| of 1e200 standardizes without a word on stderr; a spread beyond
+    # the largest double is one JSON error line, not "zero sample variance"
+    src, out = tmp_path / "raw.csv", tmp_path / "std.csv"
+    _write_two_col(src, [1e200, -1e200, 1e200, -1e200])
+    assert main(["standardize", "--input", str(src), "--mode", mode,
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["scale"] == pytest.approx(2e200 / np.sqrt(3.0))
+    _write_two_col(src, [1.7e308, -1.7e308, 1.7e308, -1.7e308])
+    assert main(["standardize", "--input", str(src), "--mode", mode,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "code": "DegenerateSeries",
+        "detail": "series spread overflows a double; cannot standardize"}
+
+
+def test_simulate_huge_covariates_at_most_one_json_line(tmp_path, capsys):
+    # the target reaches |y| ~ 1e160, whose spread used to overflow; what
+    # the fit then says of x at that scale is one JSON line on stderr
+    out = tmp_path / "report.csv"
+    rc = main(["simulate", "--rho-grid", "0.2", "--H-grid", "8", "--Q", "2",
+               "--seed", "1", "--skip-boot", "--x-scale", "1e160",
+               "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) <= 1
+    if err:
+        assert rc in (3, 4)
+        assert json.loads(err[0])["code"] != "DegenerateSeries"
+    else:
+        assert rc == 0 and out.exists()
+
+
+def test_simulate_duplicate_grid_value_is_data_error(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    rc = main(["simulate", "--rho-grid", "0.3,0.3", "--H-grid", "8", "--Q", "1",
+               "--skip-boot", "--out", str(out)])
+    assert rc == 3
+    assert _one_error_code(capsys) == "InvalidData"
+    assert not out.exists()
+
+
 def test_standardize_train_size_beyond_file(tmp_path, capsys):
     src = tmp_path / "raw.csv"
     _write_two_col(src, [99.0, 101.0, 100.5, 98.0, 102.0, 100.0])

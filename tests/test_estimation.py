@@ -489,24 +489,36 @@ def test_fit_document_wrong_schema_rejected(doc):
 # one least-squares kernel
 # ---------------------------------------------------------------------------
 
-def _linalg_calls() -> dict[str, set[str]]:
-    """The np.linalg functions that each function of the package calls, by
-    qualified name (Class.method for a method)."""
-    calls: dict[str, set[str]] = {}
+def _package_census(pick) -> dict[str, list[str]]:
+    """The labels pick(node) gives the AST nodes of the package, by the
+    qualified name of the function they sit in (Class.method for a method);
+    pick returns None for a node it does not count."""
+    found: dict[str, list[str]] = {}
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and ast.unparse(child.func.value) in ("np.linalg", "numpy.linalg")):
-                calls.setdefault(".".join(scope), set()).add(child.func.attr)
+            label = pick(child)
+            if label is not None:
+                found.setdefault(".".join(scope), []).append(label)
             visit(child, scope)
 
-    for path in Path(surrocast.__file__).parent.glob("*.py"):
+    for path in sorted(Path(surrocast.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), ())
-    return calls
+    return found
+
+
+def _linalg_calls() -> dict[str, set[str]]:
+    """The np.linalg functions that each function of the package calls."""
+    def pick(node):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and ast.unparse(node.func.value) in ("np.linalg", "numpy.linalg")):
+            return node.func.attr
+        return None
+
+    return {scope: set(names) for scope, names in _package_census(pick).items()}
 
 
 def test_factorizations_live_in_the_listed_functions():
@@ -521,3 +533,111 @@ def test_factorizations_live_in_the_listed_functions():
         "efficiency_gain": {"cholesky", "solve"},
         "DgpSpec.__post_init__": {"cholesky", "eigvals"},
     }
+
+
+def _matrix_products() -> dict[str, list[str]]:
+    """The source of every @, np.matmul, np.einsum and np.dot in the
+    package, by function."""
+    def pick(node):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            return ast.unparse(node)
+        if (isinstance(node, ast.Call) and ast.unparse(node.func)
+                in ("np.matmul", "np.einsum", "np.dot")):
+            return ast.unparse(node)
+        return None
+
+    return _package_census(pick)
+
+
+# Every matrix product of the package, with the reason its result does not
+# depend on how many members, replicates or groups share the call, and the
+# reason for its operand layout where that layout is not the obvious one.
+# BLAS may order a product's sums by the product's shape, so a member keeps
+# the bits of its one-series call only while the shape it sees is fixed.
+_MATRIX_PRODUCTS = {
+    "_full_rank_r": {
+        "np.einsum('...ij,...ij->...', R, R)":
+            "numpy's own einsum loop, no BLAS: one sum per member in a fixed order",
+        "np.einsum('...ij,...ij->...', X, X)":
+            "numpy's own einsum loop, no BLAS: one sum per member in a fixed order",
+    },
+    "_solve": {
+        "aug[..., :m] @ coef":
+            "stacked: each member's own (n, m) @ (m, r) product",
+    },
+    "d_residual_matrix": {
+        "ys[..., q2 - l:T - l, :] @ np.ascontiguousarray("
+        "np.swapaxes(A_hat[..., l - 1, :, :], -1, -2))":
+            "stacked: each member's own (T - q2, K) @ (K, K); the transposed "
+            "lag matrix is copied C-contiguous, which is faster and keeps the bits",
+    },
+    "_driver": {
+        "rows @ coef[..., None]":
+            "stacked: each member's own (months, k) @ (k, 1)",
+    },
+    "_fitted_design": {
+        "X[..., :q1] @ jf.alpha_hat[..., None]":
+            "stacked: each member's own (n, q1) @ (q1, 1)",
+    },
+    "residual_pairs": {
+        "jf.d_hat[..., offset:, :] @ jf.gamma_hat[..., None]":
+            "stacked: each member's own (n, K) @ (K, 1)",
+    },
+    "efficiency_gain": {
+        "w @ w": "one K-vector; no batch",
+    },
+    "bj_interval_estimated": {
+        "grad @ R_inv": "stacked: each member's own (H, m) @ (m, m)",
+    },
+    "_batched_refit": {
+        "np.matmul(Q_F.mT, col.transpose(1, 0, 2), out=top[:, j].transpose(1, 0, 2))":
+            "per member (k, n) @ (n, B), B the replicate count of every group; "
+            "Q_F.mT stays a transposed view: a C-contiguous copy changed the "
+            "bootstrap interval bits of two of the eight cli-pipeline datasets",
+        "np.matmul(Q_F, proj, out=fit.transpose(1, 0, 2))":
+            "per member (n, k) @ (k, B), B the replicate count of every group",
+        "np.einsum('tb,tb->b', col, col)":
+            "numpy's own einsum loop, no BLAS: one sum per replicate column",
+        "np.einsum('tb,tb->b', col, cols[j], out=low[i, j])":
+            "numpy's own einsum loop, no BLAS: one sum per replicate column",
+    },
+    "boot_interval": {
+        "np.matmul(rows[..., n:, :].reshape(G, H, k), coef[:k].transpose(1, 0, 2), "
+        "out=paths[q1:].transpose(1, 0, 2))":
+            "per member (H, k) @ (k, B), B the replicate count of every group",
+    },
+    "select_ar_order": {
+        "lags[..., :q] @ coef": "stacked: each member's own (n, q) @ (q, 1)",
+    },
+    "_abs_correlations": {
+        "centered.T @ tc": "one series of the greedy selection; no batch",
+    },
+    "_doubling_powers": {
+        "P @ P": "one (state, state) transition power; no batch",
+    },
+    "_linear_recursion": {
+        "s[..., :n - shift, :] @ P_t":
+            "stacked: each member's own (n - shift, state) @ (state, state), n "
+            "the draw length; P_t is C-contiguous, 2-3x faster than the "
+            "transposed view with the same bits",
+    },
+    "_draw_states": {
+        "normals @ spec._chol_t":
+            "stacked: each member's own (n, 1 + K) @ (1 + K, 1 + K), n the draw "
+            "length; the factor is kept transposed and C-contiguous",
+        "u @ spec._B_S_t":
+            "stacked: each member's own (n, p) @ (p, K); B_S' is kept C-contiguous",
+        "u @ spec.beta": "stacked: each member's own (n, p) @ (p,)",
+    },
+}
+
+
+def test_matrix_products_are_listed_with_their_reason():
+    # a new product, or a product whose operands change, needs an entry
+    # here saying why its result keeps its bits in any batch (ROADMAP item 5)
+    found = {scope: sorted(srcs) for scope, srcs in _matrix_products().items()}
+    assert found == {scope: sorted(listed)
+                     for scope, listed in _MATRIX_PRODUCTS.items()}
+    assert all(reason for listed in _MATRIX_PRODUCTS.values()
+               for reason in listed.values())

@@ -301,6 +301,20 @@ def test_ar_recursion_one_series_byte_identical_to_dot_loop(rng):
                                                     driver).tobytes()
 
 
+@pytest.mark.parametrize("q1", [0, 1, 2, 4])
+def test_ar_recursion_signed_zeros_byte_identical_to_dot_loop(q1):
+    # the lag sum starts from +0.0, as a dot product does, so a month whose
+    # lag terms and driver are all -0.0 comes out +0.0 on both paths
+    driver = np.array([-0.0, 0.0, -0.0, -0.0, 1.5, -0.0, -0.0])
+    for lag, hist in ((0.5, -0.0), (-0.5, 0.0), (-0.0, -0.0), (0.0, 1.0)):
+        alpha, history = np.full(q1, lag), np.full(q1 + 1, hist)
+        want = _dot_loop_recursion(alpha, history, driver)
+        assert _ar_recursion(alpha, history, driver).tobytes() == want.tobytes()
+        # as a batch of three, the rows of a (months, 3) buffer
+        batch = _ar_recursion(alpha, history, np.tile(driver, (3, 1)))
+        assert all(row.tobytes() == want.tobytes() for row in batch)
+
+
 def test_ar_recursion_batch_rows_equal_single_series(rng):
     B, q1, H = 30, 3, 9
     alpha = rng.uniform(-0.4, 0.4, size=(B, q1))

@@ -21,7 +21,7 @@ from surrocast import (
     standardize_cpi,
     standardize_z,
 )
-from surrocast.panels import (_read_table, _write_csv, check_aligned,
+from surrocast.panels import (_read_table, _window_sd, _write_csv, check_aligned,
                               write_surrogate_csv)
 
 
@@ -87,6 +87,34 @@ def test_standardize_train_window_only():
     raw = np.array([99.0, 101.0, 150.0, 50.0])
     std = standardize_cpi(raw, base=100.0, train_size=2)
     assert std.scale == pytest.approx(np.sqrt(2.0))  # holdout rows ignored
+
+
+def test_window_sd_scaling_keeps_the_bits(rng):
+    # the power-of-two scaling is exact, so the sd of ordinary data is the
+    # unscaled np.std bit for bit, series by series
+    for exponent in (-30, -3, 0, 2, 9, 40):
+        window = rng.standard_normal((7, 50)) * 10.0 ** exponent + rng.normal()
+        want = np.std(window, ddof=1, axis=-1)
+        assert _window_sd(window).tobytes() == want.tobytes()
+        assert _window_sd(window[3]).tobytes() == want[3].tobytes()
+
+
+@pytest.mark.parametrize("standardize", [standardize_cpi, standardize_z])
+def test_standardize_huge_values(standardize):
+    # squares of |v| >= 1.3e154 overflow; the spread of the scaled window
+    # does not, and only a spread beyond the largest double is refused
+    std = standardize(np.array([1e200, -1e200, 1e200, -1e200]), **(
+        {"base": 0.0} if standardize is standardize_cpi else {}))
+    assert std.scale == pytest.approx(2e200 / np.sqrt(3.0), rel=1e-15)
+    np.testing.assert_allclose(std.values, [0.5 * np.sqrt(3.0), -0.5 * np.sqrt(3.0)] * 2,
+                               rtol=1e-15)
+    with pytest.raises(DegenerateSeries, match="overflows"):
+        standardize(np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308]))
+
+
+def test_standardize_cpi_centering_overflow_refused():
+    with pytest.raises(DegenerateSeries, match="overflows"):
+        standardize_cpi(np.array([1.7e308, 1.0e308, 1.5e308]), base=-1e308)
 
 
 @pytest.mark.parametrize("standardize", [standardize_cpi, standardize_z])

@@ -153,8 +153,38 @@ def test_linear_recursion_matches_direct_loop(case, n):
     loop = np.zeros_like(W)
     for t in range(n):
         loop[t] = W[t] + (M @ loop[t - 1] if t else 0.0)
-    scan = simulation._linear_recursion(M, W)
+    powers = simulation._doubling_powers(M, n)
+    scan = simulation._linear_recursion(powers, W)
     assert np.max(np.abs(scan - loop)) <= 1e-12 * (1.0 + np.max(np.abs(loop)))
+    # a list that covers more months, as a spec caches for its whole draw,
+    # gives the same bits; one that covers fewer is refused
+    longer = simulation._doubling_powers(M, 4 * n + 1)
+    assert len(longer) > len(powers)
+    assert simulation._linear_recursion(longer, W).tobytes() == scan.tobytes()
+    if powers:
+        with pytest.raises(ValueError, match="cover fewer"):
+            simulation._linear_recursion(powers[:-1], W)
+
+
+@pytest.mark.parametrize("error_kind", ["gaussian", "student-t"])
+def test_spec_draw_operands_are_contiguous_and_exact(error_kind):
+    # the operands a spec caches are C-contiguous copies of the transposes
+    # the draw multiplies by, and its doubling powers are the squarings of
+    # its transition matrix, bit for bit, up to the draw's length
+    spec = benchmark_dgp(0.3, T=60, error_kind=error_kind)
+    n = simulation._BURN_IN + spec.T
+    assert len(spec._powers) == math.ceil(math.log2(n))
+    P = spec._transition
+    for P_t in spec._powers:
+        assert P_t.flags.c_contiguous
+        assert P_t.tobytes() == P.T.tobytes()
+        P = P @ P
+        P[np.abs(P) < np.finfo(float).tiny] = 0.0
+    chol = np.linalg.cholesky(spec.Sigma if error_kind == "gaussian"
+                              else spec.Sigma * (simulation._T_DF - 2.0) / simulation._T_DF)
+    for cached, matrix in ((spec._chol_t, chol), (spec._B_S_t, spec.B_S)):
+        assert cached.flags.c_contiguous
+        assert cached.tobytes() == matrix.T.tobytes()
 
 
 def test_generate_matches_model_equations(monkeypatch):
@@ -351,6 +381,19 @@ def test_experiment_builds_one_spec_per_rho(monkeypatch):
 def test_experiment_grid_rejects_non_finite_rho(rho):
     with pytest.raises(InvalidData, match="finite"):
         ExperimentGrid(rhos=(0.2, rho), horizons=(8,), include_boot=False)
+
+
+@pytest.mark.parametrize("kw,match", [
+    ({"rhos": (0.3, 0.1, 0.3)}, "rho grid repeats 0.3"),
+    # one seed key, round(rho * 1e6), so one set of streams
+    ({"rhos": (0.3, 0.3000001)}, "repeats 0.3 \\(as 0.3000001"),
+    ({"horizons": (8, 9, 8)}, "horizon grid repeats 8"),
+])
+def test_experiment_grid_rejects_duplicate_values(kw, match):
+    with pytest.raises(InvalidData, match=match):
+        ExperimentGrid(**{"rhos": (0.2,), "horizons": (8,), **kw})
+    # values one seed key apart are distinct cells
+    ExperimentGrid(rhos=(0.3, 0.300001), horizons=(8, 9))
 
 
 @pytest.mark.parametrize("field,value", [

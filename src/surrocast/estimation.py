@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (InsufficientSample, InvalidCovariance, InvalidData, MissingExogenous,
                      PanelMismatch, RankDeficient)
-from .panels import MonthlyPanel, SurrogatePanel, _require_int, check_aligned
+from .panels import MonthlyPanel, SurrogatePanel, _require_count, check_aligned
 
 __all__ = [
     "ols_solve",
@@ -359,8 +359,7 @@ def fit_surrogate(sp: SurrogatePanel, x: np.ndarray, q2: int) -> SurrogateFit:
 
     A batched panel (leading axes on ys, and on x) gives a batched fit.
     """
-    if q2 < 1:
-        raise InvalidData("q2 must be >= 1")
+    _require_count("q2", q2)
     K = sp.K
     x = np.asarray(x, dtype=float).reshape(sp.ys.shape[:-1] + (-1,))
     coef, residuals = _fit(sp.ys, q2, (x,))
@@ -385,20 +384,13 @@ def d_residual_matrix(ys: np.ndarray, A_hat: np.ndarray, q2: int) -> np.ndarray:
     return out
 
 
-def _require_horizon(H) -> None:
-    """InvalidData unless the forecast horizon H is an integer >= 1."""
-    _require_int("H", H)
-    if H < 1:
-        raise InvalidData(f"H must be >= 1, got {H}")
-
-
 def _future_blocks(fut, H: int, widths) -> list[np.ndarray]:
     """The rows of months T+1..T+H of fut's z_future, x_future and, given
     a third width, ys_future: one block per width. H is checked first
-    (_require_horizon), then each block against its width. A block of
+    (_require_count), then each block against its width. A block of
     width 0 is (H, 0); the others keep the batch axes of fut. fut is a
     forecasting.FutureExogenous, or None for no future rows."""
-    _require_horizon(H)
+    _require_count("H", H)
     blocks = []
     for name, width in zip(("z_future", "x_future", "ys_future"), widths):
         arr = getattr(fut, name, np.zeros((0, 0)))
@@ -463,8 +455,7 @@ def fit_joint_step2(
     """
     check_aligned(mp, sp)
     q2 = sf.q2
-    if q1 < 1:
-        raise InvalidData("q1 must be >= 1")
+    _require_count("q1", q1)
     if q2 > q1:
         raise InvalidData(f"q2={q2} must not exceed q1={q1}")
     d, p = mp.d, mp.p
@@ -550,8 +541,7 @@ def fit_arx(
     T = y.shape[-1]
     z, x = (np.zeros(y.shape + (0,)) if a is None
             else np.asarray(a, dtype=float).reshape(y.shape + (-1,)) for a in (z, x))
-    if q1 < 1:
-        raise InvalidData("q1 must be >= 1")
+    _require_count("q1", q1)
     d = z.shape[-1]
     coef, residuals = _fit(y[..., None], q1, (z, x))
     coef, residuals = coef[..., 0], residuals[..., 0]

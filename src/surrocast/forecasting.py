@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InsufficientSample, InvalidData
 from .estimation import (ArxFit, JointFit, SurrogateFit, _driver, _future_blocks,
-                         _join, _joint_rows, _require_horizon)
-from .panels import MonthlyPanel, SurrogatePanel, check_aligned
+                         _join, _joint_rows)
+from .panels import MonthlyPanel, SurrogatePanel, _require_count, check_aligned
 
 __all__ = [
     "Method",
@@ -176,7 +176,7 @@ def forecast_arx(
 
 def forecast_rw(y: np.ndarray, H: int) -> ForecastResult:
     """Random walk: every horizon repeats the last observation of y (..., T)."""
-    _require_horizon(H)
+    _require_count("H", H)
     y = np.asarray(y, dtype=float)
     if y.ndim < 1 or y.shape[-1] < 1:
         raise InsufficientSample("random walk needs at least one observation")
@@ -187,7 +187,7 @@ def forecast_rw(y: np.ndarray, H: int) -> ForecastResult:
 def forecast_ave(y: np.ndarray, H: int) -> ForecastResult:
     """Historical average: the h-step value is the mean of the last h points
     of y (..., T)."""
-    _require_horizon(H)
+    _require_count("H", H)
     y = np.asarray(y, dtype=float)
     if y.ndim < 1 or y.shape[-1] < H:
         raise InsufficientSample(f"historical-average forecast needs T >= H={H}")

@@ -40,7 +40,7 @@ from .forecasting import (
     _ar_roll,
     forecast_joint,
 )
-from .panels import MonthlyPanel, SurrogatePanel, _require_int
+from .panels import MonthlyPanel, SurrogatePanel, _require_count, _require_int
 
 __all__ = [
     "IntervalResult",
@@ -52,6 +52,13 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Replicate columns per chunk: boot_interval runs a batch's members
+# max(1, _BOOT_COLUMNS // B) at a time. On mc-boot (B = 500, 2-vCPU Xeon)
+# two members per chunk ran 1.22x faster than one; three were no faster
+# than two, and five 1.09x faster, but every member adds about 1 MB of
+# peak resident memory (BENCH_boot_batch.json).
+_BOOT_COLUMNS = 1000
 
 
 @dataclass(frozen=True)
@@ -139,8 +146,7 @@ def companion_weight(alpha_hat: np.ndarray, h: int) -> float | np.ndarray:
     """sqrt of the summed squared (1,1) entries of companion powers 0..h-1:
     a float for one lag vector (q1,), an array of weights for lags (...,
     q1) with leading batch axes."""
-    if h < 1:
-        raise InvalidData("h must be >= 1")
+    _require_count("h", h)
     weight = _psi_weights(alpha_hat, h)[..., -1]
     return float(weight) if weight.ndim == 0 else weight
 
@@ -387,17 +393,22 @@ def boot_interval(
     another length raises InvalidData. Member i's bounds are those of a
     one-series call with its seed. One series is a batch of one.
 
-    All G members' B replicates live in one time-major (T + H, G, B) array:
-    the drawn residuals fill it and the AR recursion rebuilds it in place,
-    so the lag windows and the response of every refit are row slices of
-    it. Only the q1 lag columns change from one replicate to the next; a
-    member's (z, x, d_hat) block is the same in all its replicates, so it is
-    factored once and partialled out (Frisch-Waugh-Lovell), and modified
-    Gram-Schmidt across the whole batch finishes every refit, its kappa_F
-    screen and its coefficients coming from one back substitution
-    (_batched_refit). The H-step forecasts of all replicates are then
-    rolled forward together by the same AR recursion, and both endpoints of
-    a member are read off its sorted (kept, H) error matrix in one call.
+    The replicates run in chunks of max(1, _BOOT_COLUMNS // B) members,
+    each chunk's buffers freed before the next chunk's are allocated, so
+    the working set is one chunk's (about 1 MB per member at B = 500) at
+    any batch size. A chunk's G members' B replicates live in one
+    time-major (T + H, G, B) array: the drawn residuals fill it and the AR
+    recursion rebuilds it in place, so the lag windows and the response of
+    every refit are row slices of it. Only the q1 lag columns change from
+    one replicate to the next; a member's (z, x, d_hat) block is the same
+    in all its replicates, so it is factored once and partialled out
+    (Frisch-Waugh-Lovell), and modified Gram-Schmidt across the chunk
+    finishes every refit, its kappa_F screen and its coefficients coming
+    from one back substitution (_batched_refit). The H-step forecasts of
+    the chunk are then rolled forward together by the same AR recursion,
+    and both endpoints of a member are read off its sorted (kept, H) error
+    matrix in one call. Every product takes a member's own shapes, so its
+    bits do not depend on its chunk.
 
     Drop rule: a replicate whose refit design fails _full_rank_r, the rank
     rule of every least-squares solve, is dropped. It is applied to the
@@ -407,9 +418,10 @@ def boot_interval(
     far below the cutoff; it computes them for the rest, so the kept set is
     the SVD rule's (the argument, which rests on the backward stability of
     the Gram-Schmidt R, is stated there). The number each member dropped,
-    and the number that needed the singular values, are logged at DEBUG on
-    the surrocast.intervals logger; a member that dropped more than 5% of
-    its replicates raises BootstrapUnstable naming it, and so does a
+    and the number that needed the singular values, are logged in one
+    DEBUG line on the surrocast.intervals logger once every chunk has run;
+    then a member that dropped more than 5% of its replicates raises
+    BootstrapUnstable naming the first such member, and so does a
     rank-deficient covariate block, which drops every replicate.
 
     mp and sp must be the panels the fit was estimated on; _fitted_design
@@ -425,52 +437,62 @@ def boot_interval(
         raise InvalidData(f"{len(seeds)} bootstrap seeds for a batch of {G} members")
     # covariate rows of months q1+1..T+H, and their contribution to y
     rows = _fitted_design(jf, sf, mp, sp, fut, H)[1]
-    point = forecast_joint(jf, sf, mp, sp, fut, H).point
+    point = forecast_joint(jf, sf, mp, sp, fut, H).point.reshape(G, H)
     n, k, n_total = T - q1, rows.shape[-1], T + H
-
+    driver = _driver(rows, jf).reshape(G, n + H).T
+    rows, alpha_hat = rows.reshape(G, n + H, k), jf.alpha_hat.reshape(G, 1, q1)
     resid = jf.residuals.reshape(G, n)
     centered = resid - resid.mean(axis=-1, keepdims=True)
-    # Months 1..T+H of every replicate, time-major: Y[t, g] holds month t + 1
-    # of member g's B replicates. Each member's indices are drawn replicate
-    # by replicate from its own seed, as a one-series call draws them; the
-    # gathered residuals fill Y and the recursion rebuilds it in place.
-    Y = np.empty((n_total, G, B))
-    for g, seed in enumerate(seeds):
-        Y[:, g] = centered[g][np.random.default_rng(seed).integers(
-            0, n, size=(B, n_total)).T]
-    Y[q1:] += _driver(rows, jf).reshape(G, n + H).T[:, :, None]
-    _ar_roll(jf.alpha_hat.reshape(G, 1, q1), Y)
+    limit = 0.05 * B
+    n_failed, n_checked = np.empty(G, dtype=int), np.empty(G, dtype=int)
+    bounds = np.empty((2, G, H))
 
-    # each replicate's forecast path starts from its last q1 months, copied
-    # before _batched_refit overwrites the response rows of Y
-    paths = np.empty((q1 + H, G, B))
-    paths[:q1] = Y[T - q1:T]
-    coef, kept, checked = _batched_refit(
-        rows[..., :n, :].reshape(G, n, k),
-        [Y[q1 - l: T - l] for l in range(1, q1 + 1)], Y[q1:T])
+    def run(chunk: slice) -> None:
+        # Months 1..T+H of the chunk's replicates, time-major: Y[t, g] holds
+        # month t + 1 of member g's B replicates, drawn replicate by replicate
+        # from its own seed as a one-series call draws them, then rebuilt.
+        count = len(seeds[chunk])
+        Y = np.empty((n_total, count, B))
+        for g, (res, seed) in enumerate(zip(centered[chunk], seeds[chunk])):
+            Y[:, g] = res[np.random.default_rng(seed).integers(
+                0, n, size=(B, n_total)).T]
+        Y[q1:] += driver[:, chunk, None]
+        _ar_roll(alpha_hat[chunk], Y)
 
-    n_failed = B - kept.sum(axis=1)
+        # each replicate's forecast path starts from its last q1 months,
+        # copied before _batched_refit overwrites the response rows of Y
+        paths = np.empty((q1 + H, count, B))
+        paths[:q1] = Y[T - q1:T]
+        coef, kept, checked = _batched_refit(
+            rows[chunk, :n], [Y[q1 - l: T - l] for l in range(1, q1 + 1)], Y[q1:T])
+        n_failed[chunk], n_checked[chunk] = B - kept.sum(axis=1), checked.sum(axis=1)
+        if (n_failed[chunk] > limit).any():
+            return  # the call raises once every chunk has run
+
+        # then the covariate driver of months T+1..T+H from each replicate's
+        # own coefficients, rolled forward by its own lag coefficients
+        np.matmul(rows[chunk, n:], coef[:k].transpose(1, 0, 2),
+                  out=paths[q1:].transpose(1, 0, 2))
+        _ar_roll(coef[k:].reshape(q1, count * B).T, paths.reshape(q1 + H, count * B))
+        errors = Y[T:] - paths[q1:]
+        for g, member in enumerate(range(G)[chunk]):
+            member_errors = np.sort(errors[:, g, kept[g]], axis=-1).T
+            bounds[:, member] = point[member] + _empirical_quantile(
+                member_errors, (alpha / 2.0, 1.0 - alpha / 2.0), cfg.quantile_rule)
+
+    # one chunk's buffers are freed, on return, before the next is allocated
+    size = max(1, _BOOT_COLUMNS // B)
+    for start in range(0, G, size):
+        run(slice(start, start + size))
     logger.debug("boot_interval: %s of %d bootstrap replicates dropped; "
                  "%s needed the SVD rank check",
                  ", ".join(map(str, n_failed.tolist())), B,
-                 ", ".join(map(str, checked.sum(axis=1).tolist())))
-    unstable = np.flatnonzero(n_failed > 0.05 * B)
+                 ", ".join(map(str, n_checked.tolist())))
+    unstable = np.flatnonzero(n_failed > limit)
     if unstable.size:
         g = int(unstable[0])
         raise BootstrapUnstable(
             f"{n_failed[g]} of {B} bootstrap replicates failed to refit"
             + _member_name(batch, g))
-
-    # then the covariate driver of months T+1..T+H from each replicate's own
-    # coefficients, rolled forward by its own lag coefficients
-    np.matmul(rows[..., n:, :].reshape(G, H, k), coef[:k].transpose(1, 0, 2),
-              out=paths[q1:].transpose(1, 0, 2))
-    _ar_roll(coef[k:].reshape(q1, G * B).T, paths.reshape(q1 + H, G * B))
-    errors = Y[T:] - paths[q1:]
-    bounds = np.empty((2, G, H))
-    for g, member_point in enumerate(point.reshape(G, H)):
-        member_errors = np.sort(errors[:, g, kept[g]], axis=-1).T
-        bounds[:, g] = member_point + _empirical_quantile(
-            member_errors, (alpha / 2.0, 1.0 - alpha / 2.0), cfg.quantile_rule)
     lower, upper = bounds.reshape((2,) + batch + (H,))
     return IntervalResult(lower=lower, upper=upper, alpha=alpha, kind="boot")

@@ -84,6 +84,14 @@ def _require_int(name: str, value) -> None:
         raise InvalidData(f"{name} must be an integer, got {value!r}")
 
 
+def _require_count(name: str, value) -> None:
+    """InvalidData unless value is an integer >= 1, such as a lag order, a
+    horizon or a count."""
+    _require_int(name, value)
+    if value < 1:
+        raise InvalidData(f"{name} must be >= 1, got {value}")
+
+
 def _require_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise InvalidData(f"{name} contains NaN or Inf")
@@ -295,8 +303,11 @@ def standardize_cpi(
 
 
 def standardize_z(raw: np.ndarray, train_size: int | None = None) -> StandardizedSeries:
-    """Standardize a covariate by its (training-window) mean and sd."""
+    """Standardize a covariate, a 1-D series, by its (training-window) mean
+    and sd."""
     raw = np.asarray(raw, dtype=float)
+    if raw.ndim != 1:
+        raise InvalidData(f"series must be 1-D, got shape {raw.shape}")
     _require_finite("series", raw)
     window = _train_window(raw, train_size)
     with np.errstate(over="ignore"):
@@ -322,8 +333,7 @@ def aggregate_daily(idx: DailyIndex, K: int = 3) -> SurrogatePanel:
     one observation in each of its K blocks; an empty block raises
     MissingPeriod naming the month and block.
     """
-    if K < 1:
-        raise InvalidData("K must be >= 1")
+    _require_count("K", K)
     first = idx.dates[0]
     last = idx.dates[-1]
     start_ord = first.year * 12 + (first.month - 1)

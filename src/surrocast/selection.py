@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InsufficientSample, InvalidData, PenaltyUndefined, RankDeficient
 from .estimation import _back_substitute, _design, _triangularize, fit_arx
+from .panels import _require_count
 
 __all__ = [
     "corrected_aic",
@@ -64,8 +65,7 @@ def select_ar_order(y: np.ndarray, q_max: int):
     orders of a batch of series.
     """
     y = np.asarray(y, dtype=float)
-    if q_max < 1:
-        raise InvalidData("q_max must be >= 1")
+    _require_count("q_max", q_max)
     T = y.shape[-1]
     if T <= q_max + 2:
         raise InsufficientSample(f"need T > q_max + 2 (T={T}, q_max={q_max})")

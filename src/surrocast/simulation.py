@@ -22,7 +22,7 @@ metrics are insensitive to that scale; absolute interval lengths are not.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +46,8 @@ from .forecasting import (
     forecast_rw,
 )
 from .intervals import BootstrapConfig, bj_interval, boot_interval
-from .panels import (MonthlyPanel, SurrogatePanel, _require_int, _write_csv,
-                     month_range, standardize_cpi)
+from .panels import (MonthlyPanel, SurrogatePanel, _require_count, _require_int,
+                     _write_csv, month_range, standardize_cpi)
 from .selection import select_ar_order
 
 __all__ = [
@@ -523,28 +523,12 @@ def _rep_seed(seed: int, variant: str, rho: float, H: int, rep: int,
     return np.random.SeedSequence(entropy, spawn_key=(child,))
 
 
-# Bootstrap replicate columns per boot_interval call: a cell's members go
-# through the bootstrap max(1, _BOOT_GROUP // B) at a time. On mc-boot
-# (B = 500, 2-vCPU Xeon) two members per call ran 1.22x faster than one;
-# three were no faster than two, and five 1.09x faster, but every member
-# adds about 1 MB of peak resident memory (BENCH_boot_batch.json).
-_BOOT_GROUP = 1000
-
-
-def _member(obj, i):
-    """Member i, or the members of slice i, of a batched panel, fit or
-    future block."""
-    return type(obj)(**{f.name: (v[i] if isinstance(v, np.ndarray) else v)
-                        for f in fields(obj) for v in [getattr(obj, f.name)]})
-
-
 def _run_reps(task: tuple) -> dict:
     """Repetitions ``reps`` of one (rho, H) cell, run as one batch.
 
     Every repetition draws from its own streams (_rep_seed) and every solve
     treats each member on its own, so a repetition's outputs do not depend
-    on the batch it runs in. The bootstrap takes the members in groups of
-    _BOOT_GROUP replicate columns, one boot_interval call per group.
+    on the batch it runs in. The bootstrap is one boot_interval call.
     Returns (len(reps), H) arrays: "truth", the point forecasts "JOINT",
     "AR", "RW" and "AVE", and (lower, upper) pairs of the intervals the grid
     includes.
@@ -597,16 +581,10 @@ def _run_reps(task: tuple) -> dict:
             out["AR_BJ"][0][group] = iv_ar.lower
             out["AR_BJ"][1][group] = iv_ar.upper
     if grid.include_intervals and grid.include_boot:
-        seeds = [int(ss.generate_state(1, dtype=np.uint64)[0]) for ss in streams(2)]
-        size = max(1, _BOOT_GROUP // grid.B)
-        bounds = []
-        for start in range(0, len(reps), size):
-            group = slice(start, start + size)
-            cfg = BootstrapConfig(B=grid.B, seed=tuple(seeds[group]))
-            members = (_member(obj, group) for obj in (jf, sf, mp_tr, sp_tr, fut))
-            iv_bt = boot_interval(*members, H, cfg, grid.alpha)
-            bounds.append((iv_bt.lower, iv_bt.upper))
-        out["JOINT_BOOT"] = tuple(np.concatenate(b) for b in zip(*bounds))
+        seeds = tuple(int(ss.generate_state(1, dtype=np.uint64)[0]) for ss in streams(2))
+        cfg = BootstrapConfig(B=grid.B, seed=seeds)
+        iv_bt = boot_interval(jf, sf, mp_tr, sp_tr, fut, H, cfg, grid.alpha)
+        out["JOINT_BOOT"] = (iv_bt.lower, iv_bt.upper)
     return out
 
 
@@ -617,10 +595,8 @@ def run_experiment(grid: ExperimentGrid, Q: int, seed: int) -> SimulationReport:
     derived from the cell coordinates and aggregation order is fixed, so any
     worker count produces an identical report.
     """
-    _require_int("Q", Q)
+    _require_count("Q", Q)
     _require_int("seed", seed)
-    if Q < 1:
-        raise InvalidData("Q must be >= 1")
     if seed < 0:
         raise InvalidData(f"seed must be >= 0, got {seed}")
     error_kind = _VARIANTS[grid.variant][0]

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import pathlib
 import sys
@@ -18,6 +19,14 @@ def build_panels(y, ys, z=None, x=None, start="2019-01"):
     mp = MonthlyPanel(times=times, y=y, z=z, x=x)
     sp = SurrogatePanel(times=times, ys=np.asarray(ys, dtype=float))
     return mp, sp
+
+
+def member(obj, i):
+    """Member i, or the members of slice i, of a batched panel, fit or
+    future block."""
+    return type(obj)(**{f.name: (v[i] if isinstance(v, np.ndarray) else v)
+                        for f in dataclasses.fields(obj)
+                        for v in [getattr(obj, f.name)]})
 
 
 @pytest.fixture

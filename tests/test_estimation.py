@@ -27,9 +27,9 @@ from surrocast import (
 )
 from surrocast.estimation import SurrogateFit, _design, _joint_rows
 from surrocast.forecasting import FutureExogenous
-from surrocast.simulation import Ar1Spec, DgpSpec, _member
+from surrocast.simulation import Ar1Spec, DgpSpec
 
-from conftest import build_panels
+from conftest import build_panels, member
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +411,7 @@ def test_residual_pairs_batch_matches_one_series_calls(q1, q2):
     pairs = residual_pairs(jf, sf)
     assert pairs.shape == (3, 40 - q1, 4)
     for i in range(3):
-        one = residual_pairs(_member(jf, i), _member(sf, i))
+        one = residual_pairs(member(jf, i), member(sf, i))
         assert pairs[i].tobytes() == one.tobytes()
 
 
@@ -592,20 +592,20 @@ _MATRIX_PRODUCTS = {
     },
     "_batched_refit": {
         "np.matmul(Q_F.mT, col.transpose(1, 0, 2), out=top[:, j].transpose(1, 0, 2))":
-            "per member (k, n) @ (n, B), B the replicate count of every group; "
+            "per member (k, n) @ (n, B), B the replicate count of every chunk; "
             "Q_F.mT stays a transposed view: a C-contiguous copy changed the "
             "bootstrap interval bits of two of the eight cli-pipeline datasets",
         "np.matmul(Q_F, proj, out=fit.transpose(1, 0, 2))":
-            "per member (n, k) @ (k, B), B the replicate count of every group",
+            "per member (n, k) @ (k, B), B the replicate count of every chunk",
         "np.einsum('tb,tb->b', col, col)":
             "numpy's own einsum loop, no BLAS: one sum per replicate column",
         "np.einsum('tb,tb->b', col, cols[j], out=low[i, j])":
             "numpy's own einsum loop, no BLAS: one sum per replicate column",
     },
-    "boot_interval": {
-        "np.matmul(rows[..., n:, :].reshape(G, H, k), coef[:k].transpose(1, 0, 2), "
+    "boot_interval.run": {
+        "np.matmul(rows[chunk, n:], coef[:k].transpose(1, 0, 2), "
         "out=paths[q1:].transpose(1, 0, 2))":
-            "per member (H, k) @ (k, B), B the replicate count of every group",
+            "per member (H, k) @ (k, B), B the replicate count of every chunk",
     },
     "select_ar_order": {
         "lags[..., :q] @ coef": "stacked: each member's own (n, q) @ (q, 1)",

@@ -18,20 +18,23 @@ from surrocast import (
     benchmark_dgp,
     bj_interval_estimated,
     boot_interval,
+    companion_weight,
+    correlation_pursuit,
     fit_arx,
     fit_joint,
+    fit_surrogate,
     forecast_arx,
     forecast_ave,
     forecast_joint,
     forecast_rw,
     generate,
+    select_ar_order,
 )
 
 from surrocast.estimation import _driver
 from surrocast.forecasting import _ar_recursion
-from surrocast.simulation import _member
 
-from conftest import build_panels
+from conftest import build_panels, member
 
 
 def _manual_joint(alpha, gamma, d_hat_rows=1, q2=1):
@@ -152,7 +155,7 @@ def test_driver_equals_hand_written_sums(K, d, p):
         assert np.all(np.abs(got - block_sum(blocks, coefs)) <= bound)
         # each member keeps the bits of its one-series call
         for i in range(Q):
-            assert _driver(rows[i], _member(fit, i)).tobytes() == got[i].tobytes()
+            assert _driver(rows[i], member(fit, i)).tobytes() == got[i].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -173,17 +176,46 @@ def horizon_calls():
         "bj_interval_estimated": lambda H: bj_interval_estimated(*joint, H, 0.05),
         "boot_interval": lambda H: boot_interval(*joint, H, BootstrapConfig(B=100),
                                                  0.05),
+        "companion_weight": lambda H: companion_weight(jf.alpha_hat, H),
     }
 
 
-@pytest.mark.parametrize("H", [0, -1, 2.0, np.float64(2.0), True, "2", None])
+_BAD_COUNTS = [0, -1, 2.0, np.float64(2.0), True, "2", None]
+
+
+@pytest.mark.parametrize("H", _BAD_COUNTS)
 @pytest.mark.parametrize("entry", ["forecast_joint", "forecast_arx", "forecast_rw",
                                    "forecast_ave", "bj_interval_estimated",
-                                   "boot_interval"])
+                                   "boot_interval", "companion_weight"])
 def test_every_forecast_rejects_a_bad_horizon(horizon_calls, entry, H):
-    with pytest.raises(InvalidData, match="H must be"):
+    with pytest.raises(InvalidData, match="[Hh] must be"):
         horizon_calls[entry](H)
     horizon_calls[entry](np.int64(2))
+
+
+@pytest.fixture(scope="module")
+def order_calls():
+    """Every public entry point that takes a lag order, as a function of
+    that order alone, with the order's name."""
+    mp, sp, _ = generate(benchmark_dgp(0.3, T=40), 2)
+    return {
+        "select_ar_order": ("q_max", lambda q: select_ar_order(mp.y, q)),
+        "correlation_pursuit": ("q_max", lambda q: correlation_pursuit(mp.y, mp.x, q)),
+        "fit_arx": ("q1", lambda q: fit_arx(mp.y, q)),
+        "fit_surrogate": ("q2", lambda q: fit_surrogate(sp, mp.x, q)),
+        "fit_joint-q1": ("q1", lambda q: fit_joint(mp, sp, q, 1)),
+        "fit_joint-q2": ("q2", lambda q: fit_joint(mp, sp, 2, q)),
+    }
+
+
+@pytest.mark.parametrize("q", _BAD_COUNTS)
+@pytest.mark.parametrize("entry", ["select_ar_order", "correlation_pursuit", "fit_arx",
+                                   "fit_surrogate", "fit_joint-q1", "fit_joint-q2"])
+def test_every_fit_rejects_a_bad_lag_order(order_calls, entry, q):
+    name, call = order_calls[entry]
+    with pytest.raises(InvalidData, match=f"^{name} must be"):
+        call(q)
+    call(np.int64(2))
 
 
 def test_future_block_rejects_a_scalar():

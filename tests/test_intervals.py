@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from surrocast import (
 )
 from surrocast.estimation import (RANK_TOL, _design, _fitted_design, _full_rank,
                                   _full_rank_r, d_residual_matrix)
+from surrocast import intervals
 from surrocast.forecasting import _ar_recursion
 from surrocast.intervals import (
     _batched_refit,
@@ -39,7 +41,8 @@ from surrocast.intervals import (
     _psi_weights,
     _z,
 )
-from surrocast.simulation import _member
+
+from conftest import member
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +646,7 @@ def _fitted_batch(q1=2, members=4, H=8, rho=0.3, seed=17):
 
 
 def _members(batch, i):
-    return [_member(obj, i) for obj in batch]
+    return [member(obj, i) for obj in batch]
 
 
 @pytest.mark.parametrize("q1", [1, 2, 3])
@@ -734,20 +737,20 @@ def test_boot_batch_residual_check_scales_per_member():
 def test_boot_batch_rejects_mismatched_batch_shapes():
     jf, sf, mp, sp, fut = _fitted_batch(members=3)
     with pytest.raises(PanelMismatch, match="batch shapes differ"):
-        boot_interval(jf, sf, _member(mp, slice(0, 2)), _member(sp, slice(0, 2)),
+        boot_interval(jf, sf, member(mp, slice(0, 2)), member(sp, slice(0, 2)),
                       fut, 4, BootstrapConfig(B=100), 0.05)
 
 
-def _duplicated_covariate_batch():
-    """A 3-member batch whose member 1 has its two x columns equal, with
-    that member's residuals rebuilt so that the panels reproduce them."""
-    jf, sf, mp, sp, fut = _fitted_batch(members=3)
+def _duplicated_covariate_batch(members=3, i=1):
+    """A batch whose member i has its two x columns equal, with that
+    member's residuals rebuilt so that the panels reproduce them."""
+    jf, sf, mp, sp, fut = _fitted_batch(members=members)
     x = mp.x.copy()
-    x[1, :, 1] = x[1, :, 0]
+    x[i, :, 1] = x[i, :, 0]
     dup = MonthlyPanel(mp.times, mp.y, mp.z, x)
-    X = _design(dup.y[1], jf.q1, (dup.z[1], dup.x[1], jf.d_hat[1]))
+    X = _design(dup.y[i], jf.q1, (dup.z[i], dup.x[i], jf.d_hat[i]))
     residuals = jf.residuals.copy()
-    residuals[1] = dup.y[1, jf.q1:] - X @ _joint_coef(_member(jf, 1))
+    residuals[i] = dup.y[i, jf.q1:] - X @ _joint_coef(member(jf, i))
     return dataclasses.replace(jf, residuals=residuals), sf, dup, sp, fut
 
 
@@ -763,6 +766,38 @@ def test_boot_batch_duplicated_covariate_names_member(caplog):
     for i in (0, 2):
         boot_interval(*_members((jf, sf, dup, sp, fut), i), 4,
                       BootstrapConfig(B=120), 0.05)
+
+
+@pytest.mark.parametrize("failing", [0, 3])
+def test_boot_chunked_batch_logs_every_member_then_raises(failing, caplog):
+    # at B = 500 a batch of 4 runs in two chunks of two members; every
+    # chunk runs before the one log line, and the error names the failing
+    # member whichever chunk it is in
+    jf, sf, dup, sp, fut = _duplicated_covariate_batch(members=4, i=failing)
+    counts = ["0"] * 4
+    counts[failing] = "500"
+    with caplog.at_level(logging.DEBUG, logger="surrocast.intervals"):
+        with pytest.raises(BootstrapUnstable,
+                           match=rf"500 of 500 bootstrap replicates failed to refit "
+                                 rf"\(member {failing}\)"):
+            boot_interval(jf, sf, dup, sp, fut, 4, BootstrapConfig(B=500), 0.05)
+    assert intervals._BOOT_COLUMNS // 500 == 2
+    assert f"{', '.join(counts)} of 500 bootstrap replicates dropped" in caplog.text
+
+
+def test_boot_working_set_is_one_chunk():
+    # a call's traced peak is that of one chunk of members, not of the batch
+    def peak(members):
+        batch = _fitted_batch(members=members)
+        cfg = BootstrapConfig(B=500, seed=tuple(range(members)))
+        tracemalloc.start()
+        try:
+            boot_interval(*batch, 8, cfg, 0.05)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) <= 1.25 * peak(2)
 
 
 # ---------------------------------------------------------------------------
@@ -949,14 +984,11 @@ def _per_h_coverage(interval_kind, T=200, Q=500, H=5, rho=0.2, B=500):
         iv = bj_interval_estimated(jf, sf, mp_tr, sp_tr, fut, H, 0.05)
         bounds = (iv.lower, iv.upper)
     else:
-        # two members per call, each with its own seed, as the harness runs
-        # the bootstrap
-        ivs = [boot_interval(*_members((jf, sf, mp_tr, sp_tr, fut), slice(i, i + 2)),
-                             H, BootstrapConfig(B=B, seed=tuple(range(i, min(i + 2, Q)))),
-                             0.05)
-               for i in range(0, Q, 2)]
-        bounds = tuple(np.concatenate([getattr(iv, side) for iv in ivs])
-                       for side in ("lower", "upper"))
+        # one call, each member with its own seed, as the harness runs the
+        # bootstrap of a cell
+        iv = boot_interval(jf, sf, mp_tr, sp_tr, fut, H,
+                           BootstrapConfig(B=B, seed=tuple(range(Q))), 0.05)
+        bounds = (iv.lower, iv.upper)
     y_test = mp.y[:, T:]
     return np.mean((y_test >= bounds[0]) & (y_test <= bounds[1]), axis=0)
 

@@ -68,6 +68,12 @@ def test_standardize_z_constant_rejected():
         standardize_z(np.full(10, 3.25))
 
 
+@pytest.mark.parametrize("raw", [np.ones((2, 5)), np.float64(3.0)])
+def test_standardize_z_rejects_a_non_series(raw):
+    with pytest.raises(InvalidData, match="series must be 1-D"):
+        standardize_z(raw)
+
+
 def test_standardize_z_idempotent(rng):
     raw = rng.standard_normal(100)
     once = standardize_z(raw).values

@@ -1,5 +1,9 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,8 @@ from surrocast import (
 )
 from surrocast import intervals, simulation
 from surrocast.estimation import companion_matrix
+
+from conftest import member
 
 
 # ---------------------------------------------------------------------------
@@ -667,24 +673,65 @@ def test_rep_outputs_independent_of_batch(variant):
 
 
 def test_report_independent_of_boot_group(monkeypatch):
-    # the bootstrap runs a cell's members in groups of _BOOT_GROUP replicate
-    # columns; groups of 1, 2 and 3 members must give the same report bits
+    # boot_interval runs a cell's members in chunks of _BOOT_COLUMNS
+    # replicate columns, one call per cell; chunks of 1, 2 and 3 members
+    # must give the same report bits
     grid = _small_grid(rhos=(0.1, 0.3), include_boot=True)
-    calls = []
-    boot = simulation.boot_interval
+    calls, chunks = [], []
+    boot, refit = simulation.boot_interval, intervals._batched_refit
 
     def counted(jf, *args):
         calls.append(len(jf.residuals))
         return boot(jf, *args)
 
+    def chunk_counted(fixed, *args):
+        chunks.append(len(fixed))
+        return refit(fixed, *args)
+
     monkeypatch.setattr(simulation, "boot_interval", counted)
+    monkeypatch.setattr(intervals, "_batched_refit", chunk_counted)
     reports = []
     for members in (1, 2, 3):
-        monkeypatch.setattr(simulation, "_BOOT_GROUP", members * grid.B)
+        monkeypatch.setattr(intervals, "_BOOT_COLUMNS", members * grid.B)
         calls.clear()
+        chunks.clear()
         reports.append(run_experiment(grid, Q=7, seed=13))
-        assert calls == 2 * ([members] * (7 // members) + [7 % members] * (7 % members > 0))
+        assert calls == [7, 7]
+        assert chunks == 2 * ([members] * (7 // members) + [7 % members] * (7 % members > 0))
     assert reports[0].rows == reports[1].rows == reports[2].rows
+
+
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy before 1.26 has no dict mode
+        return "unknown"
+
+
+# the tests of a member's bits against the batch it runs in
+_INVARIANCE_TESTS = (
+    "tests/test_intervals.py::test_boot_batch_member_independent_of_group",
+    "tests/test_simulation.py::test_report_independent_of_boot_group",
+    "tests/test_simulation.py::test_rep_outputs_independent_of_batch",
+)
+
+
+@pytest.mark.skipif("openblas" not in _blas_name().lower(),
+                    reason="numpy's BLAS is not OpenBLAS, so OPENBLAS_CORETYPE "
+                           "selects no kernel")
+def test_batch_invariance_on_haswell_kernels():
+    # OpenBLAS picks its GEMM kernels by CPU, and on some kernels a column
+    # of a product depends on how many columns share the call; the batch
+    # invariants must hold on the Haswell kernels that a CPU without
+    # AVX-512 runs, not only on the host's own
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *_INVARIANCE_TESTS], cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-4000:]
 
 
 def test_rank_deficient_member_raises_as_alone():
@@ -693,9 +740,9 @@ def test_rank_deficient_member_raises_as_alone():
     x = mp.x.copy()
     x[3, :, 1] = -2.0 * x[3, :, 0]  # member 3's covariates are collinear
     batch = MonthlyPanel(mp.times, mp.y, mp.z, x)
-    alone = simulation._member(batch, 3)
+    alone = member(batch, 3)
     with pytest.raises(RankDeficient) as one:
-        fit_joint(alone, simulation._member(sp, 3), 2, 1)
+        fit_joint(alone, member(sp, 3), 2, 1)
     with pytest.raises(RankDeficient) as many:
         fit_joint(batch, sp, 2, 1)
     assert str(many.value) == str(one.value)

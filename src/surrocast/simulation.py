@@ -3,8 +3,11 @@
 The generator draws jointly correlated target/surrogate innovations and the
 covariate innovations, runs the target, the surrogate vector series and the
 covariates as one VAR(1) in stacked state-space form, and discards a burn-in
-prefix. The state recursion is solved by recursive doubling in numpy, in
-ceil(log2 n) matrix products for n months.
+prefix. The burn-in's state is a fixed linear map of its innovations (the
+moving-average form of a VAR(1), Lütkepohl 2005, §2.1), which each spec
+builds once, so a draw applies it in one product and never forms the
+burn-in months. The state recursion over the kept months is solved by
+recursive doubling in numpy, in ceil(log2 T) matrix products for T months.
 
 The harness repeats the full pipeline (generate, hold out the last H months,
 standardize on the training window, fit, forecast, score) over a (variant,
@@ -105,6 +108,29 @@ def _doubling_powers(M: np.ndarray, n: int) -> list[np.ndarray]:
     return powers
 
 
+def _burn_in_fold(V: np.ndarray, M: np.ndarray, powers: list[np.ndarray],
+                  b: int) -> np.ndarray:
+    """V (M^(b-t))' for the burn-in months t = 0..b-1, stacked (b, rows,
+    state): row i of block t takes innovation i of month t to its term in
+    the carry M s_{b-1} that the burn-in passes to the first kept month.
+    Row i of V is the W row of innovation i.
+
+    Built by doubling from V M': the pass with (M^(2^k))' multiplies every
+    block so far, as one (blocks * rows, state) product, and appends the
+    result, so ceil(log2 b) products give all b blocks. powers is
+    _doubling_powers(M, m) for some m >= b. Entries below the smallest
+    normal double are set to zero, as in _doubling_powers.
+    """
+    blocks = (V @ M.T)[None]  # V (M^j)', j = 1, 2, ...
+    for P_t in powers:
+        if len(blocks) >= b:
+            break
+        more = (blocks.reshape(-1, len(M)) @ P_t).reshape(blocks.shape)
+        more[np.abs(more) < np.finfo(float).tiny] = 0.0
+        blocks = np.concatenate([blocks, more])
+    return blocks[:b][::-1]
+
+
 def _linear_recursion(powers: list[np.ndarray], W: np.ndarray) -> np.ndarray:
     """Rows s_t = M s_{t-1} + W_t of a linear recursion from s_{-1} = 0.
 
@@ -176,12 +202,16 @@ class DgpSpec:
     phi beta, and u_t joins the innovations.
 
     A spec is validated, factored and put in state-space form once, when it
-    is built; every draw by ``generate`` reuses its factor and the doubling
-    powers of its transition matrix, which cover the draw's _BURN_IN + T
-    months. The matrices a draw multiplies by are kept transposed and
-    C-contiguous, the layout its stacked products run fastest on. Specs
-    compare and hash by identity: two specs built from equal arguments are
-    distinct objects.
+    is built; every draw by ``generate`` reuses its factor, the doubling
+    powers of its transition matrix, which cover the T kept months, and the
+    burn-in fold: two maps that take a draw's burn-in innovations straight
+    to the state carried into its first kept month. The spec records the
+    burn-in length it was built for (_BURN_IN at construction). The
+    matrices a draw multiplies by are kept transposed and C-contiguous, the
+    layout its stacked products run fastest on. alpha, beta, A_S, B_S and
+    Sigma are read-only copies, so no edit after construction can part
+    them from the operands built from them. Specs compare and hash by
+    identity: two specs built from equal arguments are distinct objects.
     """
 
     alpha: np.ndarray
@@ -197,25 +227,36 @@ class DgpSpec:
     _chol_t: np.ndarray = field(init=False, repr=False)
     # B_S transposed
     _B_S_t: np.ndarray = field(init=False, repr=False)
-    # transition matrix of the state s_t, and its _doubling_powers
+    # transition matrix of the state s_t, and its _doubling_powers over T
     _transition: np.ndarray = field(init=False, repr=False)
     _powers: list = field(init=False, repr=False)
+    # months drawn and discarded before the first kept month, and the maps
+    # (burn_in * (1 + K), state) and (burn_in * p, state) from the burn-in
+    # rows of the innovations eps and of the x innovations u, months
+    # flattened into the rows, to the carry M s_{burn_in - 1}
+    _burn_in: int = field(init=False, repr=False)
+    _fold_eps: np.ndarray = field(init=False, repr=False)
+    _fold_u: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        def frozen(name, value):
+            # a copy, so the caller's array stays writable
+            value = np.array(value, dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
         for name in ("alpha", "beta"):
-            object.__setattr__(self, name, np.atleast_1d(
-                np.asarray(getattr(self, name), dtype=float)))
+            frozen(name, np.atleast_1d(getattr(self, name)))
         A_S = np.asarray(self.A_S, dtype=float)
         if A_S.ndim == 2:
             A_S = A_S[None]
         if self.alpha.size == 0 or A_S.size == 0:
             raise InvalidData("alpha and A_S need at least one lag")
-        object.__setattr__(self, "A_S", A_S)
+        frozen("A_S", A_S)
         K = A_S.shape[1]
-        B_S = np.asarray(self.B_S, dtype=float).reshape(K, -1)
-        object.__setattr__(self, "B_S", B_S)
-        Sigma = np.asarray(self.Sigma, dtype=float)
-        object.__setattr__(self, "Sigma", Sigma)
+        frozen("B_S", np.asarray(self.B_S, dtype=float).reshape(K, -1))
+        frozen("Sigma", self.Sigma)
+        B_S, Sigma = self.B_S, self.Sigma
         if Sigma.shape != (1 + K, 1 + K) or not np.allclose(Sigma, Sigma.T):
             raise InvalidCovariance(f"Sigma must be symmetric ({1 + K} x {1 + K})")
         if self.error_kind not in ("gaussian", "student-t"):
@@ -251,7 +292,22 @@ class DgpSpec:
         M[p + ns:, p + ns:] = target
         M[p + ns, :p] = phi * self.beta
         object.__setattr__(self, "_transition", M)
-        object.__setattr__(self, "_powers", _doubling_powers(M, _BURN_IN + self.T))
+        b = _BURN_IN
+        powers = _doubling_powers(M, max(b, self.T))
+        object.__setattr__(self, "_powers", powers[:(self.T - 1).bit_length()])
+        # row i of V is the state row of innovation i: eps_0, eps_1..eps_K,
+        # then u_1..u_p, the terms a draw puts into W
+        y_col = p + ns
+        V = np.zeros((1 + K + p, len(M)))
+        V[0, y_col] = 1.0
+        V[1:1 + K, p:p + K] = np.eye(K)
+        V[1 + K:, :p] = np.eye(p)
+        V[1 + K:, p:p + K] = self._B_S_t
+        V[1 + K:, y_col] = self.beta
+        fold = _burn_in_fold(V, M, powers, b)
+        object.__setattr__(self, "_burn_in", b)
+        object.__setattr__(self, "_fold_eps", fold[:, :1 + K].reshape(-1, len(M)))
+        object.__setattr__(self, "_fold_u", fold[:, 1 + K:].reshape(-1, len(M)))
 
     @property
     def q2(self) -> int:
@@ -270,19 +326,29 @@ class SimTruth:
     spec: DgpSpec
 
 
-# Members drawn together. The arrays of a group hold the burn-in months too
-# (260 of a 60-month draw); five members keep each under 80 KB, which keeps
-# the peak resident memory of a 50-member cell within 1 MB of one member's.
-# A 50-member draw (2-vCPU Xeon) took 4.8 ms in groups of 5, 4.7 ms in
-# groups of 10 and 5.2 ms in groups of 25.
-_DRAW_GROUP = 5
+# Members drawn together. Each stream still draws its burn-in months (260
+# of a 60-month draw), so the innovation arrays of a group hold them; W and
+# the states hold the kept months only. Ten members keep each array under
+# 90 KB. A 50-member draw (benchmark_dgp(0.3, T=60), 2-vCPU Xeon, medians
+# of 300 interleaved calls) was 8-12% faster in groups of 10 than of 5 in
+# each of five runs, and slower in groups of 25 or 50 than of 10; its
+# tracemalloc peak is 0.46 MB at 5 and 0.68 MB at 10.
+_DRAW_GROUP = 10
 
 
 def _draw_states(spec: DgpSpec, seeds: list) -> tuple[np.ndarray, np.ndarray]:
-    """Innovations (members, n, 1+K) and states (members, n, state) of every
-    month, burn-in included, one member per seed."""
+    """Innovations (members, T, 1+K) and states (members, T, state) of the
+    kept months, one member per seed.
+
+    Each stream still draws every month, burn-in included, so the streams
+    do not depend on how the burn-in is applied. The burn-in rows go through
+    the spec's fold, one (1, rows) product per member, into the carry
+    M s_{b-1}, which joins the first kept month's W; the recursion then runs
+    over the T kept months only.
+    """
     rngs = [np.random.default_rng(s) for s in seeds]
-    n = _BURN_IN + spec.T
+    b = spec._burn_in
+    n = b + spec.T
     Q, K, p = len(rngs), spec.K, spec.x_gen.n_cols
     student = spec.error_kind == "student-t"
     # each stream draws the normals, the t mixing variables, then the x
@@ -300,11 +366,15 @@ def _draw_states(spec: DgpSpec, seeds: list) -> tuple[np.ndarray, np.ndarray]:
         eps *= np.sqrt(_T_DF / chi2)[..., None]
     u *= spec.x_gen._innovation_sd
 
+    carry = (eps[:, :b].reshape(Q, 1, b * (1 + K)) @ spec._fold_eps
+             + u[:, :b].reshape(Q, 1, b * p) @ spec._fold_u)
+    eps, u = eps[:, b:], u[:, b:]
     y_col = p + K * spec.q2
-    W = np.zeros((Q, n, len(spec._transition)))
+    W = np.zeros((Q, spec.T, len(spec._transition)))
     W[..., :p] = u
     W[..., p:p + K] = u @ spec._B_S_t + eps[..., 1:]
     W[..., y_col] = u @ spec.beta + eps[..., 0]
+    W[:, 0] += carry[:, 0]
     return eps, _linear_recursion(spec._powers, W)
 
 
@@ -319,17 +389,16 @@ def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel, SimTrut
     batch = (isinstance(seed, list) and len(seed) > 0
              and all(isinstance(s, np.random.SeedSequence) for s in seed))
     seeds = seed if batch else [seed]
-    Q, T, b = len(seeds), spec.T, _BURN_IN
+    Q, T = len(seeds), spec.T
     K, p = spec.K, spec.x_gen.n_cols
     y_col = p + K * spec.q2
     eps = np.empty((Q, T, 1 + K))
     states = np.empty((Q, T, p + K + 1))  # x, ys, then y, per member
     for start in range(0, Q, _DRAW_GROUP):
         group = slice(start, start + _DRAW_GROUP)
-        eps_g, s = _draw_states(spec, seeds[group])
-        eps[group] = eps_g[:, b:]
-        states[group, :, :p + K] = s[:, b:, :p + K]
-        states[group, :, -1] = s[:, b:, y_col]
+        eps[group], s = _draw_states(spec, seeds[group])
+        states[group, :, :p + K] = s[..., :p + K]
+        states[group, :, -1] = s[..., y_col]
     if not batch:
         eps, states = eps[0], states[0]
     times = month_range("2019-01", T)
@@ -511,6 +580,18 @@ def _rho_key(rho: float) -> int:
     return int(round(rho * 1e6)) % 2**64
 
 
+def _uint32_words(values) -> np.ndarray:
+    """The little-endian 32-bit words SeedSequence makes of a tuple of
+    nonnegative ints: each int in as many words as it needs, 0 in one."""
+    words = []
+    for v in map(int, values):
+        words.append(v & 0xFFFFFFFF)
+        while v >> 32:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def _rep_seed(seed: int, variant: str, rho: float, H: int, rep: int,
               child: int) -> np.random.SeedSequence:
     """Stream ``child`` of a repetition: 0 draws the process, 1 the overfit
@@ -518,9 +599,11 @@ def _rep_seed(seed: int, variant: str, rho: float, H: int, rep: int,
 
     It is SeedSequence(entropy).spawn(3)[child], built alone: a spawned
     child is the SeedSequence of the same entropy with spawn_key (child,).
+    The entropy is passed as the uint32 words SeedSequence would make of
+    the tuple: the same pool, in 5.4 rather than 9.3 us per seed (2-vCPU Xeon).
     """
     entropy = (seed, VARIANTS.index(variant), _rho_key(rho), H, rep)
-    return np.random.SeedSequence(entropy, spawn_key=(child,))
+    return np.random.SeedSequence(_uint32_words(entropy), spawn_key=(child,))
 
 
 def _run_reps(task: tuple) -> dict:

@@ -616,19 +616,32 @@ _MATRIX_PRODUCTS = {
     "_doubling_powers": {
         "P @ P": "one (state, state) transition power; no batch",
     },
+    "_burn_in_fold": {
+        "V @ M.T": "one (rows, state) @ (state, state) per spec; no batch",
+        "blocks.reshape(-1, len(M)) @ P_t":
+            "one (blocks * rows, state) @ (state, state) per doubling pass of "
+            "a spec; no batch",
+    },
     "_linear_recursion": {
         "s[..., :n - shift, :] @ P_t":
             "stacked: each member's own (n - shift, state) @ (state, state), n "
-            "the draw length; P_t is C-contiguous, 2-3x faster than the "
+            "the kept months; P_t is C-contiguous, 2-3x faster than the "
             "transposed view with the same bits",
     },
     "_draw_states": {
         "normals @ spec._chol_t":
-            "stacked: each member's own (n, 1 + K) @ (1 + K, 1 + K), n the draw "
-            "length; the factor is kept transposed and C-contiguous",
+            "stacked: each member's own (n, 1 + K) @ (1 + K, 1 + K), n the "
+            "burn-in plus kept months; the factor is kept transposed and "
+            "C-contiguous",
+        "eps[:, :b].reshape(Q, 1, b * (1 + K)) @ spec._fold_eps":
+            "stacked: each member's own (1, b (1 + K)) @ (b (1 + K), state), b "
+            "the spec's burn-in; the fold is kept C-contiguous",
+        "u[:, :b].reshape(Q, 1, b * p) @ spec._fold_u":
+            "stacked: each member's own (1, b p) @ (b p, state), b the spec's "
+            "burn-in; the fold is kept C-contiguous",
         "u @ spec._B_S_t":
-            "stacked: each member's own (n, p) @ (p, K); B_S' is kept C-contiguous",
-        "u @ spec.beta": "stacked: each member's own (n, p) @ (p,)",
+            "stacked: each member's own (T, p) @ (p, K); B_S' is kept C-contiguous",
+        "u @ spec.beta": "stacked: each member's own (T, p) @ (p,)",
     },
 }
 

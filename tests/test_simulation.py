@@ -162,8 +162,8 @@ def test_linear_recursion_matches_direct_loop(case, n):
     powers = simulation._doubling_powers(M, n)
     scan = simulation._linear_recursion(powers, W)
     assert np.max(np.abs(scan - loop)) <= 1e-12 * (1.0 + np.max(np.abs(loop)))
-    # a list that covers more months, as a spec caches for its whole draw,
-    # gives the same bits; one that covers fewer is refused
+    # a list that covers more months, as a spec builds when its burn-in is
+    # longer than T, gives the same bits; one that covers fewer is refused
     longer = simulation._doubling_powers(M, 4 * n + 1)
     assert len(longer) > len(powers)
     assert simulation._linear_recursion(longer, W).tobytes() == scan.tobytes()
@@ -175,11 +175,12 @@ def test_linear_recursion_matches_direct_loop(case, n):
 @pytest.mark.parametrize("error_kind", ["gaussian", "student-t"])
 def test_spec_draw_operands_are_contiguous_and_exact(error_kind):
     # the operands a spec caches are C-contiguous copies of the transposes
-    # the draw multiplies by, and its doubling powers are the squarings of
-    # its transition matrix, bit for bit, up to the draw's length
+    # the draw multiplies by; its doubling powers are the squarings of its
+    # transition matrix, bit for bit, up to the T kept months; its burn-in
+    # fold is the moving-average weight of every burn-in innovation
     spec = benchmark_dgp(0.3, T=60, error_kind=error_kind)
-    n = simulation._BURN_IN + spec.T
-    assert len(spec._powers) == math.ceil(math.log2(n))
+    assert spec._burn_in == simulation._BURN_IN
+    assert len(spec._powers) == math.ceil(math.log2(spec.T))
     P = spec._transition
     for P_t in spec._powers:
         assert P_t.flags.c_contiguous
@@ -191,6 +192,108 @@ def test_spec_draw_operands_are_contiguous_and_exact(error_kind):
     for cached, matrix in ((spec._chol_t, chol), (spec._B_S_t, spec.B_S)):
         assert cached.flags.c_contiguous
         assert cached.tobytes() == matrix.T.tobytes()
+    # month t's innovations reach the first kept month through M^(b - t)
+    M, b, K, p = spec._transition, spec._burn_in, spec.K, spec.x_gen.n_cols
+    y_col = p + K * spec.q2
+    E = np.zeros((1 + K, len(M)))
+    E[0, y_col] = 1.0
+    E[1:, p:p + K] = np.eye(K)
+    U = np.zeros((p, len(M)))
+    U[:, :p] = np.eye(p)
+    U[:, p:p + K] = spec.B_S.T
+    U[:, y_col] = spec.beta
+    for cached, rows in ((spec._fold_eps, E), (spec._fold_u, U)):
+        assert cached.flags.c_contiguous
+        assert cached.shape == (b * len(rows), len(M))
+        for t in (0, 1, b // 2, b - 2, b - 1):
+            weight = rows @ np.linalg.matrix_power(M, b - t).T
+            block = cached[t * len(rows):(t + 1) * len(rows)]
+            assert np.max(np.abs(block - weight)) <= 1e-14 * np.max(np.abs(weight))
+
+
+def _slow_decay_spec(K, q2, T, error_kind):
+    """A spec whose surrogate companion matrix has spectral radius 0.97,
+    so the burn-in's weight on the first kept month decays slowly."""
+    rng = np.random.default_rng(K * 10 + q2)
+    A_S = rng.standard_normal((q2, K, K))
+    radius = np.max(np.abs(np.linalg.eigvals(companion_matrix(A_S))))
+    A_S *= ((0.97 / radius) ** np.arange(1, q2 + 1))[:, None, None]
+    return DgpSpec(alpha=[0.6, 0.3], beta=np.array([0.7, -0.2]), A_S=A_S,
+                   B_S=rng.standard_normal((K, 2)),
+                   Sigma=equicorrelated(1 + K, 0.3), T=T,
+                   x_gen=Ar1Spec(2, phi=0.9, scale=6.0), error_kind=error_kind)
+
+
+@pytest.mark.parametrize("T", [60, 2001])
+@pytest.mark.parametrize("K, q2", [(3, 1), (10, 2)])
+@pytest.mark.parametrize("error_kind", ["gaussian", "student-t"])
+def test_burn_in_fold_matches_full_recursion(error_kind, K, q2, T):
+    # the folded burn-in gives the states of the full recursion over
+    # _BURN_IN + T months from the same stream, within 1e-12 of their scale,
+    # and the innovations of the kept months bit for bit; 2001 is the draw
+    # length of criterion 3
+    spec = _slow_decay_spec(K, q2, T, error_kind)
+    M = spec._transition
+    radii = [np.max(np.abs(np.linalg.eigvals(companion_matrix(a))))
+             for a in (spec.alpha, spec.A_S)]
+    assert max(radii) >= 0.95
+    seeds = [np.random.SeedSequence((11, i)) for i in range(3)]
+    mp, sp, truth = generate(spec, seeds)
+    b, p = simulation._BURN_IN, spec.x_gen.n_cols
+    n, y_col = b + T, p + K * q2
+    chol_t = np.linalg.cholesky(spec.Sigma if error_kind == "gaussian"
+                                else spec.Sigma * (simulation._T_DF - 2.0)
+                                / simulation._T_DF).T
+    for i, ss in enumerate(seeds):
+        rng = np.random.default_rng(ss)
+        eps = rng.standard_normal((n, 1 + K)) @ chol_t
+        if error_kind == "student-t":
+            eps *= np.sqrt(simulation._T_DF / rng.chisquare(simulation._T_DF, n))[:, None]
+        u = rng.standard_normal((n, p)) * spec.x_gen._innovation_sd
+        W = np.zeros((n, len(M)))
+        W[:, :p] = u
+        W[:, p:p + K] = u @ spec.B_S.T + eps[:, 1:]
+        W[:, y_col] = u @ spec.beta + eps[:, 0]
+        s = simulation._linear_recursion(simulation._doubling_powers(M, n), W)[b:]
+        assert truth.eps[i].tobytes() == eps[b:].tobytes()
+        for got, want in ((mp.y[i], s[:, y_col]), (mp.x[i], s[:, :p]),
+                          (sp.ys[i], s[:, p:p + K])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("burn_in", [0, 1, 2, 3, 64, 65])
+def test_spec_keeps_the_burn_in_it_was_built_for(burn_in, monkeypatch):
+    # the burn-in is the spec's, not the module's at draw time; short and
+    # power-of-two lengths fold the same months the full recursion runs
+    monkeypatch.setattr(simulation, "_BURN_IN", burn_in)
+    spec = benchmark_dgp(0.3, T=5)
+    monkeypatch.setattr(simulation, "_BURN_IN", 200)
+    assert spec._burn_in == burn_in
+    assert spec._fold_eps.shape == (burn_in * 4, len(spec._transition))
+    mp, sp, truth = generate(spec, 9)
+    monkeypatch.setattr(simulation, "_BURN_IN", 0)
+    full = DgpSpec(alpha=spec.alpha, beta=spec.beta, A_S=spec.A_S, B_S=spec.B_S,
+                   Sigma=spec.Sigma, T=burn_in + 5, x_gen=spec.x_gen)
+    mp_full, sp_full, truth_full = generate(full, 9)
+    assert truth.eps.tobytes() == truth_full.eps[burn_in:].tobytes()
+    for got, want in ((mp.y, mp_full.y[burn_in:]), (mp.x, mp_full.x[burn_in:]),
+                      (sp.ys, sp_full.ys[burn_in:])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_spec_arrays_are_read_only_copies():
+    # a spec's arrays cannot be edited after construction, which would part
+    # them from the operands the draw caches; the caller's arrays stay
+    # writable
+    args = dict(alpha=np.array([0.5, -0.3]), beta=np.array([0.7, -0.2]),
+                A_S=np.full((1, 3, 3), 0.1), B_S=np.full((3, 2), 0.2),
+                Sigma=equicorrelated(4, 0.3))
+    spec = DgpSpec(**args, T=10, x_gen=Ar1Spec(2))
+    for name, value in args.items():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(spec, name)[(0,) * value.ndim] = 0.9
+        value[(0,) * value.ndim] = 0.25
+        assert getattr(spec, name)[(0,) * value.ndim] != 0.25
 
 
 def test_generate_matches_model_equations(monkeypatch):
@@ -560,16 +663,24 @@ def test_report_csv_schema(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_rep_seed_is_the_spawned_child():
-    # a child built alone is the child spawn(3) returns: same stream
+    # a child built alone is the child spawn(3) returns: same entropy words,
+    # same stream; seeds and repetitions past one 32-bit word, and a
+    # negative rho, whose key wraps
     for entropy in [(0, 0, 100000, 8, 0), (20260810, 3, 400000, 15, 499),
-                    (7, 1, 2**64 - 5, 1, 12)]:
+                    (7, 1, 2**64 - 5, 1, 12), (2**32, 2, 300000, 9, 3),
+                    (10**12, 0, 250000, 12, 7), (2**70 + 5, 1, 0, 8, 1),
+                    (3, 0, 100000, 8, 2**32 + 1), (0, 2, 2**64 - 100000, 10, 0),
+                    (np.int64(2**40), 1, 100000, np.int64(8), 4)]:
         spawned = np.random.SeedSequence(entropy).spawn(3)
         seed, variant, rho_key, H, rep = entropy
         rho = rho_key / 1e6 if rho_key < 2**63 else (rho_key - 2**64) / 1e6
+        assert simulation._rho_key(rho) == rho_key
+        words = np.random.bit_generator._coerce_to_uint32_array(entropy)
         for child in range(3):
             alone = simulation._rep_seed(seed, simulation.VARIANTS[variant], rho,
                                          H, rep, child)
-            assert alone.entropy == spawned[child].entropy
+            assert np.array_equal(np.asarray(alone.entropy, dtype=np.uint32), words)
+            assert alone.spawn_key == spawned[child].spawn_key
             assert np.array_equal(alone.generate_state(8),
                                   spawned[child].generate_state(8))
 

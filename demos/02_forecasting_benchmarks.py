@@ -24,7 +24,7 @@ from surrocast import (
 
 H = 8
 total = 60
-mp, sp, _ = generate(benchmark_dgp(rho=0.3, T=total), 21)
+mp, sp = generate(benchmark_dgp(rho=0.3, T=total), 21)
 T = total - H
 mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
 y_test = mp.y[T:]

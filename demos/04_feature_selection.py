@@ -8,7 +8,6 @@ Run: python3 demos/04_feature_selection.py
 """
 
 import numpy as np
-from scipy.signal import lfilter
 
 from surrocast import Ar1Spec, correlation_pursuit, efficiency_gain
 
@@ -17,7 +16,10 @@ T = 200
 x_active = Ar1Spec(2, phi=0.5, scale=6.0).draw(rng, T)
 x = np.hstack([x_active, rng.standard_normal((T, 8))])
 driver = x_active @ np.array([0.7, -0.2]) + rng.standard_normal(T)
-y = lfilter([1.0], [1.0, -0.5, 0.3], driver)
+# the target is an AR(2) in the driver: y_t = 0.5 y_{t-1} - 0.3 y_{t-2} + driver_t
+y = driver.copy()
+for t in range(1, T):
+    y[t] += 0.5 * y[t - 1] - (0.3 * y[t - 2] if t > 1 else 0.0)
 
 res = correlation_pursuit(y, x, q_max=4)
 print(f"autoregressive order used for the baseline residuals: {res.ar_order}")

@@ -9,6 +9,9 @@ count.
 Run: python3 demos/05_monte_carlo_study.py   (about half a minute)
 """
 
+import os
+import tempfile
+
 from surrocast import ExperimentGrid, run_experiment
 
 grid = ExperimentGrid(
@@ -31,5 +34,6 @@ reading the table:
   - both joint intervals are several times shorter than the AR interval
     at comparable coverage, and tighten as the correlation grows.
 """)
-report.to_csv("/tmp/surrocast_demo_report.csv")
-print("full report written to /tmp/surrocast_demo_report.csv")
+path = os.path.join(tempfile.gettempdir(), "surrocast_demo_report.csv")
+report.to_csv(path)
+print(f"full report written to {path}")

@@ -22,7 +22,7 @@ from surrocast.cli import main
 
 work = pathlib.Path(tempfile.mkdtemp(prefix="surrocast_demo_"))
 total, H = 48, 6
-mp, sp, _ = generate(benchmark_dgp(rho=0.3, T=total), 99)
+mp, sp = generate(benchmark_dgp(rho=0.3, T=total), 99)
 T = total - H
 
 with open(work / "monthly.csv", "w", newline="") as fh:

@@ -19,7 +19,8 @@ from .errors import *  # noqa: F403 (the error classes, errors.__all__)
 
 __version__ = "0.1.0"
 
-# The public names of each submodule, imported with it on first access.
+# The public names of each submodule: its __all__, and the names the package
+# imports from it on first access.
 _PUBLIC = {
     "panels": (
         "DailyIndex",
@@ -47,7 +48,6 @@ _PUBLIC = {
         "fit_surrogate",
         "joint_fit_from_dict",
         "joint_fit_to_dict",
-        "ols_solve",
         "residual_pairs",
     ),
     "forecasting": (
@@ -79,7 +79,6 @@ _PUBLIC = {
         "ExperimentGrid",
         "ReportRow",
         "SimulationReport",
-        "SimTruth",
         "benchmark_dgp",
         "coverage_length",
         "equicorrelated",

@@ -22,26 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _PUBLIC
 from .errors import (InsufficientSample, InvalidCovariance, InvalidData, MissingExogenous,
                      PanelMismatch, RankDeficient)
 from .panels import MonthlyPanel, SurrogatePanel, _require_count, check_aligned
 
-__all__ = [
-    "ols_solve",
-    "companion_matrix",
-    "SurrogateFit",
-    "JointFit",
-    "ArxFit",
-    "fit_surrogate",
-    "d_residual_matrix",
-    "fit_joint",
-    "fit_joint_step2",
-    "fit_arx",
-    "residual_pairs",
-    "joint_fit_to_dict",
-    "joint_fit_from_dict",
-    "efficiency_gain",
-]
+__all__ = _PUBLIC["estimation"]
 
 # Relative singular-value cutoff below which a design is treated as singular.
 RANK_TOL = 1e-10
@@ -193,27 +179,6 @@ def _solve(aug: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return coef, aug[..., m:] - aug[..., :m] @ coef
 
 
-def ols_solve(design: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients minimizing ||response - design @ coef||_F.
-
-    design is (n, m), or (..., n, m) with leading batch axes as in
-    np.linalg; response is (..., n) for one right-hand side per design or
-    (..., n, r). Solved by _solve on [design | response]. Raises
-    InsufficientSample when n < m, RankDeficient, listing the
-    near-collinear columns, when a design fails the rank rule, and
-    InvalidData, naming the member, when a design holds NaN or Inf.
-    """
-    design = np.asarray(design, dtype=float)
-    response = np.asarray(response, dtype=float)
-    n, m = design.shape[-2:]
-    if n < m:
-        raise InsufficientSample(f"{n} rows cannot identify {m} coefficients")
-    vector = response.ndim == design.ndim - 1
-    rhs = response[..., None] if vector else response
-    coef = _solve(np.concatenate([design, rhs], axis=-1), m)[0]
-    return coef[..., 0] if vector else coef
-
-
 def _rank_deficient(design: np.ndarray) -> RankDeficient:
     """The error for one (n, m) design that fails the rank rule: its rank,
     and the columns with large loadings on its near-null singular
@@ -318,13 +283,11 @@ def _design(series: np.ndarray, q: int, blocks=()) -> np.ndarray:
     """ARX design: lag rows [s_{t-1}, ..., s_{t-q}] for t = q..T-1, followed
     by the last T - q rows of each (..., rows, width) block.
 
-    series is (..., T, k), months on its second-to-last axis; a 1-D series
-    is one column. Leading axes are a batch and broadcast across series and
-    blocks. Every block ends at the same month as series, so a block that
-    starts later (d_hat, from month q2) lines up without slicing.
+    series is (..., T, k), months on its second-to-last axis. Leading axes
+    are a batch and broadcast across series and blocks. Every block ends at
+    the same month as series, so a block that starts later (d_hat, from
+    month q2) lines up without slicing.
     """
-    if series.ndim == 1:
-        series = series[:, None]
     T = series.shape[-2]
     n = T - q
     parts = [series[..., q - l:T - l, :] for l in range(1, q + 1)]

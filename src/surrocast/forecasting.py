@@ -14,20 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _PUBLIC
 from .errors import InsufficientSample, InvalidData
 from .estimation import (ArxFit, JointFit, SurrogateFit, _driver, _future_blocks,
                          _join, _joint_rows)
 from .panels import MonthlyPanel, SurrogatePanel, _require_count, check_aligned
 
-__all__ = [
-    "Method",
-    "FutureExogenous",
-    "ForecastResult",
-    "forecast_joint",
-    "forecast_arx",
-    "forecast_rw",
-    "forecast_ave",
-]
+__all__ = _PUBLIC["forecasting"]
 
 
 class Method(str, enum.Enum):

@@ -18,6 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import _PUBLIC
 from .errors import (
     BootstrapUnstable,
     InsufficientSample,
@@ -42,14 +43,7 @@ from .forecasting import (
 )
 from .panels import MonthlyPanel, SurrogatePanel, _require_count, _require_int
 
-__all__ = [
-    "IntervalResult",
-    "BootstrapConfig",
-    "companion_weight",
-    "bj_interval",
-    "bj_interval_estimated",
-    "boot_interval",
-]
+__all__ = _PUBLIC["intervals"]
 
 logger = logging.getLogger(__name__)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _PUBLIC
 from .errors import (
     DegenerateSeries,
     InvalidData,
@@ -25,21 +26,7 @@ from .errors import (
     PanelMismatch,
 )
 
-__all__ = [
-    "MonthlyPanel",
-    "SurrogatePanel",
-    "DailyIndex",
-    "StandardizedSeries",
-    "standardize_cpi",
-    "standardize_z",
-    "aggregate_daily",
-    "month_range",
-    "check_aligned",
-    "read_monthly_csv",
-    "read_surrogate_csv",
-    "read_daily_csv",
-    "write_surrogate_csv",
-]
+__all__ = _PUBLIC["panels"]
 
 
 def _parse_month(label: str) -> int:

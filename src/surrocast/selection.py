@@ -16,16 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _PUBLIC
 from .errors import InsufficientSample, InvalidData, PenaltyUndefined, RankDeficient
 from .estimation import _back_substitute, _design, _triangularize, fit_arx
 from .panels import _require_count
 
-__all__ = [
-    "corrected_aic",
-    "select_ar_order",
-    "SelectionResult",
-    "correlation_pursuit",
-]
+__all__ = _PUBLIC["selection"]
 
 logger = logging.getLogger(__name__)
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _PUBLIC
 from .errors import (
     BaselineDegenerate,
     InvalidCovariance,
@@ -53,21 +54,7 @@ from .panels import (MonthlyPanel, SurrogatePanel, _require_count, _require_int,
                      _write_csv, month_range, standardize_cpi)
 from .selection import select_ar_order
 
-__all__ = [
-    "Ar1Spec",
-    "DgpSpec",
-    "SimTruth",
-    "equicorrelated",
-    "benchmark_dgp",
-    "generate",
-    "rpmse",
-    "rsign",
-    "coverage_length",
-    "ExperimentGrid",
-    "ReportRow",
-    "SimulationReport",
-    "run_experiment",
-]
+__all__ = _PUBLIC["simulation"]
 
 # One row per robustness variant: the innovation kind, the number of x
 # columns (the last ones) withheld from every fit and forecast, and the number
@@ -318,14 +305,6 @@ class DgpSpec:
         return self.A_S.shape[1]
 
 
-@dataclass(frozen=True)
-class SimTruth:
-    """Innovations retained from a simulated draw (post burn-in)."""
-
-    eps: np.ndarray  # (T, 1+K) or (batch, T, 1+K); column 0 target, 1..K surrogate
-    spec: DgpSpec
-
-
 # Members drawn together. Each stream still draws its burn-in months (260
 # of a 60-month draw), so the innovation arrays of a group hold them; W and
 # the states hold the kept months only. Ten members keep each array under
@@ -378,9 +357,9 @@ def _draw_states(spec: DgpSpec, seeds: list) -> tuple[np.ndarray, np.ndarray]:
     return eps, _linear_recursion(spec._powers, W)
 
 
-def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel, SimTruth]:
-    """Draw one panel pair of length spec.T from the joint process, seeded
-    by anything np.random.default_rng accepts.
+def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel]:
+    """Draw one panel pair (mp, sp) of length spec.T from the joint process,
+    seeded by anything np.random.default_rng accepts.
 
     A list of SeedSequences draws a batch, one member per seed: panels with
     y (batch, T), x (batch, T, p) and ys (batch, T, K). Member i is drawn
@@ -392,20 +371,19 @@ def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel, SimTrut
     Q, T = len(seeds), spec.T
     K, p = spec.K, spec.x_gen.n_cols
     y_col = p + K * spec.q2
-    eps = np.empty((Q, T, 1 + K))
     states = np.empty((Q, T, p + K + 1))  # x, ys, then y, per member
     for start in range(0, Q, _DRAW_GROUP):
         group = slice(start, start + _DRAW_GROUP)
-        eps[group], s = _draw_states(spec, seeds[group])
+        s = _draw_states(spec, seeds[group])[1]
         states[group, :, :p + K] = s[..., :p + K]
         states[group, :, -1] = s[..., y_col]
     if not batch:
-        eps, states = eps[0], states[0]
+        states = states[0]
     times = month_range("2019-01", T)
     mp = MonthlyPanel(times=times, y=states[..., -1],
                       z=np.zeros(states.shape[:-1] + (0,)), x=states[..., :p])
     sp = SurrogatePanel(times=times, ys=states[..., p:p + K])
-    return mp, sp, SimTruth(eps=eps, spec=spec)
+    return mp, sp
 
 
 def benchmark_dgp(
@@ -622,7 +600,7 @@ def _run_reps(task: tuple) -> dict:
     def streams(child):
         return [_rep_seed(seed, grid.variant, rho, H, rep, child) for rep in reps]
 
-    mp, sp = generate(spec, streams(0))[:2]
+    mp, sp = generate(spec, streams(0))
     T_train = grid.total_months - H
     y = standardize_cpi(mp.y, base=0.0, train_size=T_train).values
     x = mp.x[..., :mp.p - withheld]

@@ -76,7 +76,7 @@ def _closed_form_coverages(rho: float, Q: int = 500, H: int = 8,
     run as one batch of the Q repetitions."""
     T = total_months - H
     seeds = [_rep_seed(SEED, "base", rho, H, rep, 0) for rep in range(Q)]
-    mp, sp, _ = generate(benchmark_dgp(rho, T=total_months), seeds)
+    mp, sp = generate(benchmark_dgp(rho, T=total_months), seeds)
     std = standardize_cpi(mp.y, base=0.0, train_size=T)
     mp = MonthlyPanel(mp.times, std.values, mp.z, mp.x)
     mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
@@ -145,7 +145,7 @@ def _error_variance_ratio(master_seed: int, rho: float, T: int, Q: int) -> float
     for start in range(0, Q, 50):
         seeds = [np.random.SeedSequence((master_seed, int(rho * 100), rep))
                  for rep in range(start, min(start + 50, Q))]
-        mp, sp, _ = generate(spec, seeds)
+        mp, sp = generate(spec, seeds)
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         fut = FutureExogenous(mp.z[:, T:], mp.x[:, T:], sp.ys[:, T:])
         jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)

@@ -22,7 +22,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 def _write_workspace(directory, seed=77):
     """History and future CSVs from one draw of the benchmark process."""
     total, horizon = 40, 6
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=total), seed)
+    mp, sp = generate(benchmark_dgp(0.3, T=total), seed)
     T = total - horizon
 
     monthly = directory / "monthly.csv"
@@ -928,6 +928,13 @@ def test_package_names_resolve_lazily():
             want = getattr(importlib.import_module(
                 "surrocast." + surrocast._MODULE_OF.get(name, "errors")), name)
         assert getattr(surrocast, name) is want, name
+    # the name table is the one list: each submodule exports it, and every
+    # name in it is defined in the submodule it is filed under
+    for module, names in surrocast._PUBLIC.items():
+        submodule = importlib.import_module(f"surrocast.{module}")
+        assert submodule.__all__ is names, module
+        for name in names:
+            assert getattr(submodule, name).__module__ == submodule.__name__, name
     assert set(surrocast.__all__) <= set(dir(surrocast))
     namespace = {}
     exec("from surrocast import *", namespace)

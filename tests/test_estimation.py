@@ -21,11 +21,10 @@ from surrocast import (
     generate,
     joint_fit_from_dict,
     joint_fit_to_dict,
-    ols_solve,
     residual_pairs,
     select_ar_order,
 )
-from surrocast.estimation import SurrogateFit, _design, _joint_rows
+from surrocast.estimation import SurrogateFit, _design, _joint_rows, _solve
 from surrocast.forecasting import FutureExogenous
 from surrocast.simulation import Ar1Spec, DgpSpec
 
@@ -33,41 +32,41 @@ from conftest import build_panels, member
 
 
 # ---------------------------------------------------------------------------
-# ols_solve
+# _solve: the least-squares kernel every fit runs
 # ---------------------------------------------------------------------------
 
+def _coef(design, rhs):
+    """_solve's coefficients (..., m, r) for [design | rhs], rhs (..., n, r)."""
+    return _solve(np.concatenate([design, rhs], axis=-1), design.shape[-1])[0]
+
+
 def test_ols_identity_design():
-    coef = ols_solve(np.eye(3), np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(coef, [1.0, 2.0, 3.0])
+    coef = _coef(np.eye(3), np.array([[1.0], [2.0], [3.0]]))
+    np.testing.assert_allclose(coef[:, 0], [1.0, 2.0, 3.0])
 
 
 def test_ols_column_of_ones_gives_mean():
-    coef = ols_solve(np.ones((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert coef[0] == pytest.approx(2.5)
+    coef = _coef(np.ones((4, 1)), np.array([[1.0], [2.0], [3.0], [4.0]]))
+    assert coef[0, 0] == pytest.approx(2.5)
 
 
 def test_ols_duplicated_column_rank_deficient(rng):
     col = rng.standard_normal(20)
     design = np.column_stack([col, col, rng.standard_normal(20)])
     with pytest.raises(RankDeficient) as exc:
-        ols_solve(design, rng.standard_normal(20))
+        _coef(design, rng.standard_normal((20, 1)))
     assert set(exc.value.columns) >= {0, 1}
-
-
-def test_ols_more_columns_than_rows():
-    with pytest.raises(InsufficientSample):
-        ols_solve(np.ones((2, 3)), np.ones(2))
 
 
 def test_ols_batch_member_is_its_own_solve(rng):
     # a stacked solve treats each design on its own: same bits as alone,
     # for one right-hand side per design and for several
     design = rng.standard_normal((9, 50, 7))
-    for response in (rng.standard_normal((9, 50)), rng.standard_normal((9, 50, 3))):
-        coef = ols_solve(design, response)
+    for response in (rng.standard_normal((9, 50, 1)), rng.standard_normal((9, 50, 3))):
+        coef = _coef(design, response)
         assert coef.shape == (9, 7) + response.shape[2:]
         for i in range(9):
-            assert coef[i].tobytes() == ols_solve(design[i], response[i]).tobytes()
+            assert coef[i].tobytes() == _coef(design[i], response[i]).tobytes()
         ref = np.linalg.lstsq(design[0], response[0], rcond=None)[0]
         np.testing.assert_allclose(coef[0], ref, rtol=1e-12, atol=1e-13)
 
@@ -86,7 +85,7 @@ def test_non_finite_design_raises_invalid_data(rng):
     design = rng.standard_normal((2, 3, 30, 4))
     design[1, 2, 5, 1] = np.inf
     with pytest.raises(InvalidData, match=r"NaN or Inf \(member 1, 2\)"):
-        ols_solve(design, rng.standard_normal((2, 3, 30)))
+        _coef(design, rng.standard_normal((2, 3, 30, 1)))
 
 
 def test_non_finite_response_raises_invalid_data(rng):
@@ -101,21 +100,21 @@ def test_non_finite_response_raises_invalid_data(rng):
             fit(y[1])
         fit(y[[0, 2]])
     design = rng.standard_normal((2, 3, 30, 4))
-    response = rng.standard_normal((2, 3, 30))
+    response = rng.standard_normal((2, 3, 30, 1))
     response[1, 2, 5] = -np.inf
     with pytest.raises(InvalidData, match=r"response holds NaN or Inf \(member 1, 2\)"):
-        ols_solve(design, response)
+        _coef(design, response)
     with pytest.raises(InvalidData, match=r"response holds NaN or Inf$"):
-        ols_solve(design[1, 2], response[1, 2])
+        _coef(design[1, 2], response[1, 2])
 
 
 def test_ols_batch_rank_deficient_member(rng):
     design = rng.standard_normal((5, 20, 3))
     design[2, :, 2] = design[2, :, 0]
     with pytest.raises(RankDeficient) as many:
-        ols_solve(design, rng.standard_normal((5, 20)))
+        _coef(design, rng.standard_normal((5, 20, 1)))
     with pytest.raises(RankDeficient) as one:
-        ols_solve(design[2], rng.standard_normal(20))
+        _coef(design[2], rng.standard_normal((20, 1)))
     assert many.value.columns == one.value.columns == (0, 2)
     assert "rank 2 of 3" in str(many.value)
 
@@ -143,19 +142,21 @@ def test_design_equals_hand_stacked_designs(q, K, d, p):
     z, x = rng.standard_normal((T, d)), rng.standard_normal((T, p))
     # surrogate VARX and ARX
     assert _same_bytes(_design(ys, q, (x,)), np.hstack([_hand_lags(ys, q), x[q:]]))
-    assert _same_bytes(_design(y, q, (z, x)), np.hstack([_hand_lags(y, q), z[q:], x[q:]]))
+    assert _same_bytes(_design(y[:, None], q, (z, x)),
+                       np.hstack([_hand_lags(y, q), z[q:], x[q:]]))
     # AR order selection: the lag block alone
-    assert _same_bytes(_design(y, q), np.column_stack(
+    assert _same_bytes(_design(y[:, None], q), np.column_stack(
         [y[q - l: T - l] for l in range(1, q + 1)]))
     for q2 in range(1, q + 1):  # joint model: d_hat starts at month q2
         d_hat = rng.standard_normal((T - q2, K))
-        assert _same_bytes(_design(y, q, (z, x, d_hat)), np.hstack(
+        assert _same_bytes(_design(y[:, None], q, (z, x, d_hat)), np.hstack(
             [_hand_lags(y, q), z[q:], x[q:], d_hat[q - q2:]]))
     # forecast-gradient rows of T+1..T+H
     path = rng.standard_normal(q + H)
     fut = (rng.standard_normal((H, d)), rng.standard_normal((H, p)),
            rng.standard_normal((H, K)))
-    assert _same_bytes(_design(path, q, fut), np.hstack([_hand_lags(path, q), *fut]))
+    assert _same_bytes(_design(path[:, None], q, fut),
+                       np.hstack([_hand_lags(path, q), *fut]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ def test_surrogate_recovery_benchmark_dgp():
     B_sum = np.zeros((3, 2))
     n_seeds = 20
     for seed in range(n_seeds):
-        mp, sp, _ = generate(benchmark_dgp(0.2, T=5000), seed)
+        mp, sp = generate(benchmark_dgp(0.2, T=5000), seed)
         sf = fit_surrogate(sp, mp.x, q2=1)
         A_sum += sf.A_hat[0]
         B_sum += sf.B_hat
@@ -266,7 +267,7 @@ def test_joint_gamma_vanishes_without_error_correlation():
     gamma_sum = np.zeros(3)
     n_seeds = 20
     for seed in range(n_seeds):
-        mp, sp, _ = generate(benchmark_dgp(0.0, T=10000), 100 + seed)
+        mp, sp = generate(benchmark_dgp(0.0, T=10000), 100 + seed)
         jf, _ = fit_joint(mp, sp, 2, 1)
         gamma_sum += jf.gamma_hat
     assert np.max(np.abs(gamma_sum / n_seeds)) < 0.05
@@ -276,14 +277,14 @@ def test_joint_alpha_recovery():
     alpha_sum = np.zeros(2)
     n_seeds = 20
     for seed in range(n_seeds):
-        mp, sp, _ = generate(benchmark_dgp(0.4, T=5000), 200 + seed)
+        mp, sp = generate(benchmark_dgp(0.4, T=5000), 200 + seed)
         jf, _ = fit_joint(mp, sp, 2, 1)
         alpha_sum += jf.alpha_hat
     np.testing.assert_allclose(alpha_sum / n_seeds, [0.5, -0.3], atol=0.05)
 
 
 def test_joint_reduces_residual_variance():
-    mp, sp, _ = generate(benchmark_dgp(0.4, T=5000), 7)
+    mp, sp = generate(benchmark_dgp(0.4, T=5000), 7)
     jf, _ = fit_joint(mp, sp, 2, 1)
     arx = fit_arx(mp.y, 2, x=mp.x)
     # error variance drops by Sigma_ts Sigma_ss^{-1} Sigma_st = 3rho^2/(1+2rho)
@@ -291,14 +292,14 @@ def test_joint_reduces_residual_variance():
 
 
 def test_joint_sigma_denominator_is_t_minus_q1():
-    mp, sp, _ = generate(benchmark_dgp(0.2, T=200), 3)
+    mp, sp = generate(benchmark_dgp(0.2, T=200), 3)
     jf, _ = fit_joint(mp, sp, 2, 1)
     expected = np.sqrt(np.sum(jf.residuals**2) / (mp.T - 2))
     assert jf.sigma_e_hat == pytest.approx(expected, rel=1e-12)
 
 
 def test_joint_orthogonality_invariant():
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=400), 11)
+    mp, sp = generate(benchmark_dgp(0.3, T=400), 11)
     jf, sf = fit_joint(mp, sp, 2, 1)
     q1 = 2
     lags = np.column_stack([mp.y[q1 - l: mp.T - l] for l in range(1, q1 + 1)])
@@ -309,7 +310,7 @@ def test_joint_orthogonality_invariant():
 
 
 def test_joint_x_scaling_invariance():
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=300), 13)
+    mp, sp = generate(benchmark_dgp(0.3, T=300), 13)
     jf, sf = fit_joint(mp, sp, 2, 1)
     from surrocast import MonthlyPanel
 
@@ -333,7 +334,7 @@ def test_joint_root_t_consistency_rate():
     errs = {500: [], 1000: []}
     for seed in range(50):
         for T in (500, 1000):
-            mp, sp, _ = generate(benchmark_dgp(0.3, T=T), (seed, T))
+            mp, sp = generate(benchmark_dgp(0.3, T=T), (seed, T))
             jf, _ = fit_joint(mp, sp, 2, 1)
             coef = np.concatenate([jf.alpha_hat, jf.delta_hat, jf.gamma_hat])
             errs[T].append(np.linalg.norm(coef - truth))
@@ -344,7 +345,7 @@ def test_joint_root_t_consistency_rate():
 def test_joint_misaligned_panels_rejected():
     from surrocast import PanelMismatch
 
-    mp, sp, _ = generate(benchmark_dgp(0.2, T=50), 1)
+    mp, sp = generate(benchmark_dgp(0.2, T=50), 1)
     sp_shifted = type(sp)(times=tuple(["2018-12"] + list(sp.times[:-1])),
                           ys=sp.ys)
     with pytest.raises(PanelMismatch):
@@ -374,7 +375,7 @@ def _no_x_dgp(rho, T):
 
 
 def test_residual_pairs_cardinality():
-    mp, sp, _ = generate(_no_x_dgp(0.2, 7 + 2), 5)
+    mp, sp = generate(_no_x_dgp(0.2, 7 + 2), 5)
     # K=3 here; check row count = T - q1 and width 1 + K
     jf, sf = fit_joint(mp, sp, 2, 1)
     pairs = residual_pairs(jf, sf)
@@ -382,7 +383,7 @@ def test_residual_pairs_cardinality():
 
 
 def test_residual_pairs_uncorrelated_when_independent():
-    mp, sp, _ = generate(_no_x_dgp(0.0, 10000), 21)
+    mp, sp = generate(_no_x_dgp(0.0, 10000), 21)
     jf, sf = fit_joint(mp, sp, 2, 1)
     pairs = residual_pairs(jf, sf)
     for k in range(1, 4):
@@ -391,7 +392,7 @@ def test_residual_pairs_uncorrelated_when_independent():
 
 
 def test_residual_pairs_correlated_dgp():
-    mp, sp, _ = generate(_no_x_dgp(0.4, 5000), 22)
+    mp, sp = generate(_no_x_dgp(0.4, 5000), 22)
     jf, sf = fit_joint(mp, sp, 2, 1)
     pairs = residual_pairs(jf, sf)
     for k in range(1, 4):
@@ -401,7 +402,7 @@ def test_residual_pairs_correlated_dgp():
 
 def _batched_fit(q1, q2, members=3):
     seeds = [np.random.SeedSequence((13, i)) for i in range(members)]
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=40), seeds)
+    mp, sp = generate(benchmark_dgp(0.3, T=40), seeds)
     return fit_joint(mp, sp, q1, q2)
 
 
@@ -416,8 +417,8 @@ def test_residual_pairs_batch_matches_one_series_calls(q1, q2):
 
 
 def test_residual_pairs_rejects_fits_of_different_lengths():
-    jf = fit_joint(*generate(benchmark_dgp(0.3, T=40), 1)[:2], 2, 1)[0]
-    sf = fit_joint(*generate(benchmark_dgp(0.3, T=41), 1)[:2], 2, 1)[1]
+    jf = fit_joint(*generate(benchmark_dgp(0.3, T=40), 1), 2, 1)[0]
+    sf = fit_joint(*generate(benchmark_dgp(0.3, T=41), 1), 2, 1)[1]
     with pytest.raises(PanelMismatch, match="equal length"):
         residual_pairs(jf, sf)
 
@@ -432,7 +433,7 @@ def test_fit_document_rejects_batched_fit():
 
 
 def test_fit_document_roundtrip():
-    mp, sp, _ = generate(benchmark_dgp(0.2, T=80), 9)
+    mp, sp = generate(benchmark_dgp(0.2, T=80), 9)
     jf, sf = fit_joint(mp, sp, 2, 1)
     doc = joint_fit_to_dict(jf, sf)
     jf2, sf2 = joint_fit_from_dict(doc)
@@ -444,7 +445,7 @@ def test_fit_document_roundtrip():
 
 
 def _fit_document():
-    mp, sp, _ = generate(benchmark_dgp(0.2, T=40), 9)
+    mp, sp = generate(benchmark_dgp(0.2, T=40), 9)
     return joint_fit_to_dict(*fit_joint(mp, sp, 2, 1))
 
 

@@ -162,7 +162,7 @@ def test_driver_equals_hand_written_sums(K, d, p):
 def horizon_calls():
     """Every public entry point that takes a forecast horizon, as a
     function of H alone."""
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=40), 2)
+    mp, sp = generate(benchmark_dgp(0.3, T=40), 2)
     mp_tr, sp_tr = mp.slice(0, 32), sp.slice(0, 32)
     jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
     arx = fit_arx(mp_tr.y, 2, x=mp_tr.x)
@@ -197,7 +197,7 @@ def test_every_forecast_rejects_a_bad_horizon(horizon_calls, entry, H):
 def order_calls():
     """Every public entry point that takes a lag order, as a function of
     that order alone, with the order's name."""
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=40), 2)
+    mp, sp = generate(benchmark_dgp(0.3, T=40), 2)
     return {
         "select_ar_order": ("q_max", lambda q: select_ar_order(mp.y, q)),
         "correlation_pursuit": ("q_max", lambda q: correlation_pursuit(mp.y, mp.x, q)),
@@ -226,7 +226,7 @@ def test_future_block_rejects_a_scalar():
 def test_joint_rejects_panels_with_other_covariates_than_the_fit():
     # the history's covariate widths define the rows; a fit of other widths
     # is a PanelMismatch, not a shape error inside the driver's product
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=40), 3)
+    mp, sp = generate(benchmark_dgp(0.3, T=40), 3)
     jf, sf = fit_joint(mp.slice(0, 32), sp.slice(0, 32), 2, 1)
     wide = MonthlyPanel(mp.times, mp.y, mp.z, np.hstack([mp.x, mp.x[:, :1]]))
     fut = FutureExogenous(wide.z[32:], wide.x[32:], sp.ys[32:])
@@ -249,7 +249,7 @@ def test_history_shorter_than_ar_order_rejected():
 
 
 def test_arx_equals_joint_when_gamma_zero():
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=80), 5)
+    mp, sp = generate(benchmark_dgp(0.3, T=80), 5)
     jf, sf = fit_joint(mp, sp, 2, 1)
     jf_zero = _manual_joint(jf.alpha_hat, np.zeros(3), d_hat_rows=len(jf.d_hat))
     object.__setattr__(jf_zero, "delta_hat", jf.delta_hat)
@@ -391,7 +391,7 @@ def test_ar_recursion_batch_property(data, q1, H, B, extra, shared_alpha,
 
 
 def test_rolling_consistency_joint():
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=46), 8)
+    mp, sp = generate(benchmark_dgp(0.3, T=46), 8)
     T_train = 40
     mp_tr, sp_tr = mp.slice(0, T_train), sp.slice(0, T_train)
     jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
@@ -417,7 +417,7 @@ def test_joint_forecast_asymptotically_unbiased():
     Q, T = 500, 2000
     errors = np.empty(Q)
     for rep in range(Q):
-        mp, sp, _ = generate(benchmark_dgp(0.3, T=T + 1), (17, rep))
+        mp, sp = generate(benchmark_dgp(0.3, T=T + 1), (17, rep))
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
         fut = FutureExogenous(mp.z[T:], mp.x[T:], sp.ys[T:])

@@ -170,7 +170,7 @@ def test_bj_width_proportional_to_weight():
 
 
 def test_bj_serves_ar_baseline_fit():
-    mp, _, _ = generate(benchmark_dgp(0.2, T=100), 2)
+    mp, _ = generate(benchmark_dgp(0.2, T=100), 2)
     ar = fit_arx(mp.y, 2)
     fc = forecast_arx(ar, mp.y, None, 3)
     iv = bj_interval(fc, ar, 0.05)
@@ -182,7 +182,7 @@ def test_bj_serves_ar_baseline_fit():
 # ---------------------------------------------------------------------------
 
 def _fitted_setup(rho=0.3, T_total=60, H=8, seed=4):
-    mp, sp, _ = generate(benchmark_dgp(rho, T=T_total), seed)
+    mp, sp = generate(benchmark_dgp(rho, T=T_total), seed)
     T = T_total - H
     mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
     jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
@@ -348,7 +348,7 @@ def test_boot_matches_per_replicate_lstsq(q1, rule, H):
     # the batched refit sums in another order than lstsq's SVD; the
     # endpoints may move by rounding only
     for seed in range(5):
-        mp, sp, _ = generate(benchmark_dgp(0.3, T=60), (17, seed))
+        mp, sp = generate(benchmark_dgp(0.3, T=60), (17, seed))
         T = 52
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         jf, sf = fit_joint(mp_tr, sp_tr, q1, 1)
@@ -614,7 +614,7 @@ def test_boot_duplicated_covariate_unstable():
     dup = MonthlyPanel(times=mp.times, y=mp.y, z=mp.z, x=x)
     # the residuals of jf's coefficients on the duplicated panel
     q1 = jf.q1
-    X = _design(dup.y, q1, (dup.z, dup.x, jf.d_hat))
+    X = _design(dup.y[:, None], q1, (dup.z, dup.x, jf.d_hat))
     jf = dataclasses.replace(jf, residuals=dup.y[q1:] - X @ _joint_coef(jf))
     with pytest.raises(BootstrapUnstable):
         boot_interval(jf, sf, dup, sp, fut, 4, BootstrapConfig(B=120), 0.05)
@@ -623,7 +623,7 @@ def test_boot_duplicated_covariate_unstable():
 def test_boot_rejects_panels_of_another_draw():
     jf, sf, mp, sp, fut, _ = _fitted_setup()
     # the fitted shape, but not the fitted sample
-    mp_o, sp_o, _ = generate(benchmark_dgp(0.3, T=60), 5)
+    mp_o, sp_o = generate(benchmark_dgp(0.3, T=60), 5)
     with pytest.raises(PanelMismatch, match="reproduce the fit residuals"):
         boot_interval(jf, sf, mp_o.slice(0, mp.T), sp_o.slice(0, sp.T), fut,
                       4, BootstrapConfig(B=120), 0.05)
@@ -637,7 +637,7 @@ def _fitted_batch(q1=2, members=4, H=8, rho=0.3, seed=17):
     """Batched (jf, sf, mp, sp, fut) of independent draws: T = 60 - H
     training months, q2 = 1."""
     seeds = [np.random.SeedSequence((seed, i)) for i in range(members)]
-    mp, sp, _ = generate(benchmark_dgp(rho, T=60), seeds)
+    mp, sp = generate(benchmark_dgp(rho, T=60), seeds)
     T = 60 - H
     mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
     jf, sf = fit_joint(mp_tr, sp_tr, q1, 1)
@@ -748,7 +748,7 @@ def _duplicated_covariate_batch(members=3, i=1):
     x = mp.x.copy()
     x[i, :, 1] = x[i, :, 0]
     dup = MonthlyPanel(mp.times, mp.y, mp.z, x)
-    X = _design(dup.y[i], jf.q1, (dup.z[i], dup.x[i], jf.d_hat[i]))
+    X = _design(dup.y[i, :, None], jf.q1, (dup.z[i], dup.x[i], jf.d_hat[i]))
     residuals = jf.residuals.copy()
     residuals[i] = dup.y[i, jf.q1:] - X @ _joint_coef(member(jf, i))
     return dataclasses.replace(jf, residuals=residuals), sf, dup, sp, fut
@@ -863,7 +863,7 @@ def test_estimated_gradient_matches_loop_oracle(q1):
     # the bound is relative to each column's largest entry, because an entry
     # that cancels to 1e-4 of it keeps only the column's absolute rounding
     for seed in range(3):
-        mp, sp, _ = generate(benchmark_dgp(0.3, T=60), (23, seed))
+        mp, sp = generate(benchmark_dgp(0.3, T=60), (23, seed))
         mp_tr, sp_tr = mp.slice(0, 48), sp.slice(0, 48)
         jf, sf = fit_joint(mp_tr, sp_tr, q1, 1)
         fut = FutureExogenous(mp.z[48:], mp.x[48:], sp.ys[48:])
@@ -902,12 +902,12 @@ def test_estimated_wider_than_plug_in():
 def test_estimated_rejects_mispaired_panels():
     jf, sf, mp, sp, fut, _ = _fitted_setup()
     # same shape, different draw: the residuals are not reproduced
-    mp_o, sp_o, _ = generate(benchmark_dgp(0.3, T=60), 5)
+    mp_o, sp_o = generate(benchmark_dgp(0.3, T=60), 5)
     with pytest.raises(PanelMismatch):
         bj_interval_estimated(jf, sf, mp_o.slice(0, mp.T),
                               sp_o.slice(0, sp.T), fut, 4, 0.05)
     # a history longer than the fitted sample
-    mp_l, sp_l, _ = generate(benchmark_dgp(0.3, T=60), 4)
+    mp_l, sp_l = generate(benchmark_dgp(0.3, T=60), 4)
     with pytest.raises(PanelMismatch):
         bj_interval_estimated(jf, sf, mp_l, sp_l, fut, 4, 0.05)
     # target and surrogate panels of different lengths
@@ -959,7 +959,7 @@ def test_estimated_rank_deficient_design_raises():
 
 def test_estimated_needs_residual_degrees_of_freedom():
     # T - q1 = 7 rows for 7 coefficients: the fit is exact, s^2 is undefined
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=12), 6)
+    mp, sp = generate(benchmark_dgp(0.3, T=12), 6)
     mp, sp = mp.slice(0, 9), sp.slice(0, 9)
     jf, sf = fit_joint(mp, sp, 2, 1)
     fut = FutureExogenous(np.zeros((1, 0)), np.zeros((1, 2)), np.zeros((1, 3)))
@@ -973,7 +973,7 @@ def test_estimated_needs_residual_degrees_of_freedom():
 
 def _per_h_coverage(interval_kind, T=200, Q=500, H=5, rho=0.2, B=500):
     seeds = [np.random.SeedSequence((31, rep)) for rep in range(Q)]
-    mp, sp, _ = generate(benchmark_dgp(rho, T=T + H), seeds)
+    mp, sp = generate(benchmark_dgp(rho, T=T + H), seeds)
     mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
     jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
     fut = FutureExogenous(mp.z[:, T:], mp.x[:, T:], sp.ys[:, T:])
@@ -1013,7 +1013,7 @@ def test_joint_bj_shorter_than_ar_baseline():
     # correlate and the covariate signal dominates the target variance
     ratios = []
     for rep in range(40):
-        mp, sp, _ = generate(benchmark_dgp(0.2, T=205), (41, rep))
+        mp, sp = generate(benchmark_dgp(0.2, T=205), (41, rep))
         T = 200
         mp_tr, sp_tr = mp.slice(0, T), sp.slice(0, T)
         jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)

@@ -9,10 +9,9 @@ from surrocast import (
     corrected_aic,
     correlation_pursuit,
     fit_arx,
-    ols_solve,
     select_ar_order,
 )
-from surrocast.estimation import _design
+from surrocast.estimation import _design, _solve
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +85,12 @@ def test_order_selection_needs_sample():
 def _four_solve_scores(y, q_max):
     """corrected_aic of AR(1)..AR(q_max) on the common sample, one solve
     per order: the rule select_ar_order replaced with one QR."""
-    lags, response = _design(y, q_max), y[q_max:]
-    return [corrected_aic(response - lags[:, :q] @ ols_solve(lags[:, :q], response), q)
-            for q in range(1, q_max + 1)]
+    lags, response = _design(y[:, None], q_max), y[q_max:]
+    scores = []
+    for q in range(1, q_max + 1):
+        coef = _solve(np.column_stack([lags[:, :q], response]), q)[0][:, 0]
+        scores.append(corrected_aic(response - lags[:, :q] @ coef, q))
+    return scores
 
 
 def _near_tie(rng, T, q_max):

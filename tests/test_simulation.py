@@ -59,7 +59,7 @@ def _iid_spec(T):
 
 
 def test_generate_iid_when_all_coefficients_zero():
-    mp, sp, _ = generate(_iid_spec(5000), 0)
+    mp, sp = generate(_iid_spec(5000), 0)
     for series in [mp.y] + [sp.ys[:, k] for k in range(3)]:
         r = np.corrcoef(series[:-1], series[1:])[0, 1]
         assert abs(r) < 0.05
@@ -67,15 +67,15 @@ def test_generate_iid_when_all_coefficients_zero():
 
 def test_generate_innovation_covariance_matches_sigma():
     spec = benchmark_dgp(0.3, T=5000)
-    _, _, truth = generate(spec, 1)
-    sample = np.cov(truth.eps.T)
+    eps = simulation._draw_states(spec, [1])[0][0]
+    sample = np.cov(eps.T)
     assert np.max(np.abs(sample - spec.Sigma)) < 0.05
 
 
 def test_generate_student_t_covariance_matches_sigma():
     spec = benchmark_dgp(0.3, T=5000, error_kind="student-t")
-    _, _, truth = generate(spec, 2)
-    sample = np.cov(truth.eps.T)
+    eps = simulation._draw_states(spec, [2])[0][0]
+    sample = np.cov(eps.T)
     assert np.max(np.abs(sample - spec.Sigma)) < 0.05
 
 
@@ -114,12 +114,12 @@ def test_generate_deterministic_given_seed():
     # same process, gives the same bytes
     for error_kind in ("gaussian", "student-t"):
         spec = benchmark_dgp(0.2, T=100, error_kind=error_kind)
-        draws = [generate(spec, 42), generate(spec, 42),
-                 generate(benchmark_dgp(0.2, T=100, error_kind=error_kind), 42)]
-        for mp, sp, truth in draws[1:]:
+        specs = [spec, spec, benchmark_dgp(0.2, T=100, error_kind=error_kind)]
+        draws = [(*generate(s, 42), simulation._draw_states(s, [42])[0]) for s in specs]
+        for mp, sp, eps in draws[1:]:
             assert mp.y.tobytes() == draws[0][0].y.tobytes()
             assert sp.ys.tobytes() == draws[0][1].ys.tobytes()
-            assert truth.eps.tobytes() == draws[0][2].eps.tobytes()
+            assert eps.tobytes() == draws[0][2].tobytes()
 
 
 def _surrogate_lags():
@@ -238,7 +238,8 @@ def test_burn_in_fold_matches_full_recursion(error_kind, K, q2, T):
              for a in (spec.alpha, spec.A_S)]
     assert max(radii) >= 0.95
     seeds = [np.random.SeedSequence((11, i)) for i in range(3)]
-    mp, sp, truth = generate(spec, seeds)
+    mp, sp = generate(spec, seeds)
+    kept_eps = simulation._draw_states(spec, seeds)[0]
     b, p = simulation._BURN_IN, spec.x_gen.n_cols
     n, y_col = b + T, p + K * q2
     chol_t = np.linalg.cholesky(spec.Sigma if error_kind == "gaussian"
@@ -255,7 +256,7 @@ def test_burn_in_fold_matches_full_recursion(error_kind, K, q2, T):
         W[:, p:p + K] = u @ spec.B_S.T + eps[:, 1:]
         W[:, y_col] = u @ spec.beta + eps[:, 0]
         s = simulation._linear_recursion(simulation._doubling_powers(M, n), W)[b:]
-        assert truth.eps[i].tobytes() == eps[b:].tobytes()
+        assert kept_eps[i].tobytes() == eps[b:].tobytes()
         for got, want in ((mp.y[i], s[:, y_col]), (mp.x[i], s[:, :p]),
                           (sp.ys[i], s[:, p:p + K])):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -270,12 +271,13 @@ def test_spec_keeps_the_burn_in_it_was_built_for(burn_in, monkeypatch):
     monkeypatch.setattr(simulation, "_BURN_IN", 200)
     assert spec._burn_in == burn_in
     assert spec._fold_eps.shape == (burn_in * 4, len(spec._transition))
-    mp, sp, truth = generate(spec, 9)
+    mp, sp = generate(spec, 9)
     monkeypatch.setattr(simulation, "_BURN_IN", 0)
     full = DgpSpec(alpha=spec.alpha, beta=spec.beta, A_S=spec.A_S, B_S=spec.B_S,
                    Sigma=spec.Sigma, T=burn_in + 5, x_gen=spec.x_gen)
-    mp_full, sp_full, truth_full = generate(full, 9)
-    assert truth.eps.tobytes() == truth_full.eps[burn_in:].tobytes()
+    mp_full, sp_full = generate(full, 9)
+    eps, eps_full = (simulation._draw_states(s, [9])[0][0] for s in (spec, full))
+    assert eps.tobytes() == eps_full[burn_in:].tobytes()
     for got, want in ((mp.y, mp_full.y[burn_in:]), (mp.x, mp_full.x[burn_in:]),
                       (sp.ys, sp_full.ys[burn_in:])):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -307,8 +309,8 @@ def test_generate_matches_model_equations(monkeypatch):
     alpha = np.array([0.5, -0.3])
     spec = DgpSpec(alpha=alpha, beta=beta, A_S=A[None], B_S=B_S,
                    Sigma=np.eye(3), T=300, x_gen=Ar1Spec(2, phi=0.6, scale=2.0))
-    mp, sp, truth = generate(spec, 3)
-    x, eps = mp.x, truth.eps
+    mp, sp = generate(spec, 3)
+    x, eps = mp.x, simulation._draw_states(spec, [3])[0][0]
     ys, y = np.zeros((300, 2)), np.zeros(300)
     for t in range(300):
         ys[t] = B_S @ x[t] + eps[t, 1:] + (A @ ys[t - 1] if t else 0.0)
@@ -536,7 +538,7 @@ def test_joint_intervals_reach_the_traced_forecast(tracing):
     # the tracer times the joint intervals' point forecasts by wrapping
     # surrocast.intervals.forecast_joint; an interval that forecast by
     # another route would drop them from the traced forecasting layer
-    mp, sp, _ = generate(benchmark_dgp(0.3, T=40), 2)
+    mp, sp = generate(benchmark_dgp(0.3, T=40), 2)
     mp_tr, sp_tr = mp.slice(0, 32), sp.slice(0, 32)
     jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
     fut = FutureExogenous(mp.z[32:], mp.x[32:], sp.ys[32:])
@@ -581,10 +583,10 @@ def test_experiment_rep_ignores_holdout_rows(variant, monkeypatch):
     draw = simulation.generate
 
     def poisoned(spec, seed):
-        mp, sp, truth = draw(spec, seed)
+        mp, sp = draw(spec, seed)
         y = mp.y.copy()
         y[..., -H:] = 1e6
-        return MonthlyPanel(mp.times, y, mp.z, mp.x), sp, truth
+        return MonthlyPanel(mp.times, y, mp.z, mp.x), sp
 
     monkeypatch.setattr(simulation, "generate", poisoned)
     dirty = simulation._run_reps(task)
@@ -689,15 +691,16 @@ def test_generate_batch_member_is_its_one_series_draw():
     for error_kind in ("gaussian", "student-t"):
         spec = benchmark_dgp(0.3, T=60, error_kind=error_kind)
         seeds = [np.random.SeedSequence((5, i)) for i in range(9)]
-        mp, sp, truth = generate(spec, seeds)
+        mp, sp = generate(spec, seeds)
+        eps = simulation._draw_states(spec, seeds)[0]
         assert mp.y.shape == (9, 60) and mp.x.shape == (9, 60, 2)
-        assert sp.ys.shape == (9, 60, 3) and truth.eps.shape == (9, 60, 4)
+        assert sp.ys.shape == (9, 60, 3) and eps.shape == (9, 60, 4)
         for i, ss in enumerate(seeds):
-            mp1, sp1, truth1 = generate(spec, ss)
+            mp1, sp1 = generate(spec, ss)
             assert mp1.y.tobytes() == mp.y[i].tobytes()
             assert mp1.x.tobytes() == mp.x[i].tobytes()
             assert sp1.ys.tobytes() == sp.ys[i].tobytes()
-            assert truth1.eps.tobytes() == truth.eps[i].tobytes()
+            assert simulation._draw_states(spec, [ss])[0][0].tobytes() == eps[i].tobytes()
 
 
 def _oracle_rep(grid, spec, seed, rho, H, rep):
@@ -707,7 +710,7 @@ def _oracle_rep(grid, spec, seed, rho, H, rep):
     dgp_ss, noise_ss, boot_ss = (
         simulation._rep_seed(seed, grid.variant, rho, H, rep, child)
         for child in range(3))
-    mp, sp, _ = generate(spec, dgp_ss)
+    mp, sp = generate(spec, dgp_ss)
     T_train = grid.total_months - H
     y = standardize_cpi(mp.y, base=0.0, train_size=T_train).values
     x = mp.x[:, :mp.p - withheld]
@@ -847,7 +850,7 @@ def test_batch_invariance_on_haswell_kernels():
 
 def test_rank_deficient_member_raises_as_alone():
     spec = benchmark_dgp(0.2, T=60)
-    mp, sp, _ = generate(spec, [np.random.SeedSequence((4, i)) for i in range(6)])
+    mp, sp = generate(spec, [np.random.SeedSequence((4, i)) for i in range(6)])
     x = mp.x.copy()
     x[3, :, 1] = -2.0 * x[3, :, 0]  # member 3's covariates are collinear
     batch = MonthlyPanel(mp.times, mp.y, mp.z, x)

@@ -335,7 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="point-forecast metrics only")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel worker processes (same output as 1); the pool "
-                        "takes about 0.05 s to start, so 1 is faster on small runs")
+                        "takes about 0.05 s to start, so 1 is faster on small runs, "
+                        "and never starts more processes than tasks or CPUs")
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=_cmd_simulate)
 

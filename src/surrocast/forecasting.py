@@ -18,7 +18,8 @@ from . import _PUBLIC
 from .errors import InsufficientSample, InvalidData
 from .estimation import (ArxFit, JointFit, SurrogateFit, _driver, _future_blocks,
                          _join, _joint_rows)
-from .panels import MonthlyPanel, SurrogatePanel, _require_count, check_aligned
+from .panels import (MonthlyPanel, SurrogatePanel, _require_count, _require_finite,
+                     check_aligned)
 
 __all__ = _PUBLIC["forecasting"]
 
@@ -51,6 +52,7 @@ class FutureExogenous:
                 raise InvalidData(f"{name} must be an (H, width) array, not a scalar")
             if arr.ndim == 1:
                 arr = arr.reshape(len(arr), -1) if arr.size else arr.reshape(0, 0)
+            _require_finite(name, arr)
             object.__setattr__(self, name, arr)
         H = (self.z_future.shape[-2] or self.x_future.shape[-2]
              or self.ys_future.shape[-2])

@@ -3,10 +3,10 @@
 The generator draws jointly correlated target/surrogate innovations and the
 covariate innovations, runs the target, the surrogate vector series and the
 covariates as one VAR(1) in stacked state-space form, and discards a burn-in
-prefix. The burn-in's state is a fixed linear map of its innovations (the
-moving-average form of a VAR(1), Lütkepohl 2005, §2.1), which each spec
-builds once, so a draw applies it in one product and never forms the
-burn-in months. The state recursion over the kept months is solved by
+prefix. Each spec builds one innovation map V, which takes a month's
+innovations into the state, and one burn-in fold, the burn-in's state as a
+linear map of its innovations (the moving-average form of a VAR(1),
+Lütkepohl 2005, §2.1). The state recursion over the kept months is solved by
 recursive doubling in numpy, in ceil(log2 T) matrix products for T months.
 
 The harness repeats the full pipeline (generate, hold out the last H months,
@@ -25,6 +25,7 @@ metrics are insensitive to that scale; absolute interval lengths are not.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,16 +187,16 @@ class DgpSpec:
     one VAR(1) in the state s_t = [x_t, ys_t..ys_{t-q2+1}, y_t..y_{t-q1+1}].
     x enters ys_t and y_t in the same month; with x_t = phi x_{t-1} + u_t,
     the transition couples the previous month's x through phi B_S and
-    phi beta, and u_t joins the innovations.
+    phi beta, and u_t joins the innovations e_t = [eps_t, u_t]: W_t = e_t V.
 
     A spec is validated, factored and put in state-space form once, when it
     is built; every draw by ``generate`` reuses its factor, the doubling
-    powers of its transition matrix, which cover the T kept months, and the
-    burn-in fold: two maps that take a draw's burn-in innovations straight
-    to the state carried into its first kept month. The spec records the
-    burn-in length it was built for (_BURN_IN at construction). The
-    matrices a draw multiplies by are kept transposed and C-contiguous, the
-    layout its stacked products run fastest on. alpha, beta, A_S, B_S and
+    powers of its transition matrix, which cover the T kept months, the
+    innovation map V and one burn-in fold, the map that takes a draw's
+    burn-in innovations straight to the state carried into its first kept
+    month. The spec records the burn-in length it was built for (_BURN_IN
+    at construction). The matrices a draw multiplies by are C-contiguous,
+    the layout its stacked products run fastest on. alpha, beta, A_S, B_S and
     Sigma are read-only copies, so no edit after construction can part
     them from the operands built from them. Specs compare and hash by
     identity: two specs built from equal arguments are distinct objects.
@@ -212,18 +213,17 @@ class DgpSpec:
     # transposed Cholesky factor of the covariance of the normal part of
     # each innovation
     _chol_t: np.ndarray = field(init=False, repr=False)
-    # B_S transposed
-    _B_S_t: np.ndarray = field(init=False, repr=False)
     # transition matrix of the state s_t, and its _doubling_powers over T
     _transition: np.ndarray = field(init=False, repr=False)
     _powers: list = field(init=False, repr=False)
-    # months drawn and discarded before the first kept month, and the maps
-    # (burn_in * (1 + K), state) and (burn_in * p, state) from the burn-in
-    # rows of the innovations eps and of the x innovations u, months
-    # flattened into the rows, to the carry M s_{burn_in - 1}
+    # the innovation map V, (1 + K + p, state): row i is the W row of
+    # innovation i of a month, eps_0, eps_1..eps_K, then u_1..u_p
+    _inject: np.ndarray = field(init=False, repr=False)
+    # months drawn and discarded before the first kept month, and the fold
+    # (burn_in * (1 + K + p), state) from the burn-in months' innovations,
+    # months flattened into the rows, to the carry M s_{burn_in - 1}
     _burn_in: int = field(init=False, repr=False)
-    _fold_eps: np.ndarray = field(init=False, repr=False)
-    _fold_u: np.ndarray = field(init=False, repr=False)
+    _fold: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         def frozen(name, value):
@@ -257,7 +257,6 @@ class DgpSpec:
         except np.linalg.LinAlgError as exc:
             raise InvalidCovariance("Sigma is not positive definite") from exc
         object.__setattr__(self, "_chol_t", np.ascontiguousarray(chol.T))
-        object.__setattr__(self, "_B_S_t", np.ascontiguousarray(B_S.T))
         if B_S.shape[1] != self.beta.shape[0]:
             raise InvalidData("beta and B_S must agree on the number of x columns")
         if self.x_gen.n_cols != self.beta.shape[0]:
@@ -271,30 +270,25 @@ class DgpSpec:
             )
         if self.T < 1:
             raise InvalidData("T must be >= 1")
-        p, ns, phi = B_S.shape[1], len(surrogate), self.x_gen.phi
-        M = np.zeros((p + ns + len(target),) * 2)
-        M[:p, :p] = phi * np.eye(p)
+        p, ns = B_S.shape[1], len(surrogate)
+        V = np.zeros((1 + K + p, p + ns + len(target)))
+        V[0, p + ns] = 1.0
+        V[1:1 + K, p:p + K] = np.eye(K)
+        V[1 + K:, :p] = np.eye(p)
+        V[1 + K:, p:p + K] = B_S.T
+        V[1 + K:, p + ns] = self.beta
+        # x_{t-1} reaches the state through phi, where u_t enters it
+        M = np.zeros((V.shape[1],) * 2)
+        M[:, :p] = self.x_gen.phi * V[1 + K:].T
         M[p:p + ns, p:p + ns] = surrogate
-        M[p:p + K, :p] = phi * B_S
         M[p + ns:, p + ns:] = target
-        M[p + ns, :p] = phi * self.beta
         object.__setattr__(self, "_transition", M)
         b = _BURN_IN
         powers = _doubling_powers(M, max(b, self.T))
         object.__setattr__(self, "_powers", powers[:(self.T - 1).bit_length()])
-        # row i of V is the state row of innovation i: eps_0, eps_1..eps_K,
-        # then u_1..u_p, the terms a draw puts into W
-        y_col = p + ns
-        V = np.zeros((1 + K + p, len(M)))
-        V[0, y_col] = 1.0
-        V[1:1 + K, p:p + K] = np.eye(K)
-        V[1 + K:, :p] = np.eye(p)
-        V[1 + K:, p:p + K] = self._B_S_t
-        V[1 + K:, y_col] = self.beta
-        fold = _burn_in_fold(V, M, powers, b)
+        object.__setattr__(self, "_inject", V)
         object.__setattr__(self, "_burn_in", b)
-        object.__setattr__(self, "_fold_eps", fold[:, :1 + K].reshape(-1, len(M)))
-        object.__setattr__(self, "_fold_u", fold[:, 1 + K:].reshape(-1, len(M)))
+        object.__setattr__(self, "_fold", _burn_in_fold(V, M, powers, b).reshape(-1, len(M)))
 
     @property
     def q2(self) -> int:
@@ -308,10 +302,10 @@ class DgpSpec:
 # Members drawn together. Each stream still draws its burn-in months (260
 # of a 60-month draw), so the innovation arrays of a group hold them; W and
 # the states hold the kept months only. Ten members keep each array under
-# 90 KB. A 50-member draw (benchmark_dgp(0.3, T=60), 2-vCPU Xeon, medians
-# of 300 interleaved calls) was 8-12% faster in groups of 10 than of 5 in
-# each of five runs, and slower in groups of 25 or 50 than of 10; its
-# tracemalloc peak is 0.46 MB at 5 and 0.68 MB at 10.
+# 128 KiB, glibc's mmap threshold. A 50-member draw (benchmark_dgp(0.3,
+# T=60), 2-vCPU Xeon, medians of 300 interleaved calls) was 8-12% faster in
+# groups of 10 than of 5 in each of five runs, and slower in groups of 25
+# or 50 than of 10; its tracemalloc peak is 0.34 MB at 5 and 0.54 MB at 10.
 _DRAW_GROUP = 10
 
 
@@ -320,10 +314,10 @@ def _draw_states(spec: DgpSpec, seeds: list) -> tuple[np.ndarray, np.ndarray]:
     kept months, one member per seed.
 
     Each stream still draws every month, burn-in included, so the streams
-    do not depend on how the burn-in is applied. The burn-in rows go through
-    the spec's fold, one (1, rows) product per member, into the carry
-    M s_{b-1}, which joins the first kept month's W; the recursion then runs
-    over the T kept months only.
+    do not depend on how the burn-in is applied. The kept months'
+    innovations e = [eps | u] give W = e V, and the burn-in's go through the
+    spec's fold, one (1, rows) product per member, into the carry M s_{b-1}
+    in the first kept month's W; the recursion runs over the kept months.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     b = spec._burn_in
@@ -344,17 +338,13 @@ def _draw_states(spec: DgpSpec, seeds: list) -> tuple[np.ndarray, np.ndarray]:
     if student:
         eps *= np.sqrt(_T_DF / chi2)[..., None]
     u *= spec.x_gen._innovation_sd
+    e = np.concatenate([eps, u], axis=-1)
+    del normals, chi2, eps, u  # freed before W and the recursion are built
 
-    carry = (eps[:, :b].reshape(Q, 1, b * (1 + K)) @ spec._fold_eps
-             + u[:, :b].reshape(Q, 1, b * p) @ spec._fold_u)
-    eps, u = eps[:, b:], u[:, b:]
-    y_col = p + K * spec.q2
-    W = np.zeros((Q, spec.T, len(spec._transition)))
-    W[..., :p] = u
-    W[..., p:p + K] = u @ spec._B_S_t + eps[..., 1:]
-    W[..., y_col] = u @ spec.beta + eps[..., 0]
+    carry = e[:, :b].reshape(Q, 1, b * (1 + K + p)) @ spec._fold
+    W = e[:, b:] @ spec._inject
     W[:, 0] += carry[:, 0]
-    return eps, _linear_recursion(spec._powers, W)
+    return e[:, b:, :1 + K], _linear_recursion(spec._powers, W)
 
 
 def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel]:
@@ -516,8 +506,8 @@ class ExperimentGrid:
             raise InvalidData("horizons must satisfy 1 <= H < total_months")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidData(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 <= self.x_scale < np.inf:
-            raise InvalidData(f"x_scale must be finite and >= 0, got {self.x_scale}")
+        if not 0.0 < self.x_scale < np.inf:
+            raise InvalidData(f"x_scale must be finite and > 0, got {self.x_scale}")
         if self.workers < 1:
             raise InvalidData(f"workers must be >= 1, got {self.workers}")
         if self.include_intervals and self.include_boot:
@@ -673,7 +663,9 @@ def run_experiment(grid: ExperimentGrid, Q: int, seed: int) -> SimulationReport:
              for rho, H in cells for b in range(blocks)]
     if grid.workers > 1:
         chunksize = -(-len(tasks) // (4 * grid.workers))
-        with concurrent.futures.ProcessPoolExecutor(grid.workers) as pool:
+        # a fork pool starts every process at the first submit
+        processes = min(grid.workers, len(tasks), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(processes) as pool:
             outs = list(pool.map(_run_reps, tasks, chunksize=chunksize))
     else:
         outs = [_run_reps(task) for task in tasks]

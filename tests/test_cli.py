@@ -429,6 +429,7 @@ def test_negative_infinity_reaches_the_converter(capsys):
 
 
 @pytest.mark.parametrize("flag,value,field", [("--x-scale", "nan", "x_scale"),
+                                              ("--x-scale", "0", "x_scale"),
                                               ("--alpha", "1.5", "alpha")])
 def test_simulate_invalid_grid_named_before_any_rep(flag, value, field, tmp_path,
                                                     capsys):

@@ -634,15 +634,12 @@ _MATRIX_PRODUCTS = {
             "stacked: each member's own (n, 1 + K) @ (1 + K, 1 + K), n the "
             "burn-in plus kept months; the factor is kept transposed and "
             "C-contiguous",
-        "eps[:, :b].reshape(Q, 1, b * (1 + K)) @ spec._fold_eps":
-            "stacked: each member's own (1, b (1 + K)) @ (b (1 + K), state), b "
-            "the spec's burn-in; the fold is kept C-contiguous",
-        "u[:, :b].reshape(Q, 1, b * p) @ spec._fold_u":
-            "stacked: each member's own (1, b p) @ (b p, state), b the spec's "
-            "burn-in; the fold is kept C-contiguous",
-        "u @ spec._B_S_t":
-            "stacked: each member's own (T, p) @ (p, K); B_S' is kept C-contiguous",
-        "u @ spec.beta": "stacked: each member's own (T, p) @ (p,)",
+        "e[:, :b].reshape(Q, 1, b * (1 + K + p)) @ spec._fold":
+            "stacked: each member's own (1, b (1 + K + p)) @ (b (1 + K + p), "
+            "state), b the spec's burn-in; the fold is kept C-contiguous",
+        "e[:, b:] @ spec._inject":
+            "stacked: each member's own (T, 1 + K + p) @ (1 + K + p, state), T "
+            "the kept months; the innovation map is kept C-contiguous",
     },
 }
 

@@ -223,6 +223,33 @@ def test_future_block_rejects_a_scalar():
         FutureExogenous(np.float64(1.0), np.zeros((2, 0)), np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("block", ["x_future", "ys_future"])
+@pytest.mark.parametrize("entry", ["forecast_joint", "forecast_arx",
+                                   "bj_interval_estimated", "boot_interval"])
+def test_non_finite_future_rows_are_named(entry, block, bad):
+    # a NaN or Inf in a future block is named when the blocks are built, not
+    # reported later as a non-finite forecast
+    mp, sp = generate(benchmark_dgp(0.3, T=40), 2)
+    mp_tr, sp_tr = mp.slice(0, 32), sp.slice(0, 32)
+    jf, sf = fit_joint(mp_tr, sp_tr, 2, 1)
+    arx = fit_arx(mp_tr.y, 2, x=mp_tr.x)
+    joint = (jf, sf, mp_tr, sp_tr)
+    calls = {
+        "forecast_joint": lambda fut: forecast_joint(*joint, fut, 8),
+        "forecast_arx": lambda fut: forecast_arx(arx, mp_tr.y, fut, 8),
+        "bj_interval_estimated": lambda fut: bj_interval_estimated(*joint, fut, 8, 0.05),
+        "boot_interval": lambda fut: boot_interval(*joint, fut, 8,
+                                                   BootstrapConfig(B=100), 0.05),
+    }
+    blocks = {"z_future": mp.z[32:], "x_future": mp.x[32:].copy(),
+              "ys_future": sp.ys[32:].copy()}
+    calls[entry](FutureExogenous(**blocks))
+    blocks[block][3, 0] = bad
+    with pytest.raises(InvalidData, match=f"^{block} contains NaN or Inf$"):
+        calls[entry](FutureExogenous(**blocks))
+
+
 def test_joint_rejects_panels_with_other_covariates_than_the_fit():
     # the history's covariate widths define the rows; a fit of other widths
     # is a PanelMismatch, not a shape error inside the driver's product

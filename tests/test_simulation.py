@@ -189,10 +189,10 @@ def test_spec_draw_operands_are_contiguous_and_exact(error_kind):
         P[np.abs(P) < np.finfo(float).tiny] = 0.0
     chol = np.linalg.cholesky(spec.Sigma if error_kind == "gaussian"
                               else spec.Sigma * (simulation._T_DF - 2.0) / simulation._T_DF)
-    for cached, matrix in ((spec._chol_t, chol), (spec._B_S_t, spec.B_S)):
-        assert cached.flags.c_contiguous
-        assert cached.tobytes() == matrix.T.tobytes()
-    # month t's innovations reach the first kept month through M^(b - t)
+    assert spec._chol_t.flags.c_contiguous
+    assert spec._chol_t.tobytes() == chol.T.tobytes()
+    # the innovation map puts eps_0 into y_t, eps_1..eps_K into ys_t, and
+    # u_t into x_t and, through B_S and beta, into ys_t and y_t
     M, b, K, p = spec._transition, spec._burn_in, spec.K, spec.x_gen.n_cols
     y_col = p + K * spec.q2
     E = np.zeros((1 + K, len(M)))
@@ -202,13 +202,16 @@ def test_spec_draw_operands_are_contiguous_and_exact(error_kind):
     U[:, :p] = np.eye(p)
     U[:, p:p + K] = spec.B_S.T
     U[:, y_col] = spec.beta
-    for cached, rows in ((spec._fold_eps, E), (spec._fold_u, U)):
-        assert cached.flags.c_contiguous
-        assert cached.shape == (b * len(rows), len(M))
-        for t in (0, 1, b // 2, b - 2, b - 1):
-            weight = rows @ np.linalg.matrix_power(M, b - t).T
-            block = cached[t * len(rows):(t + 1) * len(rows)]
-            assert np.max(np.abs(block - weight)) <= 1e-14 * np.max(np.abs(weight))
+    V = np.vstack([E, U])
+    assert spec._inject.flags.c_contiguous
+    assert spec._inject.tobytes() == V.tobytes()
+    # month t's innovations reach the first kept month through M^(b - t)
+    assert spec._fold.flags.c_contiguous
+    assert spec._fold.shape == (b * len(V), len(M))
+    for t in (0, 1, b // 2, b - 2, b - 1):
+        weight = V @ np.linalg.matrix_power(M, b - t).T
+        block = spec._fold[t * len(V):(t + 1) * len(V)]
+        assert np.max(np.abs(block - weight)) <= 1e-14 * np.max(np.abs(weight))
 
 
 def _slow_decay_spec(K, q2, T, error_kind):
@@ -270,7 +273,7 @@ def test_spec_keeps_the_burn_in_it_was_built_for(burn_in, monkeypatch):
     spec = benchmark_dgp(0.3, T=5)
     monkeypatch.setattr(simulation, "_BURN_IN", 200)
     assert spec._burn_in == burn_in
-    assert spec._fold_eps.shape == (burn_in * 4, len(spec._transition))
+    assert spec._fold.shape == (burn_in * 6, len(spec._transition))
     mp, sp = generate(spec, 9)
     monkeypatch.setattr(simulation, "_BURN_IN", 0)
     full = DgpSpec(alpha=spec.alpha, beta=spec.beta, A_S=spec.A_S, B_S=spec.B_S,
@@ -433,12 +436,13 @@ def test_experiment_worker_count_invariant(tmp_path):
 
 class _InProcessPool:
     """ProcessPoolExecutor stand-in that maps in this process and records
-    the number of chunks of every map."""
+    the worker count it was given and the number of chunks of every map."""
 
     chunks: list = []
+    workers: list = []
 
     def __init__(self, workers):
-        pass
+        self.workers.append(workers)
 
     def __enter__(self):
         return self
@@ -459,6 +463,16 @@ def test_experiment_spreads_small_runs_over_workers(monkeypatch):
     for workers in (2, 3):
         run_experiment(_small_grid(workers=workers), Q=10, seed=0)
         assert _InProcessPool.chunks[-1] >= workers
+
+
+def test_experiment_pool_never_exceeds_its_tasks(monkeypatch):
+    # a fork pool starts all its processes at the first submit, so a huge
+    # --workers on a 2-repetition run must not ask for more than 2
+    monkeypatch.setattr(simulation.concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    one = run_experiment(_small_grid(), Q=2, seed=0)
+    assert run_experiment(_small_grid(workers=10_000), Q=2, seed=0).rows == one.rows
+    assert 1 <= _InProcessPool.workers[-1] <= 2
 
 
 def test_report_independent_of_block_split(monkeypatch):
@@ -510,6 +524,7 @@ def test_experiment_grid_rejects_duplicate_values(kw, match):
 @pytest.mark.parametrize("field,value", [
     ("workers", 0), ("workers", -3),
     ("x_scale", math.nan), ("x_scale", math.inf), ("x_scale", -1.0),
+    ("x_scale", 0.0),
     ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.05), ("alpha", math.nan),
 ])
 def test_experiment_grid_rejects_invalid_field(field, value):
@@ -827,6 +842,7 @@ _INVARIANCE_TESTS = (
     "tests/test_intervals.py::test_boot_batch_member_independent_of_group",
     "tests/test_simulation.py::test_report_independent_of_boot_group",
     "tests/test_simulation.py::test_rep_outputs_independent_of_batch",
+    "tests/test_simulation.py::test_generate_batch_member_is_its_one_series_draw",
 )
 
 

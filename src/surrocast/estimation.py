@@ -11,9 +11,10 @@ lags, the covariates, and d_t:
     y_t = sum_l alpha_l y_{t-l} + z_t'theta + x_t'delta + gamma'd_t + e_t,
 
 over t = q1+1..T. Both solves share one orthogonal-factorization kernel,
-_solve, and one rank rule, _full_rank_r. Every fit also takes a batch of
-panels, their leading axes a batch axis as in np.linalg, and then solves
-every member on its own stacked QR.
+_solve, and one rank rule, _full_rank_r, whose back substitution is the
+package's only triangular solve. Every fit also takes a batch of panels,
+their leading axes a batch axis as in np.linalg, and then solves every
+member on its own stacked QR.
 """
 
 from __future__ import annotations
@@ -51,30 +52,6 @@ def _full_rank(sv: np.ndarray) -> np.bool_ | np.ndarray:
     return (sv[..., 0] > 0.0) & (sv[..., -1] > RANK_TOL * sv[..., 0])
 
 
-def _back_substitute(R: np.ndarray, rhs: np.ndarray, out=None) -> np.ndarray:
-    """Solve R x = rhs for upper-triangular R (..., m, m) and rhs (..., m, r).
-
-    The leading axes broadcast, so one R can serve a batch of right-hand
-    sides. Row i is (rhs_i - R_i,i+1 x_i+1 - ... - R_i,m x_m) / R_ii, each
-    step one elementwise operation over the batch, so a system's solution
-    has the same bits whatever batch it is solved in. x is laid out in
-    memory as rhs is: a batch stored on the last axis (replicate-last, as
-    intervals._batched_refit stores it) runs along the inner loop. out, if
-    given, receives x and may be rhs itself: row i of rhs is read before
-    row i of x is written.
-    """
-    m = R.shape[-1]
-    x = out if out is not None else np.empty_like(
-        rhs, shape=np.broadcast_shapes(R.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
-    for i in range(m - 1, -1, -1):
-        xi = x[..., i, :]
-        xi[...] = rhs[..., i, :]
-        for j in range(i + 1, m):
-            xi -= R[..., i, j, None] * x[..., j, :]
-        xi /= R[..., i, i, None]
-    return x
-
-
 def _full_rank_r(R: np.ndarray, rhs: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rank rule of every least-squares solve, applied to R factors,
@@ -85,12 +62,15 @@ def _full_rank_r(R: np.ndarray, rhs: np.ndarray
     Returns (kept, checked, X, x): the mask of designs whose singular
     values pass _full_rank, the mask of those whose singular values had to
     be computed, X = R^-1 and x = R^-1 rhs. One back substitution on
-    [I | rhs] gives both, as views of one array; it runs in the memory
-    layout of rhs, so a batch stored replicate-last is solved along its
-    inner axis. X and x are not finite for a singular R; the caller drops
-    or rejects that design. An R that is not finite (a design holding NaN
-    or Inf) raises InvalidData naming the first such member: it fails the
-    screen, so this is told apart from a singular R only on the SVD path.
+    [I | rhs], the package's only triangular solve, gives both as views of
+    one array. Each of its steps is one elementwise operation over the
+    batch, so a system gets the same bits in any batch, and it runs in the
+    memory layout of rhs, so a batch stored replicate-last is solved along
+    its inner axis. X and x are not finite for a singular R; the caller
+    drops or rejects that design. An R that is not finite (a design holding
+    NaN or Inf) raises InvalidData naming the first such member: it fails
+    the screen, so this is told apart from a singular R only on the SVD
+    path.
 
     Most designs are decided by a screen on kappa_F = ||R||_F ||X||_F.
     A design passes the screen when both squared norms are normal numbers
@@ -127,8 +107,12 @@ def _full_rank_r(R: np.ndarray, rhs: np.ndarray
     system[..., :m] = np.eye(m)
     system[..., m:] = rhs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        solution = _back_substitute(R, system, out=system)
-        X = solution[..., :m]
+        for i in range(m - 1, -1, -1):
+            xi = system[..., i, :]
+            for j in range(i + 1, m):
+                xi -= R[..., i, j, None] * system[..., j, :]
+            xi /= R[..., i, i, None]
+        X = system[..., :m]
         r2 = np.einsum("...ij,...ij->...", R, R)
         x2 = np.einsum("...ij,...ij->...", X, X)
         tiny = np.finfo(float).tiny
@@ -142,12 +126,12 @@ def _full_rank_r(R: np.ndarray, rhs: np.ndarray
             raise InvalidData("design holds NaN or Inf" + _member_name(
                 checked.shape, np.flatnonzero(checked)[np.argmax(bad)]))
         kept[checked] = _full_rank(np.linalg.svd(R_checked, compute_uv=False))
-    return kept, checked, X, solution[..., m:]
+    return kept, checked, X, system[..., m:]
 
 
 def _triangularize(aug: np.ndarray, m: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """R, Q'rhs, R^-1 and the least-squares coefficients R^-1 Q'rhs of
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q'rhs, R^-1 and the least-squares coefficients R^-1 Q'rhs of
     design = Q R, for aug = [design | rhs] of shape (..., n, m + r), from
     one Householder QR of aug: its first m columns are factored exactly as
     design alone, and the reflectors are applied to rhs rather than formed
@@ -166,7 +150,7 @@ def _triangularize(aug: np.ndarray, m: int
     if not finite.all():
         raise InvalidData("response holds NaN or Inf" + _member_name(
             finite.shape, np.argmin(finite)))
-    return R, Qty, R_inv, coef
+    return Qty, R_inv, coef
 
 
 def _solve(aug: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +159,7 @@ def _solve(aug: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     back-substitutes on R (never the normal equations), and the residuals
     formed as rhs - design @ coef. Each design of a batch is solved on its
     own, so its results do not depend on the rest of the batch."""
-    coef = _triangularize(aug, m)[3]
+    coef = _triangularize(aug, m)[2]
     return coef, aug[..., m:] - aug[..., :m] @ coef
 
 

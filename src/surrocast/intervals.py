@@ -244,7 +244,7 @@ def bj_interval_estimated(
 
     point = forecast_joint(jf, sf, mp, sp, fut, H).point
     grad = _joint_forecast_gradient(jf, mp.y, point, rows[..., n:, :])
-    R_inv = _triangularize(X, m)[2]
+    R_inv = _triangularize(X, m)[1]
     # g'(X'X)^{-1}g = ||R^{-T} g||^2, the squared row norms of grad @ R^{-1}
     quad = np.sum((grad @ R_inv)**2, axis=-1)
     half = _z(alpha) * np.sqrt(s2 * (_psi_weights(jf.alpha_hat, H)**2 + quad))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _PUBLIC
 from .errors import InsufficientSample, InvalidData, PenaltyUndefined, RankDeficient
-from .estimation import _back_substitute, _design, _triangularize, fit_arx
+from .estimation import _design, _triangularize, fit_arx
 from .panels import _require_count
 
 __all__ = _PUBLIC["selection"]
@@ -26,11 +26,12 @@ __all__ = _PUBLIC["selection"]
 logger = logging.getLogger(__name__)
 
 
-def _criterion(rss, t1: int, m: int):
+def _criterion(rss, t1: int, m):
     """corrected_aic from the residual sum of squares rss of t1 residuals
-    (a float, or an array of them)."""
-    if t1 <= m + 2:
-        raise PenaltyUndefined(f"penalty needs T1 > m + 2 (T1={t1}, m={m})")
+    and m added features (each a number, or an array of them that
+    broadcast); the penalty must be defined at the largest m."""
+    if t1 <= np.max(m) + 2:
+        raise PenaltyUndefined(f"penalty needs T1 > m + 2 (T1={t1}, m={np.max(m)})")
     return t1 * np.log(rss / t1 + 1.0) + 2.0 * (m + 1) * (m + 2) / (t1 - m - 2)
 
 
@@ -48,14 +49,15 @@ def corrected_aic(residuals: np.ndarray, m: int) -> float:
 def select_ar_order(y: np.ndarray, q_max: int):
     """Smallest corrected-AIC lag order among AR(1)..AR(q_max).
 
-    All candidate orders are scored on the common sample that leaves room
-    for q_max lags, so the criterion values are comparable; ties break
-    toward the smaller order. One QR of the q_max lag block L serves every
-    order: the leading q columns of its R factor and of Q'y give the AR(q)
-    coefficients by back substitution, and each order's residuals are then
-    formed explicitly as y - L[:, :q] coef. R passes the rank rule exactly
-    when every leading block of columns does, up to rounding, as their
-    singular values interlace.
+    All candidate orders are scored on the common sample of T1 = T - q_max
+    months, so the criterion values are comparable, and T1 > q_max + 2
+    (T > 2 q_max + 2) keeps every penalty defined; ties break toward the
+    smaller order. One QR of [L | y], L the q_max lag block, serves every
+    order: with c = Q'y, RSS(q) = RSS(q_max) + c_{q+1}^2 + ... + c_{q_max}^2
+    (Golub & Van Loan, Matrix Computations, sec. 5.3), so only the AR(q_max)
+    residuals are formed, explicitly. R passes the rank rule exactly when
+    every leading block of columns does, up to rounding, as their singular
+    values interlace.
 
     y is (T,), giving an int, or (..., T), giving an int array of the
     orders of a batch of series.
@@ -63,20 +65,16 @@ def select_ar_order(y: np.ndarray, q_max: int):
     y = np.asarray(y, dtype=float)
     _require_count("q_max", q_max)
     T = y.shape[-1]
-    if T <= q_max + 2:
-        raise InsufficientSample(f"need T > q_max + 2 (T={T}, q_max={q_max})")
+    if T <= 2 * q_max + 2:
+        raise InsufficientSample(f"need T > 2 q_max + 2 (T={T}, q_max={q_max})")
     aug = _design(y[..., None], q_max, (y[..., None],))  # [lags | y]
-    lags, response = aug[..., :q_max], aug[..., q_max:]
-    R, Qty, _, _ = _triangularize(aug, q_max)
-    best_q = np.ones(y.shape[:-1], dtype=int)
-    best_aic = np.full(y.shape[:-1], np.inf)
-    for q in range(1, q_max + 1):
-        coef = _back_substitute(R[..., :q, :q], Qty[..., :q, :])
-        resid = (response - lags[..., :q] @ coef)[..., 0]
-        aic = _criterion(np.sum(resid**2, axis=-1), resid.shape[-1], q)
-        better = aic < best_aic
-        best_q = np.where(better, q, best_q)
-        best_aic = np.where(better, aic, best_aic)
+    Qty, _, coef = _triangularize(aug, q_max)
+    resid = (aug[..., q_max:] - aug[..., :q_max] @ coef)[..., 0]
+    # RSS(q) for q = 1..q_max: RSS(q_max) plus c_{q+1}^2 + ... + c_{q_max}^2
+    rss = np.repeat(np.sum(resid**2, axis=-1)[..., None], q_max, axis=-1)
+    rss[..., :-1] += np.cumsum(Qty[..., :0:-1, 0]**2, axis=-1)[..., ::-1]
+    aic = _criterion(rss, T - q_max, np.arange(1, q_max + 1))
+    best_q = np.argmin(aic, axis=-1) + 1  # the first minimum: smaller order
     return int(best_q) if best_q.ndim == 0 else best_q
 
 

@@ -6,8 +6,9 @@ covariates as one VAR(1) in stacked state-space form, and discards a burn-in
 prefix. Each spec builds one innovation map V, which takes a month's
 innovations into the state, and one burn-in fold, the burn-in's state as a
 linear map of its innovations (the moving-average form of a VAR(1),
-Lütkepohl 2005, §2.1). The state recursion over the kept months is solved by
-recursive doubling in numpy, in ceil(log2 T) matrix products for T months.
+Lütkepohl 2005, §2.1), which is the state recursion's impulse response.
+The recursion is solved by recursive doubling in numpy, in ceil(log2 T)
+matrix products for T months.
 
 The harness repeats the full pipeline (generate, hold out the last H months,
 standardize on the training window, fit, forecast, score) over a (variant,
@@ -76,6 +77,9 @@ _T_DF = 10.0
 # months drawn and discarded before the first month of every draw
 _BURN_IN = 200
 
+# largest order of every repetition's AR benchmark
+_AR_Q_MAX = 4
+
 
 def _doubling_powers(M: np.ndarray, n: int) -> list[np.ndarray]:
     """The operands of _linear_recursion over n months: (M^(2^k))' for
@@ -94,29 +98,6 @@ def _doubling_powers(M: np.ndarray, n: int) -> list[np.ndarray]:
         P = P @ P
         P[np.abs(P) < np.finfo(float).tiny] = 0.0
     return powers
-
-
-def _burn_in_fold(V: np.ndarray, M: np.ndarray, powers: list[np.ndarray],
-                  b: int) -> np.ndarray:
-    """V (M^(b-t))' for the burn-in months t = 0..b-1, stacked (b, rows,
-    state): row i of block t takes innovation i of month t to its term in
-    the carry M s_{b-1} that the burn-in passes to the first kept month.
-    Row i of V is the W row of innovation i.
-
-    Built by doubling from V M': the pass with (M^(2^k))' multiplies every
-    block so far, as one (blocks * rows, state) product, and appends the
-    result, so ceil(log2 b) products give all b blocks. powers is
-    _doubling_powers(M, m) for some m >= b. Entries below the smallest
-    normal double are set to zero, as in _doubling_powers.
-    """
-    blocks = (V @ M.T)[None]  # V (M^j)', j = 1, 2, ...
-    for P_t in powers:
-        if len(blocks) >= b:
-            break
-        more = (blocks.reshape(-1, len(M)) @ P_t).reshape(blocks.shape)
-        more[np.abs(more) < np.finfo(float).tiny] = 0.0
-        blocks = np.concatenate([blocks, more])
-    return blocks[:b][::-1]
 
 
 def _linear_recursion(powers: list[np.ndarray], W: np.ndarray) -> np.ndarray:
@@ -194,12 +175,13 @@ class DgpSpec:
     powers of its transition matrix, which cover the T kept months, the
     innovation map V and one burn-in fold, the map that takes a draw's
     burn-in innovations straight to the state carried into its first kept
-    month. The spec records the burn-in length it was built for (_BURN_IN
-    at construction). The matrices a draw multiplies by are C-contiguous,
-    the layout its stacked products run fastest on. alpha, beta, A_S, B_S and
-    Sigma are read-only copies, so no edit after construction can part
-    them from the operands built from them. Specs compare and hash by
-    identity: two specs built from equal arguments are distinct objects.
+    month (_linear_recursion's impulse response, months reversed). The spec
+    records the burn-in length it was built for (_BURN_IN at construction).
+    The matrices a draw multiplies by are C-contiguous, the layout its
+    stacked products run fastest on. alpha, beta, A_S, B_S and Sigma are
+    read-only copies, so no edit after construction can part them from the
+    operands built from them. Specs compare and hash by identity: two specs
+    built from equal arguments are distinct objects.
     """
 
     alpha: np.ndarray
@@ -288,7 +270,14 @@ class DgpSpec:
         object.__setattr__(self, "_powers", powers[:(self.T - 1).bit_length()])
         object.__setattr__(self, "_inject", V)
         object.__setattr__(self, "_burn_in", b)
-        object.__setattr__(self, "_fold", _burn_in_fold(V, M, powers, b).reshape(-1, len(M)))
+        # month j of the response to V M' is V (M^(j+1))', the weight of
+        # burn-in month b - 1 - j; sub-tiny entries go, as in _doubling_powers
+        impulse = np.zeros((len(V), b, len(M)))
+        impulse[:, :1] = (V @ M.T)[:, None]
+        fold = _linear_recursion(powers, impulse)[:, ::-1].swapaxes(0, 1)
+        fold = fold.reshape(-1, len(M))
+        fold[np.abs(fold) < np.finfo(float).tiny] = 0.0
+        object.__setattr__(self, "_fold", fold)
 
     @property
     def q2(self) -> int:
@@ -464,10 +453,13 @@ class ExperimentGrid:
     """One simulation experiment: a grid of correlations and horizons.
 
     Every repetition standardises the target on its training window and fits
-    the joint model with q1=2, q2=1 against an AR benchmark of order <= 4;
-    the variant's row of _VARIANTS says what it changes. A grid that
-    repeats a horizon, or two rhos that round to one seed key (1e-6
-    apart), raises InvalidData: they would run the same cell twice.
+    the joint model with q1=2, q2=1 against an AR benchmark of order <=
+    _AR_Q_MAX; the variant's row of _VARIANTS says what it changes. A grid
+    that repeats a horizon, or two rhos that round to one seed key (1e-6
+    apart), raises InvalidData: they would run the same cell twice. So does
+    a horizon H whose training window, total_months - H months, is shorter
+    than H (the historical average needs H months) or than 2 _AR_Q_MAX + 3
+    (the order selection needs that many).
     """
 
     rhos: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
@@ -504,6 +496,12 @@ class ExperimentGrid:
                 seen[key] = value
         if any(h < 1 or h >= self.total_months for h in self.horizons):
             raise InvalidData("horizons must satisfy 1 <= H < total_months")
+        short = [h for h in self.horizons
+                 if self.total_months - h < max(h, 2 * _AR_Q_MAX + 3)]
+        if short:
+            raise InvalidData(
+                f"horizons {short} leave fewer than max(H, {2 * _AR_Q_MAX + 3}) "
+                f"training months of total_months={self.total_months}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidData(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.x_scale < np.inf:
@@ -621,7 +619,7 @@ def _run_reps(task: tuple) -> dict:
         out["AR_BJ"] = (np.empty((len(reps), H)), np.empty((len(reps), H)))
         out["JOINT_BJ"] = (iv_bj.lower, iv_bj.upper)
     # the AR baseline, fitted once per group of repetitions of one order
-    orders = select_ar_order(y_train, 4)
+    orders = select_ar_order(y_train, _AR_Q_MAX)
     for q in sorted(set(orders.tolist())):
         group = orders == q
         ar = fit_arx(y_train[group], q)

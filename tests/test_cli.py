@@ -292,6 +292,21 @@ def test_select_needs_x_columns(tmp_path, capsys):
     assert rc == 3
 
 
+def test_select_short_series_is_one_error_line(tmp_path, capsys):
+    # 7 months cannot score AR(1)..AR(4), which needs T > 2 * 4 + 2
+    path = tmp_path / "short.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["month", "y", "x_1"])
+        for i in range(7):
+            w.writerow([f"2020-{i + 1:02d}", repr(float(np.sin(i))),
+                        repr(float(np.cos(i)))])
+    rc = main(["select", "--monthly", str(path), "--q-max", "4",
+               "--out", str(tmp_path / "sel.csv")])
+    assert rc == 3
+    assert _one_error_code(capsys) == "InsufficientSample"
+
+
 def test_select_strict_threshold_accepts_less(workspace):
     loose = workspace["dir"] / "loose.csv"
     strict = workspace["dir"] / "strict.csv"
@@ -430,7 +445,10 @@ def test_negative_infinity_reaches_the_converter(capsys):
 
 @pytest.mark.parametrize("flag,value,field", [("--x-scale", "nan", "x_scale"),
                                               ("--x-scale", "0", "x_scale"),
-                                              ("--alpha", "1.5", "alpha")])
+                                              ("--alpha", "1.5", "alpha"),
+                                              # training windows too short
+                                              ("--H-grid", "8,49", "horizons"),
+                                              ("--total-months", "14", "horizons")])
 def test_simulate_invalid_grid_named_before_any_rep(flag, value, field, tmp_path,
                                                     capsys):
     out = tmp_path / "never.csv"

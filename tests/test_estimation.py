@@ -609,7 +609,9 @@ _MATRIX_PRODUCTS = {
             "per member (H, k) @ (k, B), B the replicate count of every chunk",
     },
     "select_ar_order": {
-        "lags[..., :q] @ coef": "stacked: each member's own (n, q) @ (q, 1)",
+        "aug[..., :q_max] @ coef":
+            "stacked: each member's own (n, q_max) @ (q_max, 1), the full-order "
+            "residuals; every lower order's RSS is read off the same QR",
     },
     "_abs_correlations": {
         "centered.T @ tc": "one series of the greedy selection; no batch",
@@ -617,16 +619,16 @@ _MATRIX_PRODUCTS = {
     "_doubling_powers": {
         "P @ P": "one (state, state) transition power; no batch",
     },
-    "_burn_in_fold": {
-        "V @ M.T": "one (rows, state) @ (state, state) per spec; no batch",
-        "blocks.reshape(-1, len(M)) @ P_t":
-            "one (blocks * rows, state) @ (state, state) per doubling pass of "
-            "a spec; no batch",
+    "DgpSpec.__post_init__": {
+        "V @ M.T":
+            "one (rows, state) @ (state, state) per spec, the impulse whose "
+            "response is the burn-in fold; no batch",
     },
     "_linear_recursion": {
         "s[..., :n - shift, :] @ P_t":
             "stacked: each member's own (n - shift, state) @ (state, state), n "
-            "the kept months; P_t is C-contiguous, 2-3x faster than the "
+            "the kept months (a draw) or the burn-in (a spec's fold, one "
+            "member per innovation); P_t is C-contiguous, 2-3x faster than the "
             "transposed view with the same bits",
     },
     "_draw_states": {

@@ -82,6 +82,18 @@ def test_order_selection_needs_sample():
         select_ar_order(np.zeros(6), 4)
 
 
+@pytest.mark.parametrize("q_max", [1, 2, 3, 4])
+def test_order_selection_sample_bound(q_max):
+    # the criterion needs T1 = T - q_max > q_max + 2 residuals on the
+    # common sample, so every T up to 2 q_max + 2 is too short for it, and
+    # the first T past that is scored
+    rng = np.random.default_rng(q_max)
+    for T in range(q_max + 1, 2 * q_max + 3):
+        with pytest.raises(InsufficientSample, match="2 q_max \\+ 2"):
+            select_ar_order(rng.standard_normal(T), q_max)
+    assert 1 <= select_ar_order(rng.standard_normal(2 * q_max + 3), q_max) <= q_max
+
+
 def _four_solve_scores(y, q_max):
     """corrected_aic of AR(1)..AR(q_max) on the common sample, one solve
     per order: the rule select_ar_order replaced with one QR."""

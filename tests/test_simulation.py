@@ -265,6 +265,17 @@ def test_burn_in_fold_matches_full_recursion(error_kind, K, q2, T):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_fold_of_a_fast_decaying_spec_holds_no_subnormals():
+    # spectral radius 0.01: the burn-in's early months reach the first kept
+    # month with weights far below the smallest normal double, which the
+    # fold holds as zeros, so the carry product never sees a subnormal
+    spec = DgpSpec(alpha=[0.01], beta=[0.5], A_S=0.01 * np.eye(2), B_S=[[0.3], [-0.2]],
+                   Sigma=np.eye(3), T=10, x_gen=Ar1Spec(1, phi=0.01))
+    fold = np.abs(spec._fold)
+    assert np.all((fold == 0.0) | (fold >= np.finfo(float).tiny))
+    assert (fold == 0.0).any() and (fold > 0.0).any()
+
+
 @pytest.mark.parametrize("burn_in", [0, 1, 2, 3, 64, 65])
 def test_spec_keeps_the_burn_in_it_was_built_for(burn_in, monkeypatch):
     # the burn-in is the spec's, not the module's at draw time; short and
@@ -526,10 +537,24 @@ def test_experiment_grid_rejects_duplicate_values(kw, match):
     ("x_scale", math.nan), ("x_scale", math.inf), ("x_scale", -1.0),
     ("x_scale", 0.0),
     ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.05), ("alpha", math.nan),
+    # a training window shorter than H or than 2 * 4 + 3 months
+    ("horizons", (8, 49)), ("horizons", (31,)), ("total_months", 14),
+    ("total_months", 18),
 ])
 def test_experiment_grid_rejects_invalid_field(field, value):
     with pytest.raises(InvalidData, match=field):
         _small_grid(**{field: value})
+
+
+def test_experiment_grid_horizon_bound_is_tight():
+    # a training window of max(H, 11) months is long enough; one month
+    # less is rejected (test_experiment_grid_rejects_invalid_field)
+    _small_grid(horizons=(30,))
+    _small_grid(total_months=19)
+    assert simulation._AR_Q_MAX == 4
+    _small_grid(total_months=13, horizons=(2,))
+    with pytest.raises(InvalidData, match="horizons \\[5\\]"):
+        _small_grid(total_months=14, horizons=(5,))
 
 
 def test_experiment_grid_checks_bootstrap_replicates_up_front():

@@ -26,6 +26,7 @@ metrics are insensitive to that scale; absolute interval lengths are not.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -39,6 +40,7 @@ from .errors import (
     NonStationarySpec,
 )
 from .estimation import (
+    ArxFit,
     companion_matrix,
     fit_joint_step2,
     fit_surrogate,
@@ -56,12 +58,16 @@ from .panels import (MonthlyPanel, SurrogatePanel, _require_count, _require_int,
                      _write_csv, month_range, standardize_cpi)
 from .selection import select_ar_order
 
+# numpy.random loads after the package's modules: loaded before them, it
+# raised a harness run's peak resident set by about 0.7 MB
+from numpy.random.bit_generator import ISeedSequence
+
 __all__ = _PUBLIC["simulation"]
 
 # One row per robustness variant: the innovation kind, the number of x
 # columns (the last ones) withheld from every fit and forecast, and the number
 # of pure-noise columns added to the surrogate fit. The order is part of every
-# repetition's seed (_rep_seeds), so a new variant goes at the end.
+# repetition's seed (_rep_states), so a new variant goes at the end.
 _VARIANTS = {
     "base": ("gaussian", 0, 0),
     "omitted": ("gaussian", 1, 0),
@@ -101,7 +107,8 @@ def _doubling_powers(M: np.ndarray, n: int) -> list[np.ndarray]:
 
 
 def _linear_recursion(powers: list[np.ndarray], W: np.ndarray) -> np.ndarray:
-    """Rows s_t = M s_{t-1} + W_t of a linear recursion from s_{-1} = 0.
+    """Rows s_t = M s_{t-1} + W_t of a linear recursion from s_{-1} = 0,
+    written over W, a float array, which is returned.
 
     W is (..., n, state), months on its second-to-last axis; leading axes
     are a batch of recursions that share M. powers is _doubling_powers(M,
@@ -113,7 +120,7 @@ def _linear_recursion(powers: list[np.ndarray], W: np.ndarray) -> np.ndarray:
     state) matrix product, the product a one-series call makes, so every
     member gets the bits of its own call.
     """
-    s = np.array(W, dtype=float)
+    s = W
     n = s.shape[-2]
     if 2 ** len(powers) < n:
         raise ValueError(f"{len(powers)} doubling powers cover fewer than {n} months")
@@ -340,12 +347,20 @@ def generate(spec: DgpSpec, seed) -> tuple[MonthlyPanel, SurrogatePanel]:
     """Draw one panel pair (mp, sp) of length spec.T from the joint process,
     seeded by anything np.random.default_rng accepts.
 
-    A list of SeedSequences draws a batch, one member per seed: panels with
-    y (batch, T), x (batch, T, p) and ys (batch, T, K). Member i is drawn
-    from its own stream exactly as a one-series call with seed[i] draws.
+    A list or tuple of seed sequences (any numpy ISeedSequence) draws a
+    batch, one member per seed: panels with y (batch, T), x (batch, T, p)
+    and ys (batch, T, K). Member i is drawn from its own stream exactly as
+    a one-series call with seed[i] draws. A list of ints is one series'
+    entropy, as default_rng reads it; a list that mixes seed sequences with
+    other values raises InvalidData.
     """
-    batch = (isinstance(seed, list) and len(seed) > 0
-             and all(isinstance(s, np.random.SeedSequence) for s in seed))
+    batch = (isinstance(seed, (list, tuple))
+             and any(isinstance(s, ISeedSequence) for s in seed))
+    if batch:
+        for i, s in enumerate(seed):
+            if not isinstance(s, ISeedSequence):
+                raise InvalidData(f"a batch of seeds takes only seed sequences; "
+                                  f"seed[{i}] is {s!r}")
     seeds = seed if batch else [seed]
     Q, T = len(seeds), spec.T
     K, p = spec.K, spec.x_gen.n_cols
@@ -551,6 +566,8 @@ def _uint32_words(values) -> np.ndarray:
     nonnegative ints: each int in as many words as it needs, 0 in one."""
     words = []
     for v in map(int, values):
+        if v < 0:
+            raise InvalidData(f"seed entropy must be nonnegative, got {v}")
         words.append(v & 0xFFFFFFFF)
         while v >> 32:
             v >>= 32
@@ -558,35 +575,159 @@ def _uint32_words(values) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
-def _rep_seed(seed: int, variant: str, rho: float, H: int, rep: int,
-              child: int) -> np.random.SeedSequence:
-    """Stream ``child`` of a repetition: 0 draws the process, 1 the overfit
-    noise columns, 2 seeds the bootstrap.
+# numpy's SeedSequence (O'Neill's seed_seq_fe, NEP 19): a pool of four
+# 32-bit words, and the multiplicative hash constants of its two stages
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# the pool words each source word is mixed into, in order
+_OTHER_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != src])
+                for src in range(_POOL_SIZE)]
 
-    It is SeedSequence(entropy).spawn(3)[child], built alone: a spawned
-    child is the SeedSequence of the same entropy with spawn_key (child,).
-    The entropy is passed as the uint32 words SeedSequence would make of
-    the tuple: the same pool, in 5.4 rather than 9.3 us per seed (2-vCPU Xeon).
+
+@functools.lru_cache(maxsize=32)
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before each of calls hash steps and after the
+    last: init, then each one the one before times mult, mod 2**32.
+    Read-only, as the cache hands the one array to every caller."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    h = np.array(h, dtype=np.uint32)
+    h.setflags(write=False)
+    return h
+
+
+def _hash_step(value: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One hash step of value under each constant in h[:-1], as a new
+    array: xor with the constant, times the next one, xorshift by 16."""
+    value = (value ^ h[:-1]) * h[1:]
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pool words x mixed with hashed words y, as a new array."""
+    value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    value ^= value >> 16
+    return value
+
+
+def _seed_states(entropy: np.ndarray, spawn_key: tuple, n_words: int) -> np.ndarray:
+    """SeedSequence(row, spawn_key=spawn_key).generate_state(n_words,
+    np.uint64) of every row of an (N, L) uint32 entropy matrix, (N, n_words).
+
+    numpy's hash run on all rows at once: mix_entropy, then generate_state.
+    A spawn key is hashed after the run entropy, which is first padded with
+    zeros to the pool size. The hash constants do not depend on the data,
+    so a source word's steps into the three other pool words, and a late
+    entropy word's into all four, are one array operation each.
     """
-    entropy = (seed, VARIANTS.index(variant), _rho_key(rho), H, rep)
-    return np.random.SeedSequence(_uint32_words(entropy), spawn_key=(child,))
+    P = _POOL_SIZE
+    spawn = _uint32_words(spawn_key)
+    N, L = entropy.shape
+    n = max(L, P if spawn.size else 0) + spawn.size
+    words = np.zeros((N, n), dtype=np.uint32)
+    words[:, :L] = entropy
+    words[:, n - spawn.size:] = spawn
+    h = _hash_constants(_INIT_A, _MULT_A, P * P + P * max(n - P, 0))
+    pool = np.zeros((N, P), dtype=np.uint32)
+    pool[:, :min(n, P)] = words[:, :P]
+    pool = _hash_step(pool, h[:P + 1])
+    k = P
+    for src in range(P):
+        dst = _OTHER_WORDS[src]
+        pool[:, dst] = _mix(pool[:, dst], _hash_step(pool[:, src:src + 1], h[k:k + P]))
+        k += P - 1
+    for src in range(P, n):
+        pool = _mix(pool, _hash_step(words[:, src:src + 1], h[k:k + P + 1]))
+        k += P
+    state = _hash_step(pool[:, np.arange(2 * n_words) % P],
+                       _hash_constants(_INIT_B, _MULT_B, 2 * n_words))
+    # word pairs are read little-endian, as numpy reads them on any host
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _rep_states(seed: int, variant: str, rho: float, H: int, reps, child: int,
+                n_words: int) -> np.ndarray:
+    """generate_state(n_words, np.uint64) of stream ``child`` of each
+    repetition in reps, (len(reps), n_words): 0 draws the process, 1 the
+    overfit noise columns, 2 seeds the bootstrap.
+
+    Row i is that of SeedSequence(entropy_i).spawn(3)[child], the
+    SeedSequence of entropy_i = (seed, variant index, _rho_key(rho), H,
+    reps[i]) with spawn_key (child,). A repetition of 2**32 or more takes
+    two entropy words, so those are hashed as their own group.
+    """
+    head = _uint32_words((seed, VARIANTS.index(variant), _rho_key(rho), H))
+    rep = np.fromiter(reps, dtype=np.uint64, count=len(reps))
+    low = (rep & 0xFFFFFFFF).astype(np.uint32)[:, None]
+    high = (rep >> 32).astype(np.uint32)[:, None]
+    wide = high[:, 0] != 0
+    states = np.empty((len(rep), n_words), dtype=np.uint64)
+    for group, tail in ((~wide, (low,)), (wide, (low, high))):
+        if group.any():
+            entropy = np.hstack([np.broadcast_to(head, (group.sum(), head.size)),
+                                 *(t[group] for t in tail)])
+            states[group] = _seed_states(entropy, (child,), n_words)
+    return states
+
+
+class _PcgSeed(ISeedSequence):
+    """A seed sequence whose one answer, PCG64's generate_state(4,
+    np.uint64) request, is given: default_rng draws from it the stream of
+    the SeedSequence whose state that is. Any other request raises."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self._state) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"this seed answers only generate_state({len(self._state)}, "
+                             f"np.uint64), not ({n_words}, {np.dtype(dtype)})")
+        return self._state
+
+
+def _padded_ar_fit(y: np.ndarray, orders: np.ndarray) -> ArxFit:
+    """The AR benchmark of every series of y (Q, T), member i of order
+    orders[i], as one batched fit of order _AR_Q_MAX.
+
+    Each group of one order is fitted once (fit_arx) and its lags are
+    zero-padded to _AR_Q_MAX. A padded lag adds ±0.0 to a lag sum that
+    starts at +0.0 and is never -0.0, so forecast_arx and bj_interval give
+    every member the bits of its own order's fit. Neither reads residuals,
+    which are left empty.
+    """
+    Q = len(y)
+    alpha = np.zeros((Q, _AR_Q_MAX))
+    sigma = np.empty(Q)
+    for q in sorted(set(orders.tolist())):
+        group = orders == q
+        fit = fit_arx(y[group], q)
+        alpha[group, :q] = fit.alpha_hat
+        sigma[group] = fit.sigma_e_hat
+    none = np.empty((Q, 0))
+    return ArxFit(alpha_hat=alpha, theta_hat=none, beta_hat=none, sigma_e_hat=sigma,
+                  residuals=none, q1=_AR_Q_MAX)
 
 
 def _run_reps(task: tuple) -> dict:
     """Repetitions ``reps`` of one (rho, H) cell, run as one batch.
 
-    Every repetition draws from its own streams (_rep_seed) and every solve
-    treats each member on its own, so a repetition's outputs do not depend
-    on the batch it runs in. The bootstrap is one boot_interval call.
-    Returns (len(reps), H) arrays: "truth", the point forecasts "JOINT",
-    "AR", "RW" and "AVE", and (lower, upper) pairs of the intervals the grid
-    includes.
+    Every repetition draws from its own streams (_rep_states) and every
+    solve treats each member on its own, so a repetition's outputs do not
+    depend on the batch it runs in. The AR baseline is one forecast_arx
+    call and the bootstrap one boot_interval call. Returns (len(reps), H)
+    arrays: "truth", the point forecasts "JOINT", "AR", "RW" and "AVE", and
+    (lower, upper) pairs of the intervals the grid includes.
     """
     grid, spec, seed, rho, H, reps = task
     _, withheld, n_noise = _VARIANTS[grid.variant]
 
     def streams(child):
-        return [_rep_seed(seed, grid.variant, rho, H, rep, child) for rep in reps]
+        return [_PcgSeed(state) for state in
+                _rep_states(seed, grid.variant, rho, H, reps, child, 4)]
 
     mp, sp = generate(spec, streams(0))
     T_train = grid.total_months - H
@@ -607,31 +748,23 @@ def _run_reps(task: tuple) -> dict:
     fut = FutureExogenous(mp.z[:, T_train:], x[:, T_train:], sp.ys[:, T_train:])
 
     fc_joint = forecast_joint(jf, sf, mp_tr, sp_tr, fut, H)
+    ar = _padded_ar_fit(y_train, select_ar_order(y_train, _AR_Q_MAX))
+    fc_ar = forecast_arx(ar, y_train, None, H)
     out = {
         "truth": y[:, T_train:],
         "JOINT": fc_joint.point,
-        "AR": np.empty((len(reps), H)),
+        "AR": fc_ar.point,
         "RW": forecast_rw(y_train, H).point,
         "AVE": forecast_ave(y_train, H).point,
     }
     if grid.include_intervals:
+        iv_ar = bj_interval(fc_ar, ar, grid.alpha)
         iv_bj = bj_interval(fc_joint, jf, grid.alpha)
-        out["AR_BJ"] = (np.empty((len(reps), H)), np.empty((len(reps), H)))
+        out["AR_BJ"] = (iv_ar.lower, iv_ar.upper)
         out["JOINT_BJ"] = (iv_bj.lower, iv_bj.upper)
-    # the AR baseline, fitted once per group of repetitions of one order
-    orders = select_ar_order(y_train, _AR_Q_MAX)
-    for q in sorted(set(orders.tolist())):
-        group = orders == q
-        ar = fit_arx(y_train[group], q)
-        fc_ar = forecast_arx(ar, y_train[group], None, H)
-        out["AR"][group] = fc_ar.point
-        if grid.include_intervals:
-            iv_ar = bj_interval(fc_ar, ar, grid.alpha)
-            out["AR_BJ"][0][group] = iv_ar.lower
-            out["AR_BJ"][1][group] = iv_ar.upper
     if grid.include_intervals and grid.include_boot:
-        seeds = tuple(int(ss.generate_state(1, dtype=np.uint64)[0]) for ss in streams(2))
-        cfg = BootstrapConfig(B=grid.B, seed=seeds)
+        states = _rep_states(seed, grid.variant, rho, H, reps, 2, 1)
+        cfg = BootstrapConfig(B=grid.B, seed=tuple(states[:, 0].tolist()))
         iv_bt = boot_interval(jf, sf, mp_tr, sp_tr, fut, H, cfg, grid.alpha)
         out["JOINT_BOOT"] = (iv_bt.lower, iv_bt.upper)
     return out

@@ -33,7 +33,7 @@ from surrocast import (
     standardize_cpi,
 )
 from surrocast.cli import main
-from surrocast.simulation import _rep_seed
+from surrocast.simulation import _PcgSeed, _rep_states
 from scipy.signal import lfilter
 
 SEED = 20260810
@@ -75,7 +75,7 @@ def _closed_form_coverages(rho: float, Q: int = 500, H: int = 8,
     per-repetition streams, training-window standardisation and joint fit,
     run as one batch of the Q repetitions."""
     T = total_months - H
-    seeds = [_rep_seed(SEED, "base", rho, H, rep, 0) for rep in range(Q)]
+    seeds = [_PcgSeed(state) for state in _rep_states(SEED, "base", rho, H, range(Q), 0, 4)]
     mp, sp = generate(benchmark_dgp(rho, T=total_months), seeds)
     std = standardize_cpi(mp.y, base=0.0, train_size=T)
     mp = MonthlyPanel(mp.times, std.values, mp.z, mp.x)

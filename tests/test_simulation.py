@@ -160,13 +160,15 @@ def test_linear_recursion_matches_direct_loop(case, n):
     for t in range(n):
         loop[t] = W[t] + (M @ loop[t - 1] if t else 0.0)
     powers = simulation._doubling_powers(M, n)
-    scan = simulation._linear_recursion(powers, W)
+    scan = simulation._linear_recursion(powers, W.copy())
     assert np.max(np.abs(scan - loop)) <= 1e-12 * (1.0 + np.max(np.abs(loop)))
     # a list that covers more months, as a spec builds when its burn-in is
-    # longer than T, gives the same bits; one that covers fewer is refused
+    # longer than T, gives the same bits, written over W; one that covers
+    # fewer is refused
     longer = simulation._doubling_powers(M, 4 * n + 1)
     assert len(longer) > len(powers)
-    assert simulation._linear_recursion(longer, W).tobytes() == scan.tobytes()
+    assert simulation._linear_recursion(longer, W) is W
+    assert W.tobytes() == scan.tobytes()
     if powers:
         with pytest.raises(ValueError, match="cover fewer"):
             simulation._linear_recursion(powers[:-1], W)
@@ -705,9 +707,9 @@ def test_report_csv_schema(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_rep_seed_is_the_spawned_child():
-    # a child built alone is the child spawn(3) returns: same entropy words,
-    # same stream; seeds and repetitions past one 32-bit word, and a
-    # negative rho, whose key wraps
+    # a repetition's hashed state is that of the child spawn(3) returns;
+    # seeds and repetitions past one 32-bit word, and a negative rho,
+    # whose key wraps
     for entropy in [(0, 0, 100000, 8, 0), (20260810, 3, 400000, 15, 499),
                     (7, 1, 2**64 - 5, 1, 12), (2**32, 2, 300000, 9, 3),
                     (10**12, 0, 250000, 12, 7), (2**70 + 5, 1, 0, 8, 1),
@@ -717,14 +719,79 @@ def test_rep_seed_is_the_spawned_child():
         seed, variant, rho_key, H, rep = entropy
         rho = rho_key / 1e6 if rho_key < 2**63 else (rho_key - 2**64) / 1e6
         assert simulation._rho_key(rho) == rho_key
-        words = np.random.bit_generator._coerce_to_uint32_array(entropy)
         for child in range(3):
-            alone = simulation._rep_seed(seed, simulation.VARIANTS[variant], rho,
-                                         H, rep, child)
-            assert np.array_equal(np.asarray(alone.entropy, dtype=np.uint32), words)
-            assert alone.spawn_key == spawned[child].spawn_key
-            assert np.array_equal(alone.generate_state(8),
-                                  spawned[child].generate_state(8))
+            states = simulation._rep_states(seed, simulation.VARIANTS[variant], rho,
+                                            H, range(rep, rep + 1), child, 8)
+            assert states.dtype == np.uint64 and states.shape == (1, 8)
+            assert np.array_equal(states[0], spawned[child].generate_state(8, np.uint64))
+
+
+def test_rep_states_hash_one_and_two_word_repetitions_apart():
+    # a block that straddles 2**32 holds members of one and of two rep
+    # words; each row is its own SeedSequence's state
+    reps = range(2**32 - 3, 2**32 + 3)
+    states = simulation._rep_states(11, "overfit", 0.3, 8, reps, 1, 4)
+    for row, rep in zip(states, reps):
+        child = np.random.SeedSequence((11, 2, 300000, 8, rep)).spawn(3)[1]
+        assert np.array_equal(row, child.generate_state(4, np.uint64))
+
+
+def test_seed_states_match_numpy_seed_sequence():
+    # numpy's SeedSequence is the oracle: entropies of 1-9 words, spawn keys
+    # of 0-2 words (some past 2**32) and 1-8 uint64 words of state
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        entropy = rng.integers(0, 2**32, size=(3, rng.integers(1, 10)), dtype=np.uint32)
+        key = tuple(int(k) for k in rng.choice([0, 5, 2**32 - 1, 2**32 + 7, 2**63],
+                                               size=rng.integers(0, 3)))
+        n_words = int(rng.integers(1, 9))
+        got = simulation._seed_states(entropy, key, n_words)
+        assert got.dtype == np.uint64 and got.shape == (3, n_words)
+        for row, words in zip(got, entropy):
+            want = np.random.SeedSequence(words, spawn_key=key).generate_state(
+                n_words, np.uint64)
+            assert np.array_equal(row, want), (words, key, n_words)
+
+
+def test_pcg_seed_draws_its_seed_sequence_stream():
+    ss = np.random.SeedSequence((20260810, 0, 100000, 8, 3)).spawn(3)[0]
+    state = simulation._rep_states(20260810, "base", 0.1, 8, range(3, 4), 0, 4)[0]
+    wrapped = simulation._PcgSeed(state)
+    assert np.array_equal(np.random.default_rng(wrapped).standard_normal(20),
+                          np.random.default_rng(ss).standard_normal(20))
+    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(ValueError, match="answers only"):
+            wrapped.generate_state(n_words, dtype)
+
+
+def test_uint32_words_rejects_a_negative_value():
+    assert simulation._uint32_words((0, 2**32 + 3)).tolist() == [0, 3, 1]
+    with pytest.raises(InvalidData, match="nonnegative"):
+        simulation._uint32_words((5, -1))
+
+
+def test_padded_ar_fit_gives_the_per_order_bytes():
+    # one order-4 fit with zero-padded lags forecasts and bounds every
+    # member with the bits of its own order's fit; orders 1 and 3 have one
+    # member, 2 and 4 several
+    rng = np.random.default_rng(8)
+    y = np.zeros((9, 52))
+    for t in range(2, 52):
+        y[:, t] = 0.5 * y[:, t - 1] - 0.3 * y[:, t - 2] + rng.standard_normal(9)
+    orders = np.array([2, 4, 1, 4, 2, 3, 4, 2, 4])
+    ar = simulation._padded_ar_fit(y, orders)
+    assert ar.alpha_hat.shape == (9, simulation._AR_Q_MAX)
+    fc = forecast_arx(ar, y, None, 8)
+    iv = bj_interval(fc, ar, 0.05)
+    for q in (1, 2, 3, 4):
+        group = orders == q
+        fit = fit_arx(y[group], q)
+        fc_q = forecast_arx(fit, y[group], None, 8)
+        iv_q = bj_interval(fc_q, fit, 0.05)
+        assert np.all(ar.alpha_hat[group, q:] == 0.0)
+        for got, want in ((fc.point, fc_q.point), (iv.lower, iv_q.lower),
+                          (iv.upper, iv_q.upper)):
+            assert got[group].tobytes() == want.tobytes(), q
 
 
 def test_generate_batch_member_is_its_one_series_draw():
@@ -743,13 +810,31 @@ def test_generate_batch_member_is_its_one_series_draw():
             assert simulation._draw_states(spec, [ss])[0][0].tobytes() == eps[i].tobytes()
 
 
+def test_generate_takes_a_batch_only_of_seed_sequences():
+    # a tuple of seed sequences is a batch, as a list is; a list of ints is
+    # one series' entropy; a sequence that mixes the two is refused, naming
+    # its first element that is not a seed sequence
+    spec = benchmark_dgp(0.3, T=20)
+    seeds = [np.random.SeedSequence((5, i)) for i in range(3)]
+    as_list, as_tuple = generate(spec, seeds)[0], generate(spec, tuple(seeds))[0]
+    assert as_tuple.y.shape == (3, 20)
+    assert as_tuple.y.tobytes() == as_list.y.tobytes()
+    ints = generate(spec, [5, 1])[0]
+    assert ints.y.shape == (20,)
+    assert ints.y.tobytes() == generate(spec, np.random.SeedSequence([5, 1]))[0].y.tobytes()
+    for mixed in ([seeds[0], 5], (seeds[0], seeds[1], None)):
+        with pytest.raises(InvalidData, match=rf"seed\[{len(mixed) - 1}\] is"):
+            generate(spec, mixed)
+
+
 def _oracle_rep(grid, spec, seed, rho, H, rep):
     """One repetition through one-series public calls: the harness before
     it ran a cell as one batch."""
     _, withheld, n_noise = simulation._VARIANTS[grid.variant]
-    dgp_ss, noise_ss, boot_ss = (
-        simulation._rep_seed(seed, grid.variant, rho, H, rep, child)
-        for child in range(3))
+    # numpy's own spawn, independent of the harness's hash
+    dgp_ss, noise_ss, boot_ss = np.random.SeedSequence(
+        (seed, simulation.VARIANTS.index(grid.variant), simulation._rho_key(rho), H,
+         rep)).spawn(3)
     mp, sp = generate(spec, dgp_ss)
     T_train = grid.total_months - H
     y = standardize_cpi(mp.y, base=0.0, train_size=T_train).values

@@ -52,7 +52,8 @@ def _full_rank(sv: np.ndarray) -> np.bool_ | np.ndarray:
     return (sv[..., 0] > 0.0) & (sv[..., -1] > RANK_TOL * sv[..., 0])
 
 
-def _full_rank_r(R: np.ndarray, rhs: np.ndarray
+def _full_rank_r(R: np.ndarray, rhs: np.ndarray, lead: int = 0,
+                 lead_x2: float | np.ndarray = 0.0
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rank rule of every least-squares solve, applied to R factors,
     and the solve itself.
@@ -72,6 +73,17 @@ def _full_rank_r(R: np.ndarray, rhs: np.ndarray
     the screen, so this is told apart from a singular R only on the SVD
     path.
 
+    Given lead = k > 0, only the trailing columns [I[:, k:] | rhs] are
+    solved, and X holds the last m - k columns of R^-1. The leading k
+    columns of R^-1 are R_F^-1 over exact zeros when R = [[R_F, C], [0,
+    R_L]], R_F being the (k, k) R factor of a leading block of columns that
+    many designs share (the fixed block of the bootstrap refit).
+    lead_x2, which broadcasts against the batch, stands for their
+    ||.||_F^2: the caller takes it once per block from R_F^-1 of this same
+    solve on R_F alone. Each column of [I | rhs] is its own back
+    substitution, so leaving the leading ones out changes no bit of the
+    others: x and the trailing columns of X are those of the full form.
+
     Most designs are decided by a screen on kappa_F = ||R||_F ||X||_F.
     A design passes the screen when both squared norms are normal numbers
     and the computed kappa_F is at most _SCREEN_KAPPA = 1e8. Every other one
@@ -90,6 +102,12 @@ def _full_rank_r(R: np.ndarray, rhs: np.ndarray
       Normal squares keep underflow out. Each column of [I | rhs] is its
       own back substitution, so the columns of rhs that ride along change
       nothing in X^.
+    - With lead = k, R_F^-1 solved alone has the values of the leading
+      columns of the full solve (what the full solve adds to them are
+      products with the exact zeros below R_F), so the computed X^ is the
+      same and only the order in which ||X^||_F^2 is summed differs. The
+      gamma_{m^2} bound on the norms' rounding holds in any summation
+      order, so the screen's argument holds for x2 summed from its parts.
     - R comes from a Householder QR (_triangularize) or from the modified
       Gram-Schmidt (MGS) sweep of intervals._batched_refit. Either R is the
       exact R factor of a design within p(n, m) u ||A|| of the design A
@@ -103,18 +121,19 @@ def _full_rank_r(R: np.ndarray, rhs: np.ndarray
       for any p(m) up to 10^5. The factor 100 is that slack, with room.
     """
     m = R.shape[-1]
-    system = np.empty_like(rhs, shape=rhs.shape[:-1] + (m + rhs.shape[-1],))
-    system[..., :m] = np.eye(m)
-    system[..., m:] = rhs
+    width = m - lead
+    system = np.empty_like(rhs, shape=rhs.shape[:-1] + (width + rhs.shape[-1],))
+    system[..., :width] = np.eye(m)[:, lead:]
+    system[..., width:] = rhs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(m - 1, -1, -1):
             xi = system[..., i, :]
             for j in range(i + 1, m):
                 xi -= R[..., i, j, None] * system[..., j, :]
             xi /= R[..., i, i, None]
-        X = system[..., :m]
+        X = system[..., :width]
         r2 = np.einsum("...ij,...ij->...", R, R)
-        x2 = np.einsum("...ij,...ij->...", X, X)
+        x2 = lead_x2 + np.einsum("...ij,...ij->...", X, X)
         tiny = np.finfo(float).tiny
         screened = (r2 >= tiny) & (x2 >= tiny) & (r2 * x2 <= _SCREEN_KAPPA**2)
     kept = np.array(screened)
@@ -126,7 +145,7 @@ def _full_rank_r(R: np.ndarray, rhs: np.ndarray
             raise InvalidData("design holds NaN or Inf" + _member_name(
                 checked.shape, np.flatnonzero(checked)[np.argmax(bad)]))
         kept[checked] = _full_rank(np.linalg.svd(R_checked, compute_uv=False))
-    return kept, checked, X, system[..., m:]
+    return kept, checked, X, system[..., width:]
 
 
 def _triangularize(aug: np.ndarray, m: int

@@ -271,23 +271,24 @@ def _empirical_quantile(sorted_vals: np.ndarray, q, rule: str) -> np.ndarray:
 
 
 def _batched_refit(
-    fixed: np.ndarray, lags, response: np.ndarray
+    factor: tuple[np.ndarray, np.ndarray, np.ndarray], lags, response: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares refits of every replicate's response on [its lag
     columns, its member's fixed block].
 
     Replicates run along the last two axes, (G, B): G members of B
-    replicates each. fixed is (G, n, k), the block that the B replicates of
-    a member share; lags is a sequence of q1 (n, G, B) arrays, lags[l][:, g,
-    b] being the lag-(l+1) column of replicate b of member g (row slices of
-    one time-major (months, G, B) series serve as they are); response is
-    (n, G, B), and is overwritten.
+    replicates each. factor is (Q_F, R_F, x2_F) of the (n, k) fixed block
+    F = Q_F R_F that the B replicates of a member share: its thin QR
+    factors, (G, n, k) and (G, k, k), and ||R_F^-1||_F^2, (G,), taken once
+    per member by the caller (boot_interval). lags is a sequence of q1 (n,
+    G, B) arrays, lags[l][:, g, b] being the lag-(l+1) column of replicate
+    b of member g (row slices of one time-major (months, G, B) series serve
+    as they are); response is (n, G, B), and is overwritten.
 
-    Frisch-Waugh-Lovell partialling: one QR F = Q_F R_F of each member's
-    fixed block; Q_F' of every lag column and of the response is one
-    (k, n) @ (n, B) product per member, and what Q_F leaves of each lag
-    column goes into one work buffer, of the response into the response
-    itself. Modified Gram-Schmidt (MGS) across the batch then
+    Frisch-Waugh-Lovell partialling: Q_F' of every lag column and of the
+    response is one (k, n) @ (n, B) product per member, and what Q_F leaves
+    of each lag column goes into one work buffer, of the response into the
+    response itself. Modified Gram-Schmidt (MGS) across the batch then
     orthogonalises the partialled lag columns in place, the response
     carried along as a last column: an O(q1^2) sequence of vector
     operations on (n, G B) arrays that gives R_L and Q_L' r. Only then,
@@ -305,12 +306,16 @@ def _batched_refit(
     finite and singular, so the replicate goes to the SVD and is dropped.
 
     A replicate is kept when R passes _full_rank_r, the rank rule of every
-    least-squares solve. Its one back substitution of [I | Q'r], run in the
-    replicate-last layout of the array above, gives both the kappa_F screen
-    and the coefficients; singular values are computed only near the
-    cutoff. Every step treats each replicate's columns on their own, so a
-    replicate's result does not depend on the others in the batch or on
-    how many members share it.
+    least-squares solve. Its back substitution, run in the replicate-last
+    layout of the array above, solves only the last q1 columns of I and
+    Q'r: the first k columns of R^-1 are R_F^-1 over zeros, the same in
+    every replicate of a member, and x2_F stands for their squared norm in
+    the kappa_F screen. That one solve gives both the screen and the
+    coefficients; singular values are computed only near the cutoff, and a
+    singular R_F, whose x2_F is then far above the screen's bound or not
+    finite, sends every replicate of its member to them. Every step treats
+    each replicate's columns on their own, so a replicate's result does not
+    depend on the others in the batch or on how many members share it.
 
     Returns (coef, kept, checked): coef is (m, G, B), the fixed
     coefficients in its first k rows and the lag ones in the last q1, NaN
@@ -318,9 +323,9 @@ def _batched_refit(
     of the replicates kept and of those whose singular values were
     computed.
     """
-    q1, (n, G, B), k = len(lags), response.shape, fixed.shape[-1]
+    q1, (n, G, B), (Q_F, R_F, x2_F) = len(lags), response.shape, factor
+    k = R_F.shape[-1]
     m, N = k + q1, G * B
-    Q_F, R_F = np.linalg.qr(fixed)
     # the blocks of [R | Q'r] that differ between replicates: Q_F' of every
     # lag column and of the response, then R_L and Q_L' r from MGS
     top = np.empty((k, q1 + 1, G, B))
@@ -355,7 +360,8 @@ def _batched_refit(
     Rr = Rr.reshape(m, m + 1, N)
     Rr[k:, k:] = low
     kept, checked, _, solution = _full_rank_r(Rr[:, :m].transpose(2, 0, 1),
-                                              Rr[:, m:].transpose(2, 0, 1))
+                                              Rr[:, m:].transpose(2, 0, 1),
+                                              k, np.repeat(x2_F, B))
     coef = solution[..., 0].T              # (m, N), [fixed, lags] rows
     coef[:, ~kept] = np.nan
     return coef.reshape(m, G, B), kept.reshape(G, B), checked.reshape(G, B)
@@ -390,15 +396,19 @@ def boot_interval(
     The replicates run in chunks of max(1, _BOOT_COLUMNS // B) members,
     each chunk's buffers freed before the next chunk's are allocated, so
     the working set is one chunk's (about 1 MB per member at B = 500) at
-    any batch size. A chunk's G members' B replicates live in one
+    any batch size, besides the n k + k^2 + 1 floats of each member's
+    factored block. A chunk's G members' B replicates live in one
     time-major (T + H, G, B) array: the drawn residuals fill it and the AR
     recursion rebuilds it in place, so the lag windows and the response of
     every refit are row slices of it. Only the q1 lag columns change from
     one replicate to the next; a member's (z, x, d_hat) block is the same
-    in all its replicates, so it is factored once and partialled out
+    in all its replicates, so every member's block is factored once per
+    call, in one QR, before the first chunk, and so is the squared norm of
+    its R_F^-1. Each chunk partials its members' blocks out
     (Frisch-Waugh-Lovell), and modified Gram-Schmidt across the chunk
     finishes every refit, its kappa_F screen and its coefficients coming
-    from one back substitution (_batched_refit). The H-step forecasts of
+    from one back substitution of the last q1 columns of I and Q'r
+    (_batched_refit). The H-step forecasts of
     the chunk are then rolled forward together by the same AR recursion,
     and both endpoints of a member are read off its sorted (kept, H) error
     matrix in one call. Every product takes a member's own shapes, so its
@@ -437,6 +447,10 @@ def boot_interval(
     rows, alpha_hat = rows.reshape(G, n + H, k), jf.alpha_hat.reshape(G, 1, q1)
     resid = jf.residuals.reshape(G, n)
     centered = resid - resid.mean(axis=-1, keepdims=True)
+    # every member's fixed block, factored once for all its chunk's refits
+    Q_F, R_F = np.linalg.qr(rows[:, :n])
+    R_F_inv = _full_rank_r(R_F, R_F[..., :0])[2]
+    x2_F = np.einsum("gij,gij->g", R_F_inv, R_F_inv)
     limit = 0.05 * B
     n_failed, n_checked = np.empty(G, dtype=int), np.empty(G, dtype=int)
     bounds = np.empty((2, G, H))
@@ -458,7 +472,8 @@ def boot_interval(
         paths = np.empty((q1 + H, count, B))
         paths[:q1] = Y[T - q1:T]
         coef, kept, checked = _batched_refit(
-            rows[chunk, :n], [Y[q1 - l: T - l] for l in range(1, q1 + 1)], Y[q1:T])
+            (Q_F[chunk], R_F[chunk], x2_F[chunk]),
+            [Y[q1 - l: T - l] for l in range(1, q1 + 1)], Y[q1:T])
         n_failed[chunk], n_checked[chunk] = B - kept.sum(axis=1), checked.sum(axis=1)
         if (n_failed[chunk] > limit).any():
             return  # the call raises once every chunk has run

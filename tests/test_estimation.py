@@ -524,13 +524,14 @@ def _linalg_calls() -> dict[str, set[str]]:
 
 def test_factorizations_live_in_the_listed_functions():
     # every least-squares step goes through _triangularize (one Householder
-    # QR) or the bootstrap's partialled refit, and every rank verdict through
+    # QR) or the bootstrap's partialled refit, whose fixed blocks
+    # boot_interval factors once per call, and every rank verdict through
     # the SVD of _full_rank_r; a new factorization needs an entry here
     assert _linalg_calls() == {
         "_triangularize": {"qr"},
         "_full_rank_r": {"svd"},
         "_rank_deficient": {"svd"},
-        "_batched_refit": {"qr"},
+        "boot_interval": {"qr"},
         "efficiency_gain": {"cholesky", "solve"},
         "DgpSpec.__post_init__": {"cholesky", "eigvals"},
     }
@@ -602,6 +603,10 @@ _MATRIX_PRODUCTS = {
             "numpy's own einsum loop, no BLAS: one sum per replicate column",
         "np.einsum('tb,tb->b', col, cols[j], out=low[i, j])":
             "numpy's own einsum loop, no BLAS: one sum per replicate column",
+    },
+    "boot_interval": {
+        "np.einsum('gij,gij->g', R_F_inv, R_F_inv)":
+            "numpy's own einsum loop, no BLAS: one sum per member in a fixed order",
     },
     "boot_interval.run": {
         "np.matmul(rows[chunk, n:], coef[:k].transpose(1, 0, 2), "

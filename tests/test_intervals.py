@@ -362,6 +362,19 @@ def test_boot_matches_per_replicate_lstsq(q1, rule, H):
         assert np.all(np.abs(iv.upper - upper) <= bound)
 
 
+def _lead_x2(R_F):
+    """||R_F^-1||_F^2 of each (k, k) block of R_F, taken from _full_rank_r
+    as boot_interval takes it."""
+    R_F_inv = _full_rank_r(R_F, R_F[..., :0])[2]
+    return np.einsum("...ij,...ij->...", R_F_inv, R_F_inv)
+
+
+def _factor(fixed):
+    """The factor argument of _batched_refit for fixed blocks (G, n, k)."""
+    Q_F, R_F = np.linalg.qr(fixed)
+    return Q_F, R_F, _lead_x2(R_F)
+
+
 def _refit(fixed, lags, response):
     """_batched_refit of one member, fixed (n, k), lags q1 (n, B) columns
     and response (n, B), which it leaves as they are, as (coef, kept,
@@ -369,7 +382,7 @@ def _refit(fixed, lags, response):
     column order."""
     k = fixed.shape[1]
     coef, kept, checked = _batched_refit(
-        fixed[None], [lag[:, None] for lag in lags], response[:, None].copy())
+        _factor(fixed[None]), [lag[:, None] for lag in lags], response[:, None].copy())
     coef = coef[:, 0].T
     return (np.concatenate([coef[:, k:], coef[:, :k]], axis=1), kept[0],
             int(checked.sum()))
@@ -518,6 +531,100 @@ def test_refit_screen_matches_svd_rule(rng):
     # the batches reach both sides of the cutoff and beyond
     assert np.sum((kappa > 1e8) & (kappa < 1e12)) > 300
     assert np.min(kappa) < 1e3 and np.sum(np.isinf(kappa) | (kappa > 1e14)) > 5
+
+
+def _assert_narrow_solve_is_full_solve(R, rhs, k, x2_F, name):
+    """_full_rank_r on the trailing columns [I[:, k:] | rhs], with x2_F for
+    the leading ones, against the full [I | rhs]: the same kept mask, the
+    same bytes in every column they share, and the SVD rule's mask."""
+    kept, _, X, x = _full_rank_r(R, rhs, k, x2_F)
+    kept_full, _, X_full, x_full = _full_rank_r(R, rhs)
+    assert kept.tolist() == kept_full.tolist(), name
+    assert x.tobytes() == x_full.tobytes(), name
+    assert X.tobytes() == X_full[..., k:].tobytes(), name
+    ref = _full_rank(np.linalg.svd(R, compute_uv=False))
+    assert kept.tolist() == ref.tolist(), (name, np.flatnonzero(kept != ref))
+
+
+def _member_batch(rng):
+    """(fixed, lags, response) of G = 3 members of B = 40 replicates: fixed
+    (G, n, k) with kappa_2 10, 10^8.5 and 10^12, lags q1 (n, G, B) arrays and
+    response (n, G, B). Each lag column is F w plus a part orthogonal to F,
+    so R_F^-1 Q_F' L = w stays small and only ||R_F^-1||_F shows how badly
+    R_F is conditioned: members 0, 1 and 2 are kept by the screen, kept by
+    the SVD and dropped."""
+    G, B, q1, n, k = 3, 40, 2, 50, 5
+    fixed = np.stack([(np.linalg.qr(rng.normal(size=(n, k)))[0]
+                       * np.geomspace(1.0, 1.0 / kappa, k))
+                      @ np.linalg.qr(rng.normal(size=(k, k)))[0]
+                      for kappa in (10.0, 10**8.5, 1e12)])
+    Q_F = np.linalg.qr(fixed)[0]
+    noise = rng.normal(size=(G, n, q1 * B))
+    noise -= Q_F @ (Q_F.mT @ noise)
+    lags = fixed @ (0.3 * rng.normal(size=(G, k, q1 * B))) + 0.3 * noise
+    lags = lags.reshape(G, n, q1, B).transpose(2, 1, 0, 3)
+    return fixed, list(lags), rng.normal(size=(n, G, B))
+
+
+def _recorded_full_rank_r(monkeypatch):
+    """The arguments of every _full_rank_r call that _batched_refit makes."""
+    calls = []
+    solve = intervals._full_rank_r
+
+    def recorded(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(intervals, "_full_rank_r", recorded)
+    return calls
+
+
+def test_narrow_solve_matches_full_solve(rng, monkeypatch):
+    for name, (k, R) in _screen_batches(rng).items():
+        rhs = rng.normal(size=(R.shape[-1], 2, len(R))).transpose(2, 0, 1)
+        _assert_narrow_solve_is_full_solve(R, rhs, k, _lead_x2(R[:, :k, :k]), name)
+    # the R, Q'r and per-member term of the refit itself, in its
+    # replicate-last layout
+    calls = _recorded_full_rank_r(monkeypatch)
+    fixed, lags, response = _rank_rule_batch(rng)
+    _refit(fixed, lags.transpose(1, 2, 0), response.T)
+    fixed, lags, response = _member_batch(rng)
+    _batched_refit(_factor(fixed), lags, response)
+    assert [args[2] for args in calls] == [5, 5]
+    for name, args in zip(("rank rule batch", "member batch"), calls):
+        _assert_narrow_solve_is_full_solve(*args, name)
+
+
+def test_batched_refit_keeps_each_members_own_fixed_term(rng):
+    # each member's replicates are screened with its own ||R_F^-1||_F: a
+    # term taken from another member would keep member 2's replicates
+    # unchecked, or send member 0's to the SVD
+    fixed, lags, response = _member_batch(rng)
+    G, B = response.shape[1:]
+    coef, kept, checked = _batched_refit(_factor(fixed), lags, response.copy())
+    assert kept.sum(axis=1).tolist() == [B, B, 0]
+    assert checked.sum(axis=1).tolist() == [0, B, B]
+    for g in range(G):
+        one = _batched_refit(_factor(fixed[g:g + 1]), [lag[:, g:g + 1] for lag in lags],
+                             response[:, g:g + 1].copy())
+        assert one[0].tobytes() == coef[:, g:g + 1].tobytes(), g
+        assert one[1].tolist() == kept[g:g + 1].tolist(), g
+
+
+def test_boot_factors_fixed_blocks_once_per_call(monkeypatch):
+    # a batch of 4 runs in two chunks at B = 500, and its fixed blocks are
+    # factored in one QR before the first
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    batch = _fitted_batch(members=4)
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    boot_interval(*batch, 4, BootstrapConfig(B=500, seed=(1, 2, 3, 4)), 0.05)
+    assert calls == [(4, 50, 5)]
 
 
 def _count_svd_rows(monkeypatch):

@@ -923,9 +923,9 @@ def test_report_independent_of_boot_group(monkeypatch):
         calls.append(len(jf.residuals))
         return boot(jf, *args)
 
-    def chunk_counted(fixed, *args):
-        chunks.append(len(fixed))
-        return refit(fixed, *args)
+    def chunk_counted(factor, *args):
+        chunks.append(len(factor[0]))   # members of the chunk's Q_F
+        return refit(factor, *args)
 
     monkeypatch.setattr(simulation, "boot_interval", counted)
     monkeypatch.setattr(intervals, "_batched_refit", chunk_counted)
